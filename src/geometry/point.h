@@ -8,6 +8,8 @@
 #ifndef PARSIM_SRC_GEOMETRY_POINT_H_
 #define PARSIM_SRC_GEOMETRY_POINT_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <initializer_list>
 #include <span>
@@ -27,6 +29,14 @@ using PointView = std::span<const Scalar>;
 /// Identifier of a data object within a data set.
 using PointId = std::uint32_t;
 inline constexpr PointId kInvalidPointId = static_cast<PointId>(-1);
+
+/// True iff no coordinate is NaN or infinite. The write paths (tree
+/// Insert, engine Build/Insert) reject points that fail it: a NaN never
+/// compares equal, so such a record could never be found or deleted.
+inline bool AllFinite(std::span<const Scalar> coords) {
+  return std::all_of(coords.begin(), coords.end(),
+                     [](Scalar x) { return std::isfinite(x); });
+}
 
 /// An owning d-dimensional point. The data space is [0,1]^d by convention
 /// (Section 2 of the paper); generators produce coordinates in that range,

@@ -22,13 +22,22 @@ void LeafBlock::BuildFrom(const Node& leaf, std::size_t dimension,
   }
 }
 
+void LeafBlockCache::Grow(std::size_t num_nodes) {
+  while (slots_.size() < num_nodes) {
+    slots_.push_back(std::make_unique<Slot>());
+  }
+}
+
 void LeafBlockCache::Invalidate(std::size_t num_nodes) {
   ++epoch_;
-  if (slots_.size() < num_nodes) {
-    slots_.reserve(num_nodes);
-    while (slots_.size() < num_nodes) {
-      slots_.push_back(std::make_unique<Slot>());
-    }
+  Grow(num_nodes);
+}
+
+void LeafBlockCache::Invalidate(const std::vector<NodeId>& leaves,
+                                std::size_t num_nodes) {
+  Grow(num_nodes);
+  for (const NodeId id : leaves) {
+    slots_[id]->built_epoch.store(0, std::memory_order_relaxed);
   }
 }
 

@@ -10,11 +10,14 @@
 // ComparableBlock) stream over without a per-query gather.
 //
 // Blocks are derived state: LeafBlockCache builds them lazily on first
-// access and invalidates them wholesale whenever the tree's structure
-// changes (insert, delete, bulk load, deserialize). The tree's
-// concurrency contract — queries never race with mutations — makes a
-// single epoch counter sufficient: mutations bump the epoch between
-// query waves, and concurrent readers synchronize on a per-slot atomic.
+// access. An insert or delete marks stale only the blocks of the leaves
+// whose entry lists it changed; a bulk load, a deserialize or a
+// quantize/prefix toggle invalidates them wholesale. The tree's
+// concurrency contract — queries never race with mutations — makes one
+// epoch counter plus a per-slot built epoch sufficient: a wholesale
+// change bumps the epoch, a per-leaf change resets that slot's built
+// epoch, both between query waves, and concurrent readers synchronize on
+// the per-slot atomic.
 
 #ifndef PARSIM_SRC_INDEX_LEAF_BLOCK_H_
 #define PARSIM_SRC_INDEX_LEAF_BLOCK_H_
@@ -65,14 +68,20 @@ struct LeafBlock {
 /// Thread-safety contract (the tree family's): any number of concurrent
 /// Get() calls may race with each other — the first one through a slot's
 /// build mutex materializes the block, the rest wait or take the fast
-/// atomic-epoch path — but Invalidate() must not race with Get(); it is
-/// called from the tree's mutating entry points, which are documented as
-/// exclusive with queries (like SetFaultPlan / Insert / Remove).
+/// atomic-epoch path — but neither Invalidate overload may race with
+/// Get(); they are called from the tree's mutating entry points, which
+/// are documented as exclusive with queries (like SetFaultPlan / Insert
+/// / Remove).
 class LeafBlockCache {
  public:
-  /// Marks every cached block stale and makes room for `num_nodes`
-  /// slots. Call after any structural change, from the mutation side.
+  /// Marks every cached block stale in O(1) and makes room for
+  /// `num_nodes` slots. For wholesale changes, from the mutation side.
   void Invalidate(std::size_t num_nodes);
+
+  /// Marks only the blocks of `leaves` stale and makes room for
+  /// `num_nodes` slots (new slots start stale). For changes confined to
+  /// those leaves' entry lists, from the mutation side.
+  void Invalidate(const std::vector<NodeId>& leaves, std::size_t num_nodes);
 
   /// Whether rebuilt blocks carry SQ8 mirrors. Flip from the mutation
   /// side only (TreeBase::set_quantized_leaf_blocks invalidates
@@ -90,20 +99,22 @@ class LeafBlockCache {
 
  private:
   struct Slot {
-    /// Epoch the block was built at; acquire/release pairs with the
-    /// build below so a reader that sees the current epoch also sees
-    /// the fully built block.
+    /// Epoch the block was built at, 0 when stale; acquire/release pairs
+    /// with the build below so a reader that sees the current epoch also
+    /// sees the fully built block.
     std::atomic<std::uint64_t> built_epoch{0};
     std::mutex build_mutex;
     LeafBlock block;
   };
 
+  void Grow(std::size_t num_nodes);
+
   // unique_ptr slots: Invalidate() may grow the vector, and Slot holds
   // a mutex/atomic (neither movable).
   std::vector<std::unique_ptr<Slot>> slots_;
-  /// Bumped by Invalidate; slots at an older epoch rebuild on access.
-  /// Starts above the slots' initial built_epoch of 0 so fresh slots
-  /// count as stale.
+  /// Bumped by the wholesale Invalidate; slots at an older epoch rebuild
+  /// on access. Starts above the stale built_epoch of 0 so fresh and
+  /// per-leaf invalidated slots count as stale.
   std::uint64_t epoch_ = 1;
   /// Mutation-side settings read by Get's (re)builds.
   bool quantize_ = false;

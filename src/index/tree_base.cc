@@ -139,8 +139,12 @@ const Node& TreeBase::PeekNode(NodeId id) const {
 }
 
 Status TreeBase::Insert(PointView p, PointId id) {
+  changed_leaves_.clear();
   if (p.size() != dim_) {
     return Status::InvalidArgument("point dimension mismatch");
+  }
+  if (!AllFinite(p)) {
+    return Status::InvalidArgument("point has a NaN or infinite coordinate");
   }
   if (root_ == kInvalidNodeId) {
     root_ = AllocateNode(/*level=*/0);
@@ -152,7 +156,7 @@ Status TreeBase::Insert(PointView p, PointId id) {
                                   false);
   InsertEntryAtLevel(std::move(entry), /*target_level=*/0, &reinsert_done);
   ++size_;
-  InvalidateLeafBlocks();
+  InvalidateChangedLeafBlocks();
   return Status::Ok();
 }
 
@@ -251,6 +255,7 @@ void TreeBase::InsertEntryAtLevel(NodeEntry entry, int target_level,
                                   std::vector<bool>* reinsert_done) {
   std::vector<NodeId> path = ChoosePath(entry.rect, target_level);
   nodes_[path.back()]->entries.push_back(std::move(entry));
+  NoteEntriesChanged(path.back());
   RefreshPathMbrs(path);
 
   // Overflow treatment bottom-up along the insertion path.
@@ -341,6 +346,7 @@ void TreeBase::ForcedReinsert(NodeId node_id, const std::vector<NodeId>& path,
     }
   }
   node.entries = std::move(kept);
+  NoteEntriesChanged(node_id);
   RefreshPathMbrs(path);
   const int level = node.level;
   // Reinsert closest-first (R* found this ordering best).
@@ -502,6 +508,8 @@ NodeId TreeBase::ApplySplit(NodeId node_id, SplitResult split) {
   left_node.pages = pages_for(left_node.entries.size());
   sibling.pages = pages_for(sibling.entries.size());
   disk_->WritePages(left_node.pages + sibling.pages);
+  NoteEntriesChanged(node_id);
+  NoteEntriesChanged(sibling_id);
   return sibling_id;
 }
 
@@ -795,6 +803,7 @@ std::vector<NodeId> TreeBase::FindLeafPath(PointView p, PointId id) const {
 }
 
 Status TreeBase::Delete(PointView p, PointId id) {
+  changed_leaves_.clear();
   if (p.size() != dim_) {
     return Status::InvalidArgument("point dimension mismatch");
   }
@@ -812,9 +821,10 @@ Status TreeBase::Delete(PointView p, PointId id) {
     }
   }
   PARSIM_CHECK(removed);
+  NoteEntriesChanged(path.back());
   --size_;
   CondenseTree(path);
-  InvalidateLeafBlocks();
+  InvalidateChangedLeafBlocks();
   return Status::Ok();
 }
 
@@ -835,6 +845,7 @@ void TreeBase::CondenseTree(const std::vector<NodeId>& path) {
         orphans.push_back(Orphan{std::move(e), node.level});
       }
       node.entries.clear();
+      NoteEntriesChanged(path[i]);
       bool unhooked = false;
       for (std::size_t j = 0; j < parent.entries.size(); ++j) {
         if (parent.entries[j].child == path[i]) {

@@ -74,7 +74,7 @@ class TreeBase {
   /// Total data (leaf) pages reachable from the root — the page count a
   /// query would be charged for reading this tree's entire data set.
   /// Cached after the first call; every structural change drops the
-  /// cache (same hook as the leaf-block cache). Safe under concurrent
+  /// cache (same hooks as the leaf-block cache). Safe under concurrent
   /// readers: the recompute is idempotent and the slot is atomic.
   std::uint64_t DataPages() const;
 
@@ -84,14 +84,33 @@ class TreeBase {
   SimulatedDisk* disk() const { return disk_; }
 
   /// Inserts one data point. Ids need not be unique, but queries report
-  /// them verbatim, so unique ids are advisable.
+  /// them verbatim, so unique ids are advisable. A point with a NaN or
+  /// infinite coordinate is rejected with kInvalidArgument and the tree
+  /// is left untouched.
   Status Insert(PointView p, PointId id);
 
-  /// Deletes the exact record (p, id). Returns kNotFound if absent.
-  /// Underfull nodes are condensed R*-style: the node is dissolved and
-  /// its entries reinserted. (Node slots of dissolved nodes are not
-  /// recycled; an all-deletes workload grows the node table.)
+  /// Deletes the exact record (p, id). Returns kNotFound if absent,
+  /// before touching any node. Underfull nodes are condensed R*-style:
+  /// the node is dissolved and its entries reinserted. (Node slots of
+  /// dissolved nodes are not recycled; an all-deletes workload grows the
+  /// node table.)
   Status Delete(PointView p, PointId id);
+
+  /// Ids of the leaves whose entry lists the last Insert or Delete
+  /// changed: the insertion targets (a fresh root leaf among them), both
+  /// halves of every leaf split, forced-reinsert sources, the delete
+  /// source and a leaf CondenseTree dissolved. Every statement that
+  /// rewrites a leaf's entries records it, so an id may repeat.
+  /// Directory edits (MBR refresh, root growth and shrink, supernode
+  /// growth) change no leaf. Empty after a failed call; BulkLoad and
+  /// deserialization, which invalidate derived state wholesale, clear it.
+  /// Node ids are never recycled, so every other leaf keeps the entries,
+  /// MBR and disk route it had, and ids at or past the previous
+  /// num_nodes() are new nodes. Derived per-leaf caches (the leaf blocks,
+  /// the engine's route memo) drop just these entries.
+  const std::vector<NodeId>& changed_leaves() const {
+    return changed_leaves_;
+  }
 
   /// Bulk loads an empty tree by Hilbert-order packing: points are sorted
   /// along a Hilbert curve and packed into leaves at options().bulk_load
@@ -279,12 +298,29 @@ class TreeBase {
   LeafBlockCache leaf_blocks_;
 
   /// Marks every cached leaf block stale and drops the data-page count.
-  /// Every mutating entry point (Insert, Delete, BulkLoad,
-  /// deserialization) must call this before returning control to queries.
+  /// Wholesale mutations (BulkLoad, deserialization) and the
+  /// quantize/prefix toggles call this before returning control to
+  /// queries.
   void InvalidateLeafBlocks() {
+    changed_leaves_.clear();
     leaf_blocks_.Invalidate(nodes_.size());
     data_pages_cache_.store(0, std::memory_order_relaxed);
   }
+
+  /// Marks stale only the blocks of changed_leaves_ and drops the
+  /// data-page count. Insert and Delete call this before returning.
+  void InvalidateChangedLeafBlocks() {
+    leaf_blocks_.Invalidate(changed_leaves_, nodes_.size());
+    data_pages_cache_.store(0, std::memory_order_relaxed);
+  }
+
+  /// Records that `id`'s entry list changed, if `id` is a leaf.
+  void NoteEntriesChanged(NodeId id) {
+    if (nodes_[id]->IsLeaf()) changed_leaves_.push_back(id);
+  }
+
+  /// See changed_leaves(); cleared at the start of Insert and Delete.
+  std::vector<NodeId> changed_leaves_;
 
   /// Cached DataPages() sum; 0 = unknown (a non-empty tree has >= 1).
   mutable std::atomic<std::uint64_t> data_pages_cache_{0};

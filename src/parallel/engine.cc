@@ -129,14 +129,25 @@ DiskId ParallelSearchEngine::DiskOfLeaf(const Node& leaf) const {
   return declusterer_->DiskOfPoint(center, leaf.id);
 }
 
-void ParallelSearchEngine::InvalidateLeafRoutes() {
-  if (options_.architecture != Architecture::kSharedTree || trees_.empty()) {
-    return;
+void ParallelSearchEngine::SyncLeafRoutes() {
+  if (options_.architecture != Architecture::kSharedTree) return;
+  const TreeBase& tree = *trees_[0];
+  if (tree.num_nodes() > leaf_routes_size_) {
+    // Grow geometrically so a run of splits costs amortized O(1) per new
+    // node. make_unique value-initializes, so new slots start invalid (0).
+    const std::size_t size =
+        std::max(tree.num_nodes(), leaf_routes_size_ + leaf_routes_size_ / 2);
+    auto grown = std::make_unique<std::atomic<std::uint64_t>[]>(size);
+    for (std::size_t i = 0; i < leaf_routes_size_; ++i) {
+      grown[i].store(leaf_routes_[i].load(std::memory_order_relaxed),
+                     std::memory_order_relaxed);
+    }
+    leaf_routes_ = std::move(grown);
+    leaf_routes_size_ = size;
   }
-  const std::size_t n = trees_[0]->num_nodes();
-  // make_unique value-initializes, so every slot starts invalid (0).
-  leaf_routes_ = std::make_unique<std::atomic<std::uint64_t>[]>(n);
-  leaf_routes_size_ = n;
+  for (const NodeId id : tree.changed_leaves()) {
+    leaf_routes_[id].store(0, std::memory_order_relaxed);
+  }
 }
 
 TreeBase::DiskRoute ParallelSearchEngine::RouteLeaf(const Node& leaf) const {
@@ -202,6 +213,10 @@ Status ParallelSearchEngine::Build(const PointSet& points) {
   if (size_ != 0) {
     return Status::FailedPrecondition("Build may only be called once");
   }
+  if (!AllFinite({points.data(), points.size() * dim_})) {
+    return Status::InvalidArgument(
+        "point set has a NaN or infinite coordinate");
+  }
   // Parallel builds reuse the shared query pool; BulkLoad is
   // bit-identical to its serial self at any thread count, so opting in
   // costs nothing but wall clock.
@@ -257,7 +272,7 @@ Status ParallelSearchEngine::Build(const PointSet& points) {
   build_stats_ += host_.stats();
   disks_.ResetStats();
   host_.ResetStats();
-  InvalidateLeafRoutes();
+  SyncLeafRoutes();
   if (build_pool != nullptr) {
     // Parallel post-build warm-up: leaf SoA blocks (with SQ8/prefix
     // mirrors when enabled) and the memoized leaf routes are derived
@@ -293,10 +308,13 @@ Status ParallelSearchEngine::Insert(PointView p, PointId id) {
   if (p.size() != dim_) {
     return Status::InvalidArgument("point dimension mismatch");
   }
+  if (!AllFinite(p)) {
+    return Status::InvalidArgument("point has a NaN or infinite coordinate");
+  }
   if (options_.architecture == Architecture::kSharedTree) {
     Status s = trees_[0]->Insert(p, id);
     if (!s.ok()) return s;
-    InvalidateLeafRoutes();
+    SyncLeafRoutes();
   } else if (options_.architecture == Architecture::kFederatedScan) {
     const DiskId disk = declusterer_->DiskOfPoint(p, id);
     PARSIM_CHECK(disk < scan_partitions_.size());
@@ -319,9 +337,7 @@ Status ParallelSearchEngine::Remove(PointView p, PointId id) {
   Status s = Status::Ok();
   if (options_.architecture == Architecture::kSharedTree) {
     s = trees_[0]->Delete(p, id);
-    // Even a NotFound delete may have reorganized nodes on its way down
-    // (condensation re-inserts); drop the memoized routes either way.
-    InvalidateLeafRoutes();
+    if (s.ok()) SyncLeafRoutes();
   } else if (options_.architecture == Architecture::kFederatedScan) {
     const DiskId disk = declusterer_->DiskOfPoint(p, id);
     PARSIM_CHECK(disk < scan_partitions_.size());

@@ -314,7 +314,9 @@ class ParallelSearchEngine {
   ParallelSearchEngine& operator=(const ParallelSearchEngine&) = delete;
 
   /// Declusters `points` and builds the index(es). Point ids are
-  /// positions in `points`. Call once.
+  /// positions in `points`. Call once. A point set with a NaN or
+  /// infinite coordinate is rejected with kInvalidArgument before any
+  /// point is stored.
   ///
   /// When options().parallel_workers > 1 and bulk_load is on, the build
   /// itself is parallel: every BulkLoad phase fans out over the shared
@@ -323,11 +325,14 @@ class ParallelSearchEngine {
   /// post-build warm-up — leaf SoA blocks with their SQ8/prefix mirrors,
   /// plus the memoized leaf→disk routes and replica buckets — fans out
   /// over the same pool so the first query wave starts from steady
-  /// state. Warm-up builds derived state only and charges nothing.
+  /// state. Warm-up builds derived state only and charges nothing, and
+  /// later writes keep it: Insert and Remove drop the blocks and routes
+  /// of just the leaves they change.
   Status Build(const PointSet& points);
 
   /// Inserts a single point dynamically (the engine is "completely
-  /// dynamical", Section 4.3).
+  /// dynamical", Section 4.3). A point with a NaN or infinite coordinate
+  /// is rejected with kInvalidArgument and the index is left untouched.
   Status Insert(PointView p, PointId id);
 
   /// Deletes the exact record (p, id); kNotFound if absent. The
@@ -472,12 +477,13 @@ class ParallelSearchEngine {
   /// primary flagged unavailable when no healthy copy exists.
   TreeBase::DiskRoute RouteLeaf(const Node& leaf) const;
 
-  /// Drops every memoized leaf route and resizes the cache to the shared
-  /// tree's current node count. Call after any structural change (Build,
-  /// Insert, Remove) — leaf MBRs may have moved, and with them the
-  /// declustering color. Mutation-side only: must not race with queries
-  /// (the tree family's standing contract).
-  void InvalidateLeafRoutes();
+  /// Brings the leaf-route memo up to date after Build, Insert or Remove:
+  /// grows it to the shared tree's node count, keeping every existing
+  /// word, and drops the words of TreeBase::changed_leaves() — the only
+  /// leaves whose MBR, and with it the declustering color, may have
+  /// moved. Mutation-side only: must not race with queries (the tree
+  /// family's standing contract).
+  void SyncLeafRoutes();
 
   /// Fills the leaf-route memo for every leaf of the shared tree, over
   /// `pool` when given. RouteLeaf's memo fill is idempotent (the packed
@@ -518,7 +524,8 @@ class ParallelSearchEngine {
   /// end-to-end batch time before memoization. Queries fill slots
   /// racing-but-idempotent (every thread computes the same word, relaxed
   /// atomics keep TSAN happy); fault state stays OUT of the word, so
-  /// SetFaultPlan needs no invalidation.
+  /// SetFaultPlan needs no invalidation. A write drops only the words of
+  /// the leaves it changed (SyncLeafRoutes).
   mutable std::unique_ptr<std::atomic<std::uint64_t>[]> leaf_routes_;
   std::size_t leaf_routes_size_ = 0;
   // buffer_pool_ must outlive disks_ and host_ (attached shards), which

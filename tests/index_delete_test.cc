@@ -3,6 +3,7 @@
 // deletions immediately.
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -28,6 +29,23 @@ TEST(DeleteTest, DimensionMismatchRejected) {
   RStarTree tree(3, &disk);
   EXPECT_EQ(tree.Delete(Point({0.5f, 0.5f}), 0).code(),
             StatusCode::kInvalidArgument);
+}
+
+// A NaN record could never be deleted (NaN != NaN), so Insert refuses
+// non-finite coordinates up front and stores nothing.
+TEST(DeleteTest, NonFiniteInsertRejected) {
+  SimulatedDisk disk(0);
+  RStarTree tree(2, &disk);
+  ASSERT_TRUE(tree.Insert(Point({0.5f, 0.5f}), 0).ok());
+  for (const Scalar bad : {std::numeric_limits<Scalar>::quiet_NaN(),
+                           std::numeric_limits<Scalar>::infinity(),
+                           -std::numeric_limits<Scalar>::infinity()}) {
+    EXPECT_EQ(tree.Insert(Point({0.25f, bad}), 1).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_TRUE(tree.changed_leaves().empty());
+  }
+  EXPECT_EQ(tree.size(), 1u);
+  EXPECT_TRUE(tree.ValidateInvariants().ok());
 }
 
 TEST(DeleteTest, InsertThenDeleteSinglePoint) {

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include "src/index/knn.h"
 #include "src/index/rstar_tree.h"
 #include "src/index/xtree.h"
+#include "src/util/random.h"
 #include "src/workload/generators.h"
 
 namespace parsim {
@@ -167,41 +169,119 @@ TEST_P(LeafBlockPropertyTest, RangeAndPartialMatchQueriesMatchScan) {
   }
 }
 
+/// A cached block must equal a fresh build of the same leaf field by
+/// field: floats, ids, the SQ8 lattice and codes, and the prefix copy.
+void ExpectSameBlock(const LeafBlock& got, const LeafBlock& want) {
+  ASSERT_EQ(got.count, want.count);
+  ASSERT_EQ(got.dim, want.dim);
+  EXPECT_EQ(got.coords, want.coords);
+  EXPECT_EQ(got.ids, want.ids);
+  ASSERT_EQ(got.has_sq8, want.has_sq8);
+  EXPECT_EQ(got.sq8.count, want.sq8.count);
+  EXPECT_EQ(got.sq8.dim, want.sq8.dim);
+  EXPECT_EQ(got.sq8.scale, want.sq8.scale);
+  EXPECT_EQ(got.sq8.lo, want.sq8.lo);
+  EXPECT_EQ(got.sq8.err, want.sq8.err);
+  EXPECT_EQ(got.sq8.codes, want.sq8.codes);
+  EXPECT_EQ(got.sq8.order, want.sq8.order);
+  EXPECT_EQ(got.sq8.prefix_dim, want.sq8.prefix_dim);
+  EXPECT_EQ(got.sq8.prefix_codes, want.sq8.prefix_codes);
+}
+
+// Insert and Delete mark stale only the blocks of the leaves they change,
+// so a leaf they miss would serve its old block. A seeded run of writes
+// grows a root leaf into a two-level tree, condenses it back and empties
+// it; before every write each reachable leaf's block (with SQ8 and
+// prefix mirrors) is cached, and after it each must equal a fresh build.
 TEST_P(LeafBlockPropertyTest, InsertAndDeleteInvalidateCachedBlocks) {
   const std::size_t dim = GetParam();
-  PointSet data = GenerateUniform(400, dim, 7401 + dim);
-  SimulatedDisk disk(0);
-  RStarTree tree(dim, &disk);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    ASSERT_TRUE(tree.Insert(data[i], static_cast<PointId>(i)).ok());
-  }
-  // Materialize every block, then mutate: stale blocks must not leak
-  // into any query answer.
-  for (const NodeId leaf_id : CollectLeaves(tree)) {
-    (void)tree.LeafBlockOf(tree.AccessNode(leaf_id));
-  }
-
-  const Point probe(std::vector<Scalar>(dim, 0.5f));
-  const PointId extra_id = 100000;
-  ASSERT_TRUE(tree.Insert(probe, extra_id).ok());
-  KnnResult nearest = HsKnn(tree, probe, 1);
-  ASSERT_EQ(nearest.size(), 1u);
-  EXPECT_EQ(nearest[0].id, extra_id);
-  EXPECT_EQ(nearest[0].distance, 0.0);
-
-  ASSERT_TRUE(tree.Delete(probe, extra_id).ok());
-  nearest = HsKnn(tree, probe, 1);
-  ASSERT_EQ(nearest.size(), 1u);
-  EXPECT_NE(nearest[0].id, extra_id);
-
-  // After the mutations every block still mirrors its leaf exactly.
-  for (const NodeId leaf_id : CollectLeaves(tree)) {
-    const Node& leaf = tree.AccessNode(leaf_id);
-    const LeafBlock& block = tree.LeafBlockOf(leaf);
-    ASSERT_EQ(block.count, leaf.entries.size());
-    for (std::size_t i = 0; i < block.count; ++i) {
-      EXPECT_EQ(block.ids[i], leaf.entries[i].child);
+  const std::size_t cap = LeafCapacityPerPage(dim);
+  // cap / 2 base points fill the root leaf halfway; the stream's inserts
+  // must split it. Once the stream is deleted again, cap / 2 points are
+  // too few for two leaves at minimum fill, so the tree must condense
+  // back to one level.
+  const std::size_t num_base = cap / 2;
+  const PointSet data = GenerateUniform(num_base + cap, dim, 7401 + dim);
+  for (const bool use_xtree : {true, false}) {
+    SCOPED_TRACE(use_xtree ? "XTree" : "RStarTree");
+    SimulatedDisk disk(0);
+    std::unique_ptr<TreeBase> tree;
+    if (use_xtree) {
+      tree = std::make_unique<XTree>(dim, &disk);
+    } else {
+      tree = std::make_unique<RStarTree>(dim, &disk);
     }
+    tree->set_quantized_leaf_blocks(true);
+    tree->set_sq8_prefix_stage(true);
+    for (std::size_t i = 0; i < num_base; ++i) {
+      ASSERT_TRUE(tree->Insert(data[i], static_cast<PointId>(i)).ok());
+    }
+    ASSERT_EQ(tree->height(), 1);
+
+    std::size_t writes = 0;
+    const auto check = [&] {
+      for (const NodeId leaf_id : CollectLeaves(*tree)) {
+        const Node& leaf = tree->PeekNode(leaf_id);
+        LeafBlock fresh;
+        fresh.BuildFrom(leaf, dim, /*quantize=*/true, /*prefix=*/true);
+        ExpectSameBlock(tree->LeafBlockOf(leaf), fresh);
+      }
+      ASSERT_FALSE(::testing::Test::HasFailure()) << "after write " << writes;
+    };
+    const auto write = [&](bool insert, PointId id) {
+      ++writes;
+      const Status s = insert ? tree->Insert(data[id], id)
+                              : tree->Delete(data[id], id);
+      ASSERT_TRUE(s.ok()) << s.ToString();
+      check();
+    };
+    check();
+
+    // Grow: insert the stream, deleting a random live stream point after
+    // about every fourth insert.
+    Rng rng(7403 + dim);
+    std::vector<PointId> live;
+    int max_height = tree->height();
+    const std::size_t nodes_before = tree->num_nodes();
+    for (std::size_t i = num_base; i < data.size(); ++i) {
+      write(/*insert=*/true, static_cast<PointId>(i));
+      live.push_back(static_cast<PointId>(i));
+      max_height = std::max(max_height, tree->height());
+      if (rng.NextBernoulli(0.25)) {
+        const std::size_t victim = rng.NextBounded(live.size());
+        write(/*insert=*/false, live[victim]);
+        live[victim] = live.back();
+        live.pop_back();
+      }
+    }
+    EXPECT_GE(max_height, 2) << "the root leaf never split";
+    EXPECT_GT(tree->num_nodes(), nodes_before + 1);
+
+    // Condense: delete the rest of the stream in seeded order. Deleting
+    // an already deleted record is NotFound and must change nothing.
+    rng.Shuffle(&live);
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      write(/*insert=*/false, live[i]);
+      if (i % 8 == 0) {
+        EXPECT_EQ(tree->Delete(data[live[i]], live[i]).code(),
+                  StatusCode::kNotFound);
+        EXPECT_TRUE(tree->changed_leaves().empty());
+        check();
+      }
+    }
+    EXPECT_EQ(tree->height(), 1) << "the tree never condensed";
+
+    // Empty the tree, then insert into a fresh root leaf.
+    for (std::size_t i = 0; i < num_base; ++i) {
+      write(/*insert=*/false, static_cast<PointId>(i));
+    }
+    EXPECT_EQ(tree->height(), 0);
+    write(/*insert=*/true, 0);
+    EXPECT_EQ(tree->height(), 1);
+    EXPECT_TRUE(tree->ValidateInvariants().ok());
+    const KnnResult nearest = HsKnn(*tree, data[0], 1);
+    ASSERT_EQ(nearest.size(), 1u);
+    EXPECT_EQ(nearest[0].id, 0u);
   }
 }
 

@@ -1,6 +1,8 @@
 #include "src/parallel/engine.h"
 
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -9,6 +11,7 @@
 #include "src/core/near_optimal.h"
 #include "src/index/knn.h"
 #include "src/parallel/route_memo.h"
+#include "src/util/random.h"
 #include "src/workload/generators.h"
 
 namespace parsim {
@@ -98,6 +101,68 @@ TEST(EngineTest, DimensionMismatchRejected) {
   ParallelSearchEngine engine(4,
                               std::make_unique<NearOptimalDeclusterer>(4, 4));
   EXPECT_EQ(engine.Build(data).code(), StatusCode::kInvalidArgument);
+}
+
+void ExpectSameAnswer(const KnnResult& got, const KnnResult& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id) << "rank " << i;
+    EXPECT_EQ(got[i].distance, want[i].distance) << "rank " << i;
+  }
+}
+
+// A NaN never compares equal, so a stored NaN record could never be
+// found again (Remove would report NotFound forever), and an infinite
+// coordinate breaks the leaf MBRs. Build and Insert reject both and
+// leave the index as it was, in every architecture.
+TEST(EngineTest, NonFiniteCoordinatesRejected) {
+  const std::size_t dim = 16;
+  const PointSet data = GenerateUniform(2000, dim, 371);
+  const PointSet queries = GenerateUniformQueries(4, dim, 373);
+  const auto expect_valid_trees = [](const ParallelSearchEngine& engine) {
+    if (engine.options().architecture == Architecture::kFederatedScan) return;
+    for (DiskId d = 0; d < engine.num_disks(); ++d) {
+      const Status s = engine.tree(d).ValidateInvariants();
+      EXPECT_TRUE(s.ok()) << s.ToString();
+    }
+  };
+  for (const Architecture arch :
+       {Architecture::kSharedTree, Architecture::kFederatedTrees,
+        Architecture::kFederatedScan}) {
+    EngineOptions options;
+    options.architecture = arch;
+    options.quantized_leaf_blocks = true;
+    for (const Scalar bad : {std::numeric_limits<Scalar>::quiet_NaN(),
+                             std::numeric_limits<Scalar>::infinity(),
+                             -std::numeric_limits<Scalar>::infinity()}) {
+      SCOPED_TRACE("architecture " + std::to_string(static_cast<int>(arch)) +
+                   ", coordinate " + std::to_string(bad));
+      // Build: one bad coordinate anywhere rejects the whole set.
+      PointSet tainted = data;
+      tainted.Mutable(1234)[5] = bad;
+      ParallelSearchEngine rejected(
+          dim, std::make_unique<NearOptimalDeclusterer>(dim, 8), options);
+      EXPECT_EQ(rejected.Build(tainted).code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(rejected.size(), 0u);
+      EXPECT_TRUE(rejected.Query(queries[0], 5).empty());
+      expect_valid_trees(rejected);
+
+      // Insert: the built index keeps its size and its answers.
+      auto engine = MakeEngine(data, 8, options);
+      std::vector<KnnResult> before;
+      for (std::size_t q = 0; q < queries.size(); ++q) {
+        before.push_back(engine->Query(queries[q], 10));
+      }
+      Point p = data.Materialize(7);
+      p[3] = bad;
+      EXPECT_EQ(engine->Insert(p, 99999).code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(engine->size(), data.size());
+      for (std::size_t q = 0; q < queries.size(); ++q) {
+        ExpectSameAnswer(engine->Query(queries[q], 10), before[q]);
+      }
+      expect_valid_trees(*engine);
+    }
+  }
 }
 
 TEST(EngineTest, QueryMatchesBruteForce) {
@@ -281,6 +346,118 @@ TEST(EngineTest, BuildStatsRecordedAndQueriesStartClean) {
   (void)engine->Query(data[0], 1, &stats);
   // Query stats must not include build-time writes.
   EXPECT_EQ(engine->disks().TotalStats().pages_written, 0u);
+}
+
+void ExpectSameStats(const QueryStats& a, const QueryStats& b) {
+  EXPECT_EQ(a.parallel_ms, b.parallel_ms);  // bitwise
+  EXPECT_EQ(a.sum_ms, b.sum_ms);
+  EXPECT_EQ(a.max_pages, b.max_pages);
+  EXPECT_EQ(a.total_pages, b.total_pages);
+  EXPECT_EQ(a.directory_pages, b.directory_pages);
+  EXPECT_EQ(a.buffer_hit_pages, b.buffer_hit_pages);
+  EXPECT_EQ(a.balance, b.balance);
+  EXPECT_EQ(a.pages_per_disk, b.pages_per_disk);
+  EXPECT_EQ(a.degraded, b.degraded);
+  EXPECT_EQ(a.replica_pages, b.replica_pages);
+  EXPECT_EQ(a.failed_read_attempts, b.failed_read_attempts);
+  EXPECT_EQ(a.unavailable_pages, b.unavailable_pages);
+  EXPECT_EQ(a.healthy_parallel_ms, b.healthy_parallel_ms);
+  EXPECT_EQ(a.coalesced_reads, b.coalesced_reads);
+  EXPECT_EQ(a.block_kernel_invocations, b.block_kernel_invocations);
+  EXPECT_EQ(a.quantized_pruned, b.quantized_pruned);
+  EXPECT_EQ(a.base_pruned, b.base_pruned);
+  EXPECT_EQ(a.prefix_pruned, b.prefix_pruned);
+  EXPECT_EQ(a.sq8_pruned, b.sq8_pruned);
+  EXPECT_EQ(a.reranked, b.reranked);
+  EXPECT_EQ(a.leaf_bytes_scanned, b.leaf_bytes_scanned);
+  EXPECT_EQ(a.frontier_pushes, b.frontier_pushes);
+  EXPECT_EQ(a.frontier_pops, b.frontier_pops);
+  EXPECT_EQ(a.cutoff_skipped_nodes, b.cutoff_skipped_nodes);
+  EXPECT_EQ(a.approx_skipped_nodes, b.approx_skipped_nodes);
+  EXPECT_EQ(a.approx_pruned_exactly, b.approx_pruned_exactly);
+  EXPECT_EQ(a.phases.ms, b.phases.ms);
+}
+
+// Insert and Remove drop the cached SQ8 blocks and leaf routes of only
+// the leaves they change. Engine `cached` keeps both warm through every
+// write: Build prewarms them over its pool, and a full-space range query
+// after each write refills every leaf. Engine `lazy` builds nothing until
+// the final queries. Same points, same writes (NotFound removes
+// included): a leaf either cache missed would show up in `cached` as a
+// stale route (pages_per_disk, parallel_ms) or a stale mirror (answers,
+// prune counters).
+TEST(EngineTest, WritesKeepCachedBlocksAndRoutesExact) {
+  const std::size_t dim = 16;
+  const std::size_t n = 1000;
+  const PointSet all = GenerateUniform(n + 300, dim, 375);
+  PointSet data(dim);
+  for (std::size_t i = 0; i < n; ++i) data.Add(all[i]);
+  EngineOptions options;
+  options.bulk_load = true;
+  options.bulk_load_fill = 1.0;  // full leaves: the first inserts split
+  options.quantized_leaf_blocks = true;
+  options.parallel_workers = 3;
+  auto cached = MakeEngine(data, 16, options);
+  options.parallel_workers = 1;
+  auto lazy = MakeEngine(data, 16, options);
+
+  const Rect everything = Rect::UnitCube(dim);
+  std::vector<PointId> live(n);
+  for (std::size_t i = 0; i < n; ++i) live[i] = static_cast<PointId>(i);
+  auto next = static_cast<PointId>(n);
+  Rng rng(377);
+  const std::size_t nodes_before = cached->tree().num_nodes();
+  std::size_t condensations = 0, not_found = 0;
+  for (std::size_t step = 0; step < 800; ++step) {
+    // Grow, then shrink to about two thirds of the start size; a tenth
+    // of the steps remove a record that is not stored.
+    const double insert_share = step < 250 ? 0.7 : 0.05;
+    const double r = rng.NextDouble();
+    const std::size_t leaves = cached->tree().ComputeStats().num_leaves;
+    PointId id;
+    bool insert = false;
+    if (r < insert_share && next < all.size()) {
+      insert = true;
+      id = next++;
+    } else if (r < insert_share + 0.1) {
+      id = next;
+      ++not_found;
+    } else {
+      const std::size_t victim = rng.NextBounded(live.size());
+      id = live[victim];
+      live[victim] = live.back();
+      live.pop_back();
+    }
+    const Status a = insert ? cached->Insert(all[id], id)
+                            : cached->Remove(all[id], id);
+    const Status b = insert ? lazy->Insert(all[id], id)
+                            : lazy->Remove(all[id], id);
+    ASSERT_EQ(a.code(), b.code()) << "step " << step;
+    ASSERT_EQ(a.code(), id == next ? StatusCode::kNotFound : StatusCode::kOk);
+    if (insert) live.push_back(id);
+    if (cached->tree().ComputeStats().num_leaves < leaves) ++condensations;
+    (void)cached->RangeQuery(everything);
+    (void)cached->Query(all[id], 10);
+  }
+  // The seeded run makes 15 nodes, condenses 10 times and misses 71.
+  EXPECT_GE(cached->tree().num_nodes(), nodes_before + 10) << "few splits";
+  EXPECT_GE(condensations, 5u);
+  EXPECT_GE(not_found, 10u);
+  ASSERT_EQ(cached->size(), live.size());
+  ASSERT_TRUE(cached->tree().ValidateInvariants().ok());
+
+  QueryStats sa, sb;
+  EXPECT_EQ(cached->RangeQuery(everything, &sa),
+            lazy->RangeQuery(everything, &sb));
+  ExpectSameStats(sa, sb);
+  const PointSet queries = GenerateUniformQueries(16, dim, 379);
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    SCOPED_TRACE("query " + std::to_string(q));
+    const KnnResult ra = cached->Query(queries[q], 10, &sa);
+    const KnnResult rb = lazy->Query(queries[q], 10, &sb);
+    ExpectSameAnswer(ra, rb);
+    ExpectSameStats(sa, sb);
+  }
 }
 
 // Pins the memo-word fix: the packed leaf route guards BOTH fields now.

@@ -10,10 +10,15 @@
 #      fails the run.
 #   4. Smoke run of every microbench (seconds-scale workloads): their
 #      built-in identity and invariant checks run on every CI pass, not
-#      just when someone regenerates the BENCH_*.json files.
+#      just when someone regenerates the BENCH_*.json files. Then the
+#      perf ledger's smoke mode (bench/ledger/run.py --smoke): all five
+#      ledger workloads at about 1/50 size for 1 s each, exiting nonzero
+#      on any wrong answer (k-NN oracle, page conservation, join pairs,
+#      the read-write live-set oracle).
 #
 # Usage: tools/ci.sh            (from anywhere; builds into build-ci/,
-#                                build-asan/ and build-tsan/ next to the
+#                                build-asan/, build-tsan/ and, for the
+#                                ledger, build-ledger/ next to the
 #                                sources)
 #        JOBS=8 tools/ci.sh     (override build/test parallelism)
 
@@ -82,7 +87,7 @@ for t in "${TSAN_TESTS[@]}"; do
     "./build-tsan/tests/${t}"
 done
 
-echo "== [4/4] microbench smoke lane =="
+echo "== [4/4] microbench + perf ledger smoke lane =="
 # Seconds-scale workloads; each bench exits nonzero if its bit-identity
 # or page-conservation checks fail.
 MICROBENCHES=(microbench_query_parallel microbench_buffer_pool
@@ -98,5 +103,7 @@ for b in "${MICROBENCHES[@]}"; do
     echo "-- smoke: ${b}"
     (cd build-ci && "./bench/${b}" --smoke)
 done
+echo "-- smoke: perf ledger"
+python3 bench/ledger/run.py --smoke --out build-ci/ledger-smoke
 
 echo "ci: all green"
