@@ -15,7 +15,7 @@
 // modes and the parallel speedup. Two further sections:
 //
 //   warm-up   — post-build WarmLeafBlocks() over the pool vs serial,
-//               with and without SQ8+prefix mirrors (the mirror build is
+//               with and without SQ8 mirrors (the mirror build is
 //               the expensive half of warm-up).
 //   key+sort  — the serial-path win on its own: legacy per-point
 //               HilbertIndex keys + comparator-indirection std::sort vs
@@ -263,7 +263,7 @@ int Run(bool smoke) {
 
       // Post-build warm-up fan-out, on the parallel tree (Hilbert only;
       // the warm-up cost does not depend on the packing order). The
-      // SQ8+prefix mirror build is the expensive half, so time it with
+      // SQ8 mirror build is the expensive half, so time it with
       // mirrors on and off. Toggling quantization invalidates the block
       // cache, which is what makes re-warming measurable at all.
       if (order == BulkLoadOrder::kHilbert) {
@@ -271,7 +271,6 @@ int Run(bool smoke) {
           WarmRow w;
           w.dim = dim;
           w.mirrors = mirrors;
-          parallel.tree->set_sq8_prefix_stage(mirrors);
           parallel.tree->set_quantized_leaf_blocks(mirrors);  // invalidates
           {
             Stopwatch watch;
@@ -296,7 +295,7 @@ int Run(bool smoke) {
               "parallel ms", "speedup");
   for (const WarmRow& w : warm_rows) {
     std::printf("%4zu %8s %12.2f %12.2f %9.2fx\n", w.dim,
-                w.mirrors ? "sq8+pre" : "off", w.serial_ms, w.parallel_ms,
+                w.mirrors ? "sq8" : "off", w.serial_ms, w.parallel_ms,
                 w.speedup);
   }
 

@@ -1,5 +1,5 @@
 // Shared helpers of the plain-main microbenches (microbench_batch_knn,
-// microbench_cascade, microbench_quantized_knn, microbench_join, ...).
+// microbench_quantized_knn, microbench_join, ...).
 //
 // These binaries deliberately do NOT link google-benchmark — they print
 // their own JSON and enforce invariants with exit codes — so this header
@@ -76,27 +76,6 @@ inline PointSet MakeHotSpotQueries(const PointSet& data, std::size_t n,
     queries.Add(PointView(q.data(), q.size()));
   }
   return queries;
-}
-
-/// Anisotropic point cloud: dimension j's spread decays as 0.95^j —
-/// gentle enough that no dimension is negligible (a variance-ordered
-/// prefix must earn its keep against real residual mass in the tail),
-/// steep enough that the prefix still concentrates signal up front.
-inline PointSet MakeAnisotropic(std::size_t n, std::size_t dim,
-                                std::uint64_t seed) {
-  const PointSet base = GenerateUniform(n, dim, seed);
-  PointSet out(dim);
-  std::vector<Scalar> row(dim);
-  for (std::size_t i = 0; i < n; ++i) {
-    const PointView p = base[i];
-    double spread = 1.0;
-    for (std::size_t d = 0; d < dim; ++d) {
-      row[d] = static_cast<Scalar>(static_cast<double>(p[d]) * spread);
-      spread *= 0.95;
-    }
-    out.Add(PointView{row.data(), row.size()});
-  }
-  return out;
 }
 
 }  // namespace bench

@@ -1,10 +1,10 @@
 // Recall@k-vs-QPS curve of the approximate search tier. Plain main()
 // binary (no google-benchmark).
 //
-// Workload: anisotropic d=16 background (the cascade bench's family)
-// with hot-spot queries, plus k planted true neighbors per hotspot at
-// geometrically spaced radii (see PlantNeighbors for why the spacing is
-// what makes the curve non-degenerate under distance concentration).
+// Workload: anisotropic d=16 background with hot-spot queries, plus k
+// planted true neighbors per hotspot at geometrically spaced radii (see
+// PlantNeighbors for why the spacing is what makes the curve
+// non-degenerate under distance concentration).
 // Ground truth comes from the linear-scan oracle via the recall harness
 // (src/eval/recall.h), cached to BENCH_recall_gt.bin so repeated runs
 // skip the O(n * q) scan.
@@ -85,15 +85,14 @@ double BestOfMs(int reps, const Fn& fn) {
   return best;
 }
 
-/// Anisotropic point cloud (the cascade bench's family): dimension j's
-/// spread decays as decay^j. The recall bench defaults to a steeper
-/// decay than the cascade bench: a low intrinsic dimension spreads the
-/// true k-NN distances apart (d_k / d_1 well above 1), which is the
-/// regime where a (1+eps) slack sheds frontier work without losing the
-/// close neighbors. Near-isotropic high-d data concentrates all k
-/// distances within a few percent of each other, and then ANY eps large
-/// enough to skip pages also forfeits recall — there is no good curve
-/// to trade along, for this or any (1+eps)-bounded method.
+/// Anisotropic point cloud: dimension j's spread decays as decay^j. The
+/// recall bench defaults to a steep decay: a low intrinsic dimension
+/// spreads the true k-NN distances apart (d_k / d_1 well above 1), which
+/// is the regime where a (1+eps) slack sheds frontier work without
+/// losing the close neighbors. Near-isotropic high-d data concentrates
+/// all k distances within a few percent of each other, and then ANY eps
+/// large enough to skip pages also forfeits recall — there is no good
+/// curve to trade along, for this or any (1+eps)-bounded method.
 PointSet MakeAnisotropic(std::size_t n, std::size_t dim, double decay,
                          unsigned seed) {
   const PointSet base = GenerateUniform(n, dim, seed);
@@ -177,7 +176,6 @@ std::unique_ptr<ParallelSearchEngine> MakeEngine(const PointSet& data,
   options.bulk_load_fill = 1.0;
   options.coalesced_batch = true;
   options.quantized_leaf_blocks = true;
-  options.cascade_prefix_stage = true;
   options.approx.enabled = approx_enabled;
   options.approx.epsilon = epsilon;
   auto engine = std::make_unique<ParallelSearchEngine>(

@@ -53,7 +53,6 @@ ThroughputResult SimulateThroughput(const ParallelSearchEngine& engine,
     out.block_kernel_invocations += stats.block_kernel_invocations;
     out.quantized_pruned += stats.quantized_pruned;
     out.base_pruned += stats.base_pruned;
-    out.prefix_pruned += stats.prefix_pruned;
     out.sq8_pruned += stats.sq8_pruned;
     out.reranked += stats.reranked;
     out.leaf_bytes_scanned += stats.leaf_bytes_scanned;

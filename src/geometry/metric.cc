@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "src/util/check.h"
 
@@ -460,20 +459,17 @@ __attribute__((target("avx2"))) std::uint32_t Sq8MadAvx2(const std::uint8_t* a,
 }
 
 /// One-to-many SQ8 reductions: the query row is widened into registers
-/// once, candidates stream past it, and (on the d = 4 / 8 / 16 / 32
-/// fast paths) multiple candidates' accumulators are reduced together
+/// once, candidates stream past it, and (on the d = 8 / 16 / 32 fast
+/// paths) multiple candidates' accumulators are reduced together
 /// through one hadd tree — the per-pair indirect call and per-pair
 /// horizontal sum of a naive loop are what made the integer sweep lose
-/// to the float block kernels. The small dims (4, 8) exist for the
-/// cascade's prefix stage, where one 16-byte load carries 4 or 2 whole
-/// rows: a prefix pass MUST be cheaper per row than the full-dimension
-/// pass it gates, which a one-row-per-load shape is not. Reductions are
-/// exact integer sums, so any evaluation order is bit-identical to the
-/// scalar reference. Row loads are exact-width (16B at d=16, 2x16B at
-/// d=32, whole rows per 16B at d=4/8; sub-16B tails take narrow loads or
-/// the scalar loop): no overread past the last row of the codes array.
-/// Other dims fall back to the pair kernel, called directly (inlinable)
-/// instead of through the dispatch table.
+/// to the float block kernels. Reductions are exact integer sums, so
+/// any evaluation order is bit-identical to the scalar reference. Row
+/// loads are exact-width (16B at d=16, 2x16B at d=32, two whole rows
+/// per 16B at d=8; sub-16B tails take narrow loads or the scalar loop):
+/// no overread past the last row of the codes array. Other dims fall
+/// back to the pair kernel, called directly (inlinable) instead of
+/// through the dispatch table.
 
 __attribute__((target("avx2"))) void Sq8SadManyAvx2(
     const std::uint8_t* query, const std::uint8_t* codes, std::size_t count,
@@ -526,37 +522,6 @@ __attribute__((target("avx2"))) void Sq8SadManyAvx2(
           ql,
           _mm_loadl_epi64(reinterpret_cast<const __m128i*>(codes + i * 8)));
       out[i] = static_cast<std::uint32_t>(_mm_cvtsi128_si32(s));
-    }
-    return;
-  }
-  if (dim == 4) {
-    std::uint32_t qword;
-    std::memcpy(&qword, query, 4);
-    // Query pattern broadcast to every dword: one 16-byte row load
-    // covers FOUR candidates. |a-b| per byte (saturating subtraction
-    // both ways), then bytes -> pair sums (maddubs x1) -> row sums
-    // (madd x1), landing one uint32 per candidate.
-    const __m128i q4 = _mm_set1_epi32(static_cast<int>(qword));
-    const __m128i ones8 = _mm_set1_epi8(1);
-    const __m128i ones16 = _mm_set1_epi16(1);
-    std::size_t i = 0;
-    for (; i + 4 <= count; i += 4) {
-      const __m128i rows = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(codes + i * 4));
-      const __m128i ad = _mm_or_si128(_mm_subs_epu8(rows, q4),
-                                      _mm_subs_epu8(q4, rows));
-      const __m128i pairs = _mm_maddubs_epi16(ad, ones8);
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
-                       _mm_madd_epi16(pairs, ones16));
-    }
-    for (; i < count; ++i) {
-      const std::uint8_t* p = codes + i * 4;
-      std::uint32_t sum = 0;
-      for (std::size_t j = 0; j < 4; ++j) {
-        sum += static_cast<std::uint32_t>(
-            query[j] > p[j] ? query[j] - p[j] : p[j] - query[j]);
-      }
-      out[i] = sum;
     }
     return;
   }
@@ -666,39 +631,6 @@ __attribute__((target("avx2"))) void Sq8SsdManyAvx2(
     }
     return;
   }
-  if (dim == 4) {
-    std::uint32_t qword;
-    std::memcpy(&qword, query, 4);
-    // Query pattern repeated four times; one 16-byte load = FOUR rows,
-    // widened once, squared once, folded to four row sums by one hadd.
-    const __m256i q4 = _mm256_cvtepu8_epi16(
-        _mm_set1_epi32(static_cast<int>(qword)));
-    std::size_t i = 0;
-    for (; i + 4 <= count; i += 4) {
-      const __m256i rows = _mm256_cvtepu8_epi16(_mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(codes + i * 4)));
-      const __m256i d = _mm256_sub_epi16(q4, rows);
-      // madd lanes: [r0a, r0b, r1a, r1b | r2a, r2b, r3a, r3b]; one hadd
-      // leaves [r0, r1 | r2, r3] in the 64-bit halves.
-      const __m256i m = _mm256_madd_epi16(d, d);
-      const __m256i h = _mm256_hadd_epi32(m, m);
-      _mm_storeu_si128(
-          reinterpret_cast<__m128i*>(out + i),
-          _mm_unpacklo_epi64(_mm256_castsi256_si128(h),
-                             _mm256_extracti128_si256(h, 1)));
-    }
-    for (; i < count; ++i) {
-      const std::uint8_t* p = codes + i * 4;
-      std::uint32_t sum = 0;
-      for (std::size_t j = 0; j < 4; ++j) {
-        const std::int32_t d = static_cast<std::int32_t>(query[j]) -
-                               static_cast<std::int32_t>(p[j]);
-        sum += static_cast<std::uint32_t>(d * d);
-      }
-      out[i] = sum;
-    }
-    return;
-  }
   for (std::size_t i = 0; i < count; ++i) {
     out[i] = Sq8SsdAvx2(query, codes + i * dim, dim);
   }
@@ -766,37 +698,6 @@ __attribute__((target("avx2"))) void Sq8MadManyAvx2(
           _mm_loadl_epi64(reinterpret_cast<const __m128i*>(codes + i * 8));
       out[i] = reduce_max(
           _mm_or_si128(_mm_subs_epu8(ql, p), _mm_subs_epu8(p, ql)));
-    }
-    return;
-  }
-  if (dim == 4) {
-    std::uint32_t qword;
-    std::memcpy(&qword, query, 4);
-    // Query repeated four times: one 16-byte load covers FOUR rows; the
-    // max tree stays inside each 32-bit lane.
-    const __m128i q4 = _mm_set1_epi32(static_cast<int>(qword));
-    std::size_t i = 0;
-    for (; i + 4 <= count; i += 4) {
-      const __m128i p = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(codes + i * 4));
-      __m128i ad =
-          _mm_or_si128(_mm_subs_epu8(q4, p), _mm_subs_epu8(p, q4));
-      ad = _mm_max_epu8(ad, _mm_srli_epi32(ad, 16));
-      ad = _mm_max_epu8(ad, _mm_srli_epi32(ad, 8));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
-                       _mm_and_si128(ad, _mm_set1_epi32(0xff)));
-    }
-    for (; i < count; ++i) {
-      const std::uint8_t* p = codes + i * 4;
-      std::uint32_t best = 0;
-      for (std::size_t j = 0; j < 4; ++j) {
-        const std::int32_t d = static_cast<std::int32_t>(query[j]) -
-                               static_cast<std::int32_t>(p[j]);
-        const std::uint32_t ad_j =
-            static_cast<std::uint32_t>(d < 0 ? -d : d);
-        if (ad_j > best) best = ad_j;
-      }
-      out[i] = best;
     }
     return;
   }
@@ -1236,11 +1137,6 @@ struct KernelTable {
   Sq8ManyUnderKernel sq8_sad_many_under;
   Sq8ManyUnderKernel sq8_ssd_many_under;
   Sq8ManyUnderKernel sq8_mad_many_under;
-  /// The pair reductions behind the many-kernels, exposed for scattered
-  /// single-row evaluation (cascade survivor rechecks).
-  Sq8PairFn sq8_sad;
-  Sq8PairFn sq8_ssd;
-  Sq8PairFn sq8_mad;
   bool simd;
 };
 
@@ -1253,7 +1149,6 @@ KernelTable PickKernels() {
             SquaredL2BlockAvx2,   L1BlockAvx2,         LmaxBlockAvx2,
             Sq8SadManyAvx2,       Sq8SsdManyAvx2,      Sq8MadManyAvx2,
             Sq8SadManyUnderAvx2,  Sq8SsdManyUnderAvx2, Sq8MadManyUnderAvx2,
-            Sq8SadAvx2,           Sq8SsdAvx2,          Sq8MadAvx2,
             /*simd=*/true};
   }
 #endif
@@ -1262,7 +1157,6 @@ KernelTable PickKernels() {
           Sq8SadManyUnrolled,      Sq8SsdManyUnrolled,   Sq8MadManyUnrolled,
           Sq8SadManyUnderUnrolled, Sq8SsdManyUnderUnrolled,
           Sq8MadManyUnderUnrolled,
-          Sq8SadUnrolled,          Sq8SsdUnrolled,       Sq8MadUnrolled,
           /*simd=*/false};
 }
 
@@ -1321,18 +1215,6 @@ ComparableFn Metric::comparable_fn() const {
       return Kernels().squared_l2;
     case MetricKind::kLmax:
       return Kernels().lmax;
-  }
-  PARSIM_UNREACHABLE();
-}
-
-Sq8PairFn Metric::sq8_pair_fn() const {
-  switch (kind_) {
-    case MetricKind::kL1:
-      return Kernels().sq8_sad;
-    case MetricKind::kL2:
-      return Kernels().sq8_ssd;
-    case MetricKind::kLmax:
-      return Kernels().sq8_mad;
   }
   PARSIM_UNREACHABLE();
 }

@@ -73,13 +73,6 @@ std::uint32_t Sq8MadScalar(const std::uint8_t* a, const std::uint8_t* b,
 /// float rows of the same length -> comparable-space value.
 using ComparableFn = double (*)(const Scalar*, const Scalar*, std::size_t);
 
-/// The dispatched pair reduction over two SQ8 code rows (the integer
-/// primitive behind Sq8Many): SAD for L1, SSD for L2, MAD for Lmax.
-/// Exact integer arithmetic, so the value is independent of the
-/// dispatched implementation.
-using Sq8PairFn = std::uint32_t (*)(const std::uint8_t*, const std::uint8_t*,
-                                    std::size_t);
-
 /// A metric as a small value object, so indexes and search algorithms can
 /// be parameterized without virtual dispatch on the innermost loop.
 class Metric {
@@ -93,12 +86,6 @@ class Metric {
   /// survivors): hoisting the pointer skips the per-call dispatch switch
   /// while producing bit-identical values to Comparable().
   ComparableFn comparable_fn() const;
-
-  /// The raw dispatched SQ8 pair kernel behind Sq8Many, for hot loops
-  /// that reduce scattered single code rows (the precision cascade's
-  /// full-dimension recheck of prefix-stage survivors). Bit-identical to
-  /// the corresponding row of Sq8Many.
-  Sq8PairFn sq8_pair_fn() const;
 
   /// The actual distance.
   double Distance(PointView a, PointView b) const;

@@ -401,75 +401,6 @@ void Sq8Mirror::BuildFrom(const Scalar* points, std::size_t n,
   }
 }
 
-void Sq8Mirror::BuildPrefix(const std::uint16_t* order_in,
-                            std::size_t d_prime) {
-  PARSIM_CHECK(d_prime <= dim);
-  if (d_prime == 0) {
-    order.clear();
-    prefix_dim = 0;
-    prefix_codes.clear();
-    return;
-  }
-  // Distinctness of the prefix dimensions is load-bearing: a repeated
-  // dimension would double-count its term and the "prefix" reduction
-  // could exceed the full one, breaking the lower-bound contract.
-  std::vector<bool> seen(dim, false);
-  for (std::size_t p = 0; p < d_prime; ++p) {
-    PARSIM_CHECK(order_in[p] < dim);
-    PARSIM_CHECK(!seen[order_in[p]]);
-    seen[order_in[p]] = true;
-  }
-  order.assign(order_in, order_in + d_prime);
-  prefix_dim = d_prime;
-  prefix_codes.assign(count * d_prime, 0);
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint8_t* src = codes.data() + i * dim;
-    std::uint8_t* dst = prefix_codes.data() + i * d_prime;
-    for (std::size_t p = 0; p < d_prime; ++p) {
-      dst[p] = src[order[p]];
-    }
-  }
-}
-
-void Sq8Mirror::BuildDefaultPrefix() {
-  const std::size_t d_prime = dim >= 16 ? 8 : (dim >= 8 ? 4 : 0);
-  if (d_prime == 0 || count == 0 || scale <= 0.0) {
-    order.clear();
-    prefix_dim = 0;
-    prefix_codes.clear();
-    return;
-  }
-  // Integer code variance per dimension, exact: n * sum(c^2) - sum(c)^2.
-  // sum <= 255 * n and sum_sq <= 65025 * n, so with leaf-sized n both
-  // products sit far below 2^64.
-  std::vector<std::uint64_t> var(dim, 0);
-  {
-    std::vector<std::uint64_t> sum(dim, 0);
-    std::vector<std::uint64_t> sum_sq(dim, 0);
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::uint8_t* src = codes.data() + i * dim;
-      for (std::size_t j = 0; j < dim; ++j) {
-        const std::uint64_t c = src[j];
-        sum[j] += c;
-        sum_sq[j] += c * c;
-      }
-    }
-    for (std::size_t j = 0; j < dim; ++j) {
-      var[j] = count * sum_sq[j] - sum[j] * sum[j];
-    }
-  }
-  std::vector<std::uint16_t> by_variance(dim);
-  for (std::size_t j = 0; j < dim; ++j) {
-    by_variance[j] = static_cast<std::uint16_t>(j);
-  }
-  std::sort(by_variance.begin(), by_variance.end(),
-            [&var](std::uint16_t a, std::uint16_t b) {
-              if (var[a] != var[b]) return var[a] > var[b];
-              return a < b;
-            });
-  BuildPrefix(by_variance.data(), d_prime);
-}
-
 void PrepareSq8QueryMany(const Sq8Mirror& mirror, const Scalar* queries,
                          std::size_t members, MetricKind kind,
                          std::uint8_t* codes_out, Sq8Bound* bounds_out) {

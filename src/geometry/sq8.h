@@ -71,30 +71,7 @@ struct Sq8Mirror {
   /// guard-inflated so it also covers the fp rounding of Recon itself.
   std::vector<double> err;
 
-  /// Progressive-precision prefix stage (optional, built on demand): a
-  /// list of `prefix_dim` DISTINCT dimension indices (highest code
-  /// variance first under the default policy) and a contiguous gather of
-  /// every row's codes in those dimensions. Because each metric's
-  /// integer reduction is a sum (SAD/SSD) or max (MAD) of NONNEGATIVE
-  /// per-dimension terms, the reduction over any subset of dimensions is
-  /// <= the full-dimension reduction; so a candidate whose prefix
-  /// reduction already exceeds the full-dimension prune cutoff (derived
-  /// from the same Sq8Bound, which folds slack/base over ALL dims) is
-  /// guaranteed to fail the full-dimension test too. The prefix kernel
-  /// therefore prunes losslessly at d' bytes per candidate, and
-  /// survivors fall through to the full-d kernel unchanged — results,
-  /// distances, and page counts stay bit-identical to the SQ8-only path.
-  /// Empty (prefix_dim == 0) when no prefix stage is built.
-  std::vector<std::uint16_t> order;
-  std::size_t prefix_dim = 0;
-  /// count * prefix_dim gathered codes, row-major.
-  std::vector<std::uint8_t> prefix_codes;
-
   const std::uint8_t* row(std::size_t i) const { return codes.data() + i * dim; }
-
-  const std::uint8_t* prefix_row(std::size_t i) const {
-    return prefix_codes.data() + i * prefix_dim;
-  }
 
   /// The lattice point of code `c` in dimension `j`. Every consumer of
   /// the mirror (encode, error measurement, query prep, range prefilter)
@@ -105,27 +82,7 @@ struct Sq8Mirror {
   }
 
   /// Learns the lattice from `n` row-major float points and encodes them.
-  /// Does NOT build the prefix stage; call BuildDefaultPrefix (or
-  /// BuildPrefix) afterwards when the cascade is wanted.
   void BuildFrom(const Scalar* points, std::size_t n, std::size_t dimension);
-
-  /// Builds the prefix stage over the first `d_prime` entries of
-  /// `order_in` (at least d_prime indices, each < dim, all distinct —
-  /// distinctness is what makes the prefix reduction a subset sum and
-  /// hence a lower bound). Public so tests can install adversarial
-  /// orderings; any distinct ordering is sound, ordering only affects
-  /// prune power. `d_prime == 0` clears the stage.
-  void BuildPrefix(const std::uint16_t* order_in, std::size_t d_prime);
-
-  /// Default policy: d' = 8 when dim >= 16, d' = 4 when dim >= 8, no
-  /// prefix stage otherwise (below 8 dims the full-d kernel is already
-  /// as cheap as a prefix pass). Dimensions are ordered by descending
-  /// integer code variance (n * sum(c^2) - sum(c)^2, exact in uint64),
-  /// ties broken by dimension index, so the highest-energy dimensions —
-  /// the ones that separate candidates fastest — are reduced first.
-  /// Clears the stage on a degenerate lattice (scale <= 0: all codes
-  /// zero, a prefix pass could never prune).
-  void BuildDefaultPrefix();
 };
 
 /// A prepared query's side of the bound: combine with one integer

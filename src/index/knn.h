@@ -55,7 +55,7 @@ using KnnResult = std::vector<Neighbor>;
 struct ApproxContext {
   /// Early-termination divisor for HS descent/pop node skips.
   double node_factor = 1.0;
-  /// Bound-relaxation divisor for the SQ8/prefix PruneCutoff guard.
+  /// Bound-relaxation divisor for the SQ8 PruneCutoff guard.
   double sweep_factor = 1.0;
 };
 

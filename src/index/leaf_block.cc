@@ -5,7 +5,7 @@
 namespace parsim {
 
 void LeafBlock::BuildFrom(const Node& leaf, std::size_t dimension,
-                          bool quantize, bool prefix) {
+                          bool quantize) {
   PARSIM_DCHECK(leaf.IsLeaf());
   count = leaf.entries.size();
   dim = dimension;
@@ -16,7 +16,6 @@ void LeafBlock::BuildFrom(const Node& leaf, std::size_t dimension,
   has_sq8 = quantize;
   if (quantize) {
     sq8.BuildFrom(coords.data(), count, dim);
-    if (prefix) sq8.BuildDefaultPrefix();
   } else {
     sq8 = Sq8Mirror{};
   }
@@ -51,7 +50,7 @@ const LeafBlock& LeafBlockCache::Get(const Node& leaf,
   }
   std::lock_guard<std::mutex> lock(slot.build_mutex);
   if (slot.built_epoch.load(std::memory_order_relaxed) != epoch_) {
-    slot.block.BuildFrom(leaf, dim, quantize_, prefix_);
+    slot.block.BuildFrom(leaf, dim, quantize_);
     slot.built_epoch.store(epoch_, std::memory_order_release);
   }
   return slot.block;

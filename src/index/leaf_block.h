@@ -12,7 +12,7 @@
 // Blocks are derived state: LeafBlockCache builds them lazily on first
 // access. An insert or delete marks stale only the blocks of the leaves
 // whose entry lists it changed; a bulk load, a deserialize or a
-// quantize/prefix toggle invalidates them wholesale. The tree's
+// quantize toggle invalidates them wholesale. The tree's
 // concurrency contract — queries never race with mutations — makes one
 // epoch counter plus a per-slot built epoch sufficient: a wholesale
 // change bumps the epoch, a per-leaf change resets that slot's built
@@ -56,11 +56,9 @@ struct LeafBlock {
   }
 
   /// Rebuilds this block from `leaf` (entries in order); with `quantize`
-  /// also (re)builds the SQ8 mirror from the gathered coordinates, and
-  /// with `prefix` additionally its default variance-ordered prefix
-  /// stage (the progressive precision cascade's first tier).
+  /// also (re)builds the SQ8 mirror from the gathered coordinates.
   void BuildFrom(const Node& leaf, std::size_t dimension,
-                 bool quantize = false, bool prefix = false);
+                 bool quantize = false);
 };
 
 /// Per-tree cache of leaf blocks, safe for concurrent read-only queries.
@@ -89,11 +87,6 @@ class LeafBlockCache {
   void set_quantize(bool on) { quantize_ = on; }
   bool quantize() const { return quantize_; }
 
-  /// Whether SQ8 mirrors also carry the prefix-dimension cascade stage.
-  /// Same mutation-side contract as set_quantize.
-  void set_prefix(bool on) { prefix_ = on; }
-  bool prefix() const { return prefix_; }
-
   /// The current block of `leaf`, building it if stale or absent.
   const LeafBlock& Get(const Node& leaf, std::size_t dim) const;
 
@@ -116,9 +109,8 @@ class LeafBlockCache {
   /// on access. Starts above the stale built_epoch of 0 so fresh and
   /// per-leaf invalidated slots count as stale.
   std::uint64_t epoch_ = 1;
-  /// Mutation-side settings read by Get's (re)builds.
+  /// Mutation-side setting read by Get's (re)builds.
   bool quantize_ = false;
-  bool prefix_ = false;
 };
 
 }  // namespace parsim

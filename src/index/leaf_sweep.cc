@@ -210,8 +210,7 @@ LeafSweepStats SweepLeafRange(const LeafBlock& block, const Rect& query,
   } else {
     sweep.quantized_pruned = block.count;
   }
-  // The code-interval prefilter reads full-dimension codes: its prunes
-  // are the full-precision quantized stage's in the cascade taxonomy.
+  // The code-interval prefilter is this sweep's SQ8 stage.
   sweep.sq8_pruned = sweep.quantized_pruned;
   sweep.reranked = reranked;
   sweep.leaf_bytes_scanned =

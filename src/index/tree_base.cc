@@ -112,7 +112,7 @@ void TreeBase::ChargeLeafSweep(const Node& node,
   SimulatedDisk* disk = ResolveRoute(node).disk;
   disk->ChargeDistanceComputations(sweep.exact_distances);
   disk->RecordLeafSweep(sweep.quantized_pruned, sweep.base_pruned,
-                        sweep.prefix_pruned, sweep.sq8_pruned, sweep.reranked,
+                        sweep.sq8_pruned, sweep.reranked,
                         sweep.leaf_bytes_scanned, sweep.approx_pruned_exactly);
 }
 

@@ -203,21 +203,10 @@ class TreeBase {
   }
   bool quantized_leaf_blocks() const { return leaf_blocks_.quantize(); }
 
-  /// Whether SQ8 mirrors also carry the variance-ordered prefix stage
-  /// (the progressive precision cascade's first tier; see
-  /// src/geometry/sq8.h). Same mutation-side contract and bit-identity
-  /// guarantee as set_quantized_leaf_blocks. No effect on sweeps unless
-  /// quantized leaf blocks are also enabled.
-  void set_sq8_prefix_stage(bool on) {
-    leaf_blocks_.set_prefix(on);
-    InvalidateLeafBlocks();
-  }
-  bool sq8_prefix_stage() const { return leaf_blocks_.prefix(); }
-
-  /// Prebuilds the SoA block (and, when enabled, the SQ8 mirror plus its
-  /// prefix stage) of every leaf, over `pool` when given (nullptr runs
-  /// on the caller). Leaf blocks are derived state built lazily on first
-  /// access, so without warming the first query wave silently pays the
+  /// Prebuilds the SoA block (and, when enabled, the SQ8 mirror) of
+  /// every leaf, over `pool` when given (nullptr runs on the caller).
+  /// Leaf blocks are derived state built lazily on first access, so
+  /// without warming the first query wave silently pays the
   /// epoch-cache construction; benchmarks and the throughput harness
   /// call this so they measure steady state. Charges nothing — block
   /// builds never meter pages or CPU (only AccessNode does) — and is
@@ -298,9 +287,8 @@ class TreeBase {
   LeafBlockCache leaf_blocks_;
 
   /// Marks every cached leaf block stale and drops the data-page count.
-  /// Wholesale mutations (BulkLoad, deserialization) and the
-  /// quantize/prefix toggles call this before returning control to
-  /// queries.
+  /// Wholesale mutations (BulkLoad, deserialization) and the quantize
+  /// toggle call this before returning control to queries.
   void InvalidateLeafBlocks() {
     changed_leaves_.clear();
     leaf_blocks_.Invalidate(nodes_.size());

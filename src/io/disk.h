@@ -139,13 +139,11 @@ class SimulatedDisk {
   /// these audit the work the SQ8 bound removed or left; exact re-ranks
   /// are charged separately via ChargeDistanceComputations).
   void RecordLeafSweep(std::uint64_t pruned, std::uint64_t base,
-                       std::uint64_t prefix, std::uint64_t sq8,
-                       std::uint64_t reranked_points, std::uint64_t bytes,
-                       std::uint64_t approx_exact = 0) {
+                       std::uint64_t sq8, std::uint64_t reranked_points,
+                       std::uint64_t bytes, std::uint64_t approx_exact = 0) {
     DiskStats& sink = Sink();
     sink.quantized_pruned += pruned;
     sink.base_pruned += base;
-    sink.prefix_pruned += prefix;
     sink.sq8_pruned += sq8;
     sink.reranked += reranked_points;
     sink.leaf_bytes_scanned += bytes;

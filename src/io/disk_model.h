@@ -154,13 +154,11 @@ struct DiskStats {
   /// re-ranked survivors, so pruned + reranked recovers the exact path's
   /// distance count for k-NN/ball sweeps.
   std::uint64_t quantized_pruned = 0;
-  /// Per-stage split of quantized_pruned (base_pruned + prefix_pruned +
-  /// sq8_pruned == quantized_pruned): candidates killed by the
-  /// candidate-independent base term alone (whole-block or rest-of-block
-  /// drops, no kernel work), by the prefix-dimension cascade stage, and
-  /// by the full-dimension SQ8 kernel test respectively.
+  /// Per-stage split of quantized_pruned (base_pruned + sq8_pruned ==
+  /// quantized_pruned): candidates killed by the candidate-independent
+  /// base term alone (whole-block or rest-of-block drops, no kernel
+  /// work), and by the SQ8 kernel test respectively.
   std::uint64_t base_pruned = 0;
-  std::uint64_t prefix_pruned = 0;
   std::uint64_t sq8_pruned = 0;
   /// Leaf candidates that survived the SQ8 bound and went through the
   /// exact float kernel (equals distance_computations' leaf share on the
@@ -211,7 +209,6 @@ struct DiskStats {
     block_kernel_invocations += other.block_kernel_invocations;
     quantized_pruned += other.quantized_pruned;
     base_pruned += other.base_pruned;
-    prefix_pruned += other.prefix_pruned;
     sq8_pruned += other.sq8_pruned;
     reranked += other.reranked;
     leaf_bytes_scanned += other.leaf_bytes_scanned;

@@ -74,10 +74,7 @@ ParallelSearchEngine::ParallelSearchEngine(
   if (options_.quantized_leaf_blocks) {
     // Tree architectures only: kFederatedScan sweeps packed pages, not
     // leaf blocks, so the loop is empty there and the flag is a no-op.
-    for (auto& t : trees_) {
-      t->set_quantized_leaf_blocks(true);
-      t->set_sq8_prefix_stage(options_.cascade_prefix_stage);
-    }
+    for (auto& t : trees_) t->set_quantized_leaf_blocks(true);
   }
   if (options_.approx.enabled && options_.approx.epsilon > 0.0) {
     PARSIM_CHECK(options_.approx.epsilon < 1e9);  // catch garbage knobs
@@ -274,10 +271,10 @@ Status ParallelSearchEngine::Build(const PointSet& points) {
   host_.ResetStats();
   SyncLeafRoutes();
   if (build_pool != nullptr) {
-    // Parallel post-build warm-up: leaf SoA blocks (with SQ8/prefix
-    // mirrors when enabled) and the memoized leaf routes are derived
-    // state that queries otherwise build lazily — fan both out over the
-    // build pool so the first query wave measures steady state. Neither
+    // Parallel post-build warm-up: leaf SoA blocks (with SQ8 mirrors
+    // when enabled) and the memoized leaf routes are derived state that
+    // queries otherwise build lazily — fan both out over the build pool
+    // so the first query wave measures steady state. Neither
     // charges pages or CPU, so build_stats_ (captured above) and every
     // later query stat are unaffected.
     for (const auto& t : trees_) t->WarmLeafBlocks(build_pool.get());
@@ -427,7 +424,6 @@ QueryStats ParallelSearchEngine::StatsFromAccumulator(
   stats.block_kernel_invocations = host.block_kernel_invocations;
   stats.quantized_pruned = host.quantized_pruned;
   stats.base_pruned = host.base_pruned;
-  stats.prefix_pruned = host.prefix_pruned;
   stats.sq8_pruned = host.sq8_pruned;
   stats.reranked = host.reranked;
   stats.leaf_bytes_scanned = host.leaf_bytes_scanned;
@@ -463,7 +459,6 @@ QueryStats ParallelSearchEngine::StatsFromAccumulator(
     stats.block_kernel_invocations += s.block_kernel_invocations;
     stats.quantized_pruned += s.quantized_pruned;
     stats.base_pruned += s.base_pruned;
-    stats.prefix_pruned += s.prefix_pruned;
     stats.sq8_pruned += s.sq8_pruned;
     stats.reranked += s.reranked;
     stats.leaf_bytes_scanned += s.leaf_bytes_scanned;
@@ -582,6 +577,7 @@ KnnResult ParallelSearchEngine::SimilarityQuery(PointView query,
                                                 double radius,
                                                 QueryStats* stats) const {
   PARSIM_CHECK(query.size() == dim_);
+  PARSIM_CHECK(AllFinite(query));
   PARSIM_CHECK(radius >= 0.0);
   QueryCostAccumulator acc(disks_.size() + 1);
   KnnResult merged;
@@ -631,6 +627,7 @@ KnnResult ParallelSearchEngine::SimilarityQuery(PointView query,
 KnnResult ParallelSearchEngine::Query(PointView query, std::size_t k,
                                       QueryStats* stats) const {
   PARSIM_CHECK(query.size() == dim_);
+  PARSIM_CHECK(AllFinite(query));
   PARSIM_CHECK(k >= 1);
   QueryCostAccumulator acc(disks_.size() + 1);
   PhaseAccumulator phase_acc;
@@ -722,6 +719,7 @@ std::vector<KnnResult> ParallelSearchEngine::QueryBatch(
     unsigned threads, unsigned* effective_threads,
     PhaseBreakdown* phases) const {
   PARSIM_CHECK(queries.empty() || queries.dim() == dim_);
+  PARSIM_CHECK(AllFinite({queries.data(), queries.size() * dim_}));
   std::vector<KnnResult> results(queries.size());
   if (stats != nullptr) stats->assign(queries.size(), QueryStats{});
   if (effective_threads != nullptr) *effective_threads = 1;

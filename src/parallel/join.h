@@ -78,7 +78,7 @@ struct JoinPair {
 };
 
 /// Per-join knobs (the engine's EngineOptions supplies everything else:
-/// metric, quantization, cascade, buffering, faults).
+/// metric, quantization, buffering, faults).
 struct JoinOptions {
   /// Worker threads for the sweep stage; 0 = the engine's
   /// parallel_workers, 1 = serial. Results and stats are identical at
@@ -132,7 +132,6 @@ struct JoinStats {
   std::uint64_t exact_distances = 0;
   std::uint64_t quantized_pruned = 0;
   std::uint64_t base_pruned = 0;
-  std::uint64_t prefix_pruned = 0;
   std::uint64_t sq8_pruned = 0;
   std::uint64_t reranked = 0;
   std::uint64_t leaf_bytes_scanned = 0;

@@ -266,7 +266,6 @@ std::size_t HsRoundScheduler::Step(ThreadPool* pool, RoundStats* round) {
         s.distance_computations += sweeps[m].exact_distances;
         s.quantized_pruned += sweeps[m].quantized_pruned;
         s.base_pruned += sweeps[m].base_pruned;
-        s.prefix_pruned += sweeps[m].prefix_pruned;
         s.sq8_pruned += sweeps[m].sq8_pruned;
         s.reranked += sweeps[m].reranked;
         s.leaf_bytes_scanned += sweeps[m].leaf_bytes_scanned;

@@ -44,6 +44,7 @@ Status QueryService::Submit(PointView query,
                             std::future<ServedResult>* result) {
   PARSIM_CHECK(result != nullptr);
   PARSIM_CHECK(query.size() == engine_.dim());
+  PARSIM_CHECK(AllFinite(query));
   PARSIM_CHECK(query_options.k >= 1);
   PARSIM_CHECK(query_options.deadline_ms >= 0.0);
   Pending pending;

@@ -145,8 +145,9 @@ class QueryService {
 
   /// Submits one k-NN query. On admission (Ok) `*result` receives a
   /// future that resolves when the query completes or expires; on a full
-  /// queue returns kResourceExhausted and leaves `*result` alone.
-  /// Thread-safe.
+  /// queue returns kResourceExhausted and leaves `*result` alone. A
+  /// query with a NaN or infinite coordinate fails a PARSIM_CHECK, as in
+  /// ParallelSearchEngine::Query. Thread-safe.
   Status Submit(PointView query, const ServiceQueryOptions& query_options,
                 std::future<ServedResult>* result);
 

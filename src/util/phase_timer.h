@@ -46,11 +46,12 @@ enum class Phase : unsigned {
   /// Quantized-sweep query preparation (lattice encode + slack fold,
   /// once per (query, block) pair).
   kSweepPrep,
-  /// Cascade stage 1: the prefix-dimension integer kernel pass and its
-  /// survivor compaction.
+  /// Recorded by no sweep. Kept only because the perf ledger
+  /// (bench/ledger/perf_ledger.cc) reports it, and only a change to the
+  /// benchmark itself may edit that file.
   kSweepPrefix,
-  /// Full-dimension integer work: the whole-block SQ8 kernel pass (no
-  /// prefix stage) or the per-survivor full-d rechecks (cascade).
+  /// The quantized sweep's integer work: the full-dimension SQ8 kernel
+  /// pass over the block's code rows and its survivor compaction.
   kSweepFull,
   /// Exact re-rank of bound survivors, including emit handling (the
   /// exact sweep of an unquantized block lands here entirely).

@@ -57,7 +57,6 @@ std::unique_ptr<ParallelSearchEngine> MakeEngine(const PointSet& data,
   options.metric = Metric(config.metric);
   options.coalesced_batch = config.coalesced;
   options.quantized_leaf_blocks = true;
-  options.cascade_prefix_stage = true;
   options.approx.enabled = config.approx;
   options.approx.epsilon = config.epsilon;
   options.approx.relax_bounds = config.relax_bounds;

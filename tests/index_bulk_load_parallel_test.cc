@@ -227,45 +227,42 @@ TEST(BulkLoadParallelTest, PairSortMatchesComparatorIndirectionSort) {
 }
 
 // End-to-end engine identity: serial engine vs parallel_workers=8, with
-// the quantized-mirror and cascade-prefix warm-up paths on and off.
-// Covers the parallel federated build, the shared-tree build, the warm-up
-// fan-out (WarmLeafBlocks + leaf-route prewarm) and query accounting.
+// the quantized-mirror warm-up path on and off. Covers the parallel
+// federated build, the shared-tree build, the warm-up fan-out
+// (WarmLeafBlocks + leaf-route prewarm) and query accounting.
 TEST(BulkLoadParallelTest, EngineResultsAndStatsIdenticalToSerial) {
   const std::size_t dim = 8;
   const PointSet data = GenerateUniform(12000, dim, 101);
   const PointSet queries = GenerateUniformQueries(12, dim, 103);
   for (const bool quantize : {false, true}) {
-    for (const bool prefix : {false, true}) {
-      EngineOptions serial;
-      serial.architecture = Architecture::kSharedTree;
-      serial.bulk_load = true;
-      serial.quantized_leaf_blocks = quantize;
-      serial.cascade_prefix_stage = prefix;
-      EngineOptions threaded = serial;
-      threaded.parallel_workers = 8;
+    EngineOptions serial;
+    serial.architecture = Architecture::kSharedTree;
+    serial.bulk_load = true;
+    serial.quantized_leaf_blocks = quantize;
+    EngineOptions threaded = serial;
+    threaded.parallel_workers = 8;
 
-      ParallelSearchEngine a(
-          dim, std::make_unique<NearOptimalDeclusterer>(dim, 8), serial);
-      ParallelSearchEngine b(
-          dim, std::make_unique<NearOptimalDeclusterer>(dim, 8), threaded);
-      ASSERT_TRUE(a.Build(data).ok());
-      ASSERT_TRUE(b.Build(data).ok());
-      EXPECT_EQ(a.BuildStats().pages_written, b.BuildStats().pages_written);
+    ParallelSearchEngine a(
+        dim, std::make_unique<NearOptimalDeclusterer>(dim, 8), serial);
+    ParallelSearchEngine b(
+        dim, std::make_unique<NearOptimalDeclusterer>(dim, 8), threaded);
+    ASSERT_TRUE(a.Build(data).ok());
+    ASSERT_TRUE(b.Build(data).ok());
+    EXPECT_EQ(a.BuildStats().pages_written, b.BuildStats().pages_written);
 
-      for (std::size_t q = 0; q < queries.size(); ++q) {
-        QueryStats sa, sb;
-        const KnnResult ra = a.Query(queries[q], 10, &sa);
-        const KnnResult rb = b.Query(queries[q], 10, &sb);
-        ASSERT_EQ(ra.size(), rb.size());
-        for (std::size_t i = 0; i < ra.size(); ++i) {
-          EXPECT_EQ(ra[i].id, rb[i].id);
-          EXPECT_EQ(ra[i].distance, rb[i].distance);
-        }
-        EXPECT_EQ(sa.total_pages, sb.total_pages);
-        EXPECT_EQ(sa.directory_pages, sb.directory_pages);
-        EXPECT_EQ(sa.pages_per_disk, sb.pages_per_disk);
-        EXPECT_DOUBLE_EQ(sa.parallel_ms, sb.parallel_ms);
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      QueryStats sa, sb;
+      const KnnResult ra = a.Query(queries[q], 10, &sa);
+      const KnnResult rb = b.Query(queries[q], 10, &sb);
+      ASSERT_EQ(ra.size(), rb.size());
+      for (std::size_t i = 0; i < ra.size(); ++i) {
+        EXPECT_EQ(ra[i].id, rb[i].id);
+        EXPECT_EQ(ra[i].distance, rb[i].distance);
       }
+      EXPECT_EQ(sa.total_pages, sb.total_pages);
+      EXPECT_EQ(sa.directory_pages, sb.directory_pages);
+      EXPECT_EQ(sa.pages_per_disk, sb.pages_per_disk);
+      EXPECT_DOUBLE_EQ(sa.parallel_ms, sb.parallel_ms);
     }
   }
 }

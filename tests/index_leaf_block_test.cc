@@ -170,7 +170,7 @@ TEST_P(LeafBlockPropertyTest, RangeAndPartialMatchQueriesMatchScan) {
 }
 
 /// A cached block must equal a fresh build of the same leaf field by
-/// field: floats, ids, the SQ8 lattice and codes, and the prefix copy.
+/// field: floats, ids, and the SQ8 lattice and codes.
 void ExpectSameBlock(const LeafBlock& got, const LeafBlock& want) {
   ASSERT_EQ(got.count, want.count);
   ASSERT_EQ(got.dim, want.dim);
@@ -183,16 +183,13 @@ void ExpectSameBlock(const LeafBlock& got, const LeafBlock& want) {
   EXPECT_EQ(got.sq8.lo, want.sq8.lo);
   EXPECT_EQ(got.sq8.err, want.sq8.err);
   EXPECT_EQ(got.sq8.codes, want.sq8.codes);
-  EXPECT_EQ(got.sq8.order, want.sq8.order);
-  EXPECT_EQ(got.sq8.prefix_dim, want.sq8.prefix_dim);
-  EXPECT_EQ(got.sq8.prefix_codes, want.sq8.prefix_codes);
 }
 
 // Insert and Delete mark stale only the blocks of the leaves they change,
 // so a leaf they miss would serve its old block. A seeded run of writes
 // grows a root leaf into a two-level tree, condenses it back and empties
-// it; before every write each reachable leaf's block (with SQ8 and
-// prefix mirrors) is cached, and after it each must equal a fresh build.
+// it; before every write each reachable leaf's block (with its SQ8
+// mirror) is cached, and after it each must equal a fresh build.
 TEST_P(LeafBlockPropertyTest, InsertAndDeleteInvalidateCachedBlocks) {
   const std::size_t dim = GetParam();
   const std::size_t cap = LeafCapacityPerPage(dim);
@@ -212,7 +209,6 @@ TEST_P(LeafBlockPropertyTest, InsertAndDeleteInvalidateCachedBlocks) {
       tree = std::make_unique<RStarTree>(dim, &disk);
     }
     tree->set_quantized_leaf_blocks(true);
-    tree->set_sq8_prefix_stage(true);
     for (std::size_t i = 0; i < num_base; ++i) {
       ASSERT_TRUE(tree->Insert(data[i], static_cast<PointId>(i)).ok());
     }
@@ -223,7 +219,7 @@ TEST_P(LeafBlockPropertyTest, InsertAndDeleteInvalidateCachedBlocks) {
       for (const NodeId leaf_id : CollectLeaves(*tree)) {
         const Node& leaf = tree->PeekNode(leaf_id);
         LeafBlock fresh;
-        fresh.BuildFrom(leaf, dim, /*quantize=*/true, /*prefix=*/true);
+        fresh.BuildFrom(leaf, dim, /*quantize=*/true);
         ExpectSameBlock(tree->LeafBlockOf(leaf), fresh);
       }
       ASSERT_FALSE(::testing::Test::HasFailure()) << "after write " << writes;

@@ -8,7 +8,8 @@
 // sequences, and page counts. These properties pin both, across
 // adversarial data placements (huge offsets, tiny ranges, data exactly
 // on the lattice), all three metrics, every query path (k-NN, ball,
-// range, partial match, coalesced batch), and mutation epochs.
+// range, partial match, coalesced batch), and mutation epochs. The
+// engine-level cases also pin the warm-up and phase-profiling paths.
 
 #include "src/geometry/sq8.h"
 
@@ -17,6 +18,7 @@
 #include <limits>
 #include <random>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -28,6 +30,7 @@
 #include "src/index/rstar_tree.h"
 #include "src/index/xtree.h"
 #include "src/parallel/engine.h"
+#include "src/util/phase_timer.h"
 #include "src/workload/generators.h"
 
 namespace parsim {
@@ -276,114 +279,259 @@ TEST_P(QuantizedBlockPropertyTest, QuantizedTreeMatchesOracles) {
 }
 
 // Counter conservation between an exact and a quantized engine over the
-// same workload: identical results and page counts; pruned + reranked
-// on the quantized side recovers the exact side's distance count; the
-// quantized side computes exactly its re-ranked share. QueryStats has
-// no distance counter, so distances are read as deltas of the
-// cumulative per-disk stats each query merges into.
+// same workload, at a small dimension and at d = 16: identical results,
+// page counts and frontier traffic; pruned + reranked on the quantized
+// side recovers the exact side's distance count; the quantized side
+// computes exactly its re-ranked share. QueryStats has no distance
+// counter, so distances are read as deltas of the cumulative per-disk
+// stats each query merges into.
 TEST(QuantizedEngineTest, CountersConserveAgainstExactEngine) {
-  const std::size_t dim = 6, disks = 8, k = 10;
-  const PointSet data = GenerateUniform(2500, dim, 9301);
-  const PointSet queries = GenerateUniformQueries(8, dim, 9303);
+  // Range-window half-widths keep about 5% of the uniform data inside
+  // the window at each dimension.
+  const struct {
+    std::size_t dim;
+    float half_width;
+  } kCases[] = {{6, 0.3f}, {16, 0.42f}};
+  for (const auto& [dim, half_width] : kCases) {
+    SCOPED_TRACE("dim " + std::to_string(dim));
+    const std::size_t disks = 8, k = 10;
+    const PointSet data = GenerateUniform(2500, dim, 9301);
+    const PointSet queries = GenerateUniformQueries(8, dim, 9303);
 
-  EngineOptions options;
-  options.architecture = Architecture::kSharedTree;
-  options.bulk_load = true;
-  ParallelSearchEngine exact(
-      dim, std::make_unique<NearOptimalDeclusterer>(dim, disks), options);
-  ASSERT_TRUE(exact.Build(data).ok());
-  options.quantized_leaf_blocks = true;
-  ParallelSearchEngine quant(
-      dim, std::make_unique<NearOptimalDeclusterer>(dim, disks), options);
-  ASSERT_TRUE(quant.Build(data).ok());
+    EngineOptions options;
+    options.architecture = Architecture::kSharedTree;
+    options.bulk_load = true;
+    ParallelSearchEngine exact(
+        dim, std::make_unique<NearOptimalDeclusterer>(dim, disks), options);
+    ASSERT_TRUE(exact.Build(data).ok());
+    options.quantized_leaf_blocks = true;
+    ParallelSearchEngine quant(
+        dim, std::make_unique<NearOptimalDeclusterer>(dim, disks), options);
+    ASSERT_TRUE(quant.Build(data).ok());
 
-  const auto total_distances = [](const ParallelSearchEngine& engine) {
-    std::uint64_t sum = 0;
-    for (std::uint32_t d = 0; d < engine.num_disks(); ++d) {
-      sum += engine.disks().disk(d).stats().distance_computations;
+    const auto total_distances = [](const ParallelSearchEngine& engine) {
+      std::uint64_t sum = 0;
+      for (std::uint32_t d = 0; d < engine.num_disks(); ++d) {
+        sum += engine.disks().disk(d).stats().distance_computations;
+      }
+      return sum;
+    };
+
+    std::uint64_t total_pruned = 0;
+    for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+      SCOPED_TRACE("query " + std::to_string(qi));
+      QueryStats es, qs;
+      const std::uint64_t exact_before = total_distances(exact);
+      const std::uint64_t quant_before = total_distances(quant);
+      ExpectBitIdentical(quant.Query(queries[qi], k, &qs),
+                         exact.Query(queries[qi], k, &es));
+      const std::uint64_t exact_delta = total_distances(exact) - exact_before;
+      const std::uint64_t quant_delta = total_distances(quant) - quant_before;
+      // Same traversal: the bound only skips exact kernels, never pages
+      // or frontier entries.
+      EXPECT_EQ(qs.total_pages, es.total_pages);
+      EXPECT_EQ(qs.directory_pages, es.directory_pages);
+      EXPECT_EQ(qs.pages_per_disk, es.pages_per_disk);
+      EXPECT_EQ(qs.frontier_pushes, es.frontier_pushes);
+      EXPECT_EQ(qs.frontier_pops, es.frontier_pops);
+      EXPECT_EQ(qs.cutoff_skipped_nodes, es.cutoff_skipped_nodes);
+      // Exact engine sweeps every leaf candidate through the float kernel.
+      EXPECT_EQ(es.quantized_pruned, 0u);
+      EXPECT_EQ(es.reranked, 0u);
+      // Quantized engine: every candidate is either pruned or re-ranked...
+      EXPECT_EQ(qs.quantized_pruned + qs.reranked, exact_delta);
+      EXPECT_EQ(qs.base_pruned + qs.sq8_pruned, qs.quantized_pruned);
+      // ...and pays exact kernels only for the re-ranked share.
+      EXPECT_EQ(quant_delta, qs.reranked);
+      EXPECT_GT(qs.leaf_bytes_scanned, 0u);
+      total_pruned += qs.quantized_pruned;
     }
-    return sum;
-  };
+    // The workload must actually exercise pruning, or the suite is
+    // vacuous.
+    EXPECT_GT(total_pruned, 0u);
 
-  std::uint64_t total_pruned = 0;
-  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
-    SCOPED_TRACE("query " + std::to_string(qi));
+    // Range / similarity paths through the engine wrappers.
+    std::vector<Scalar> lo(dim, 0.5f - half_width);
+    std::vector<Scalar> hi(dim, 0.5f + half_width);
+    const Rect window(std::move(lo), std::move(hi));
     QueryStats es, qs;
-    const std::uint64_t exact_before = total_distances(exact);
-    const std::uint64_t quant_before = total_distances(quant);
-    ExpectBitIdentical(quant.Query(queries[qi], k, &qs),
-                       exact.Query(queries[qi], k, &es));
-    const std::uint64_t exact_delta = total_distances(exact) - exact_before;
-    const std::uint64_t quant_delta = total_distances(quant) - quant_before;
-    // Same traversal: the bound only skips exact kernels, never pages.
+    std::vector<PointId> er = exact.RangeQuery(window, &es);
+    std::vector<PointId> qr = quant.RangeQuery(window, &qs);
+    std::sort(er.begin(), er.end());
+    std::sort(qr.begin(), qr.end());
+    EXPECT_EQ(er, qr);
+    EXPECT_FALSE(er.empty());
     EXPECT_EQ(qs.total_pages, es.total_pages);
-    EXPECT_EQ(qs.directory_pages, es.directory_pages);
-    EXPECT_EQ(qs.pages_per_disk, es.pages_per_disk);
-    // Exact engine sweeps every leaf candidate through the float kernel.
-    EXPECT_EQ(es.quantized_pruned, 0u);
-    EXPECT_EQ(es.reranked, 0u);
-    // Quantized engine: every candidate is either pruned or re-ranked...
-    EXPECT_EQ(qs.quantized_pruned + qs.reranked, exact_delta);
-    // ...and pays exact kernels only for the re-ranked share.
-    EXPECT_EQ(quant_delta, qs.reranked);
-    EXPECT_GT(qs.leaf_bytes_scanned, 0u);
-    total_pruned += qs.quantized_pruned;
   }
-  // The workload must actually exercise pruning, or the suite is vacuous.
-  EXPECT_GT(total_pruned, 0u);
-
-  // Range / similarity paths through the engine wrappers.
-  std::vector<Scalar> lo(dim, 0.2f), hi(dim, 0.8f);
-  const Rect window(std::move(lo), std::move(hi));
-  QueryStats es, qs;
-  std::vector<PointId> er = exact.RangeQuery(window, &es);
-  std::vector<PointId> qr = quant.RangeQuery(window, &qs);
-  std::sort(er.begin(), er.end());
-  std::sort(qr.begin(), qr.end());
-  EXPECT_EQ(er, qr);
-  EXPECT_FALSE(er.empty());
-  EXPECT_EQ(qs.total_pages, es.total_pages);
 }
 
-// The coalesced batched path over a quantized engine: results match the
-// per-query path bit for bit and the same conservation laws hold per
-// query, with the batch's coalesced page accounting intact.
+// The coalesced batched path over a quantized engine, at d = 8 and
+// d = 16: results match the per-query path bit for bit and the same
+// conservation laws hold per query, with the batch's coalesced page
+// accounting intact. The batch runs on four pool workers, so this is
+// also the sanitizer lanes' probe of the threaded SQ8 sweep.
 TEST(QuantizedEngineTest, CoalescedBatchMatchesPerQueryOnQuantizedEngine) {
-  const std::size_t dim = 8, disks = 8, k = 10;
-  const PointSet data = GenerateUniform(3000, dim, 9401);
-  const PointSet queries = GenerateUniformQueries(24, dim, 9403);
+  for (const std::size_t dim : {8, 16}) {
+    SCOPED_TRACE("dim " + std::to_string(dim));
+    const std::size_t disks = 8, k = 10;
+    const PointSet data = GenerateUniform(3000, dim, 9401);
+    const PointSet queries = GenerateUniformQueries(24, dim, 9403);
+
+    EngineOptions options;
+    options.architecture = Architecture::kSharedTree;
+    options.bulk_load = true;
+    options.quantized_leaf_blocks = true;
+    ParallelSearchEngine quant(
+        dim, std::make_unique<NearOptimalDeclusterer>(dim, disks), options);
+    ASSERT_TRUE(quant.Build(data).ok());
+    options.coalesced_batch = true;
+    options.parallel_workers = 4;
+    ParallelSearchEngine batched(
+        dim, std::make_unique<NearOptimalDeclusterer>(dim, disks), options);
+    ASSERT_TRUE(batched.Build(data).ok());
+
+    std::vector<QueryStats> batch_stats;
+    const std::vector<KnnResult> batch =
+        batched.QueryBatch(queries, k, &batch_stats);
+    ASSERT_EQ(batch.size(), queries.size());
+    for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+      SCOPED_TRACE("query " + std::to_string(qi));
+      QueryStats qs;
+      ExpectBitIdentical(batch[qi], quant.Query(queries[qi], k, &qs));
+      const QueryStats& bs = batch_stats[qi];
+      // Coalescing removes page charges, never sweep work: each query's
+      // prune/re-rank split and frontier traffic match its single-query
+      // execution, and the pages it read plus the pages it rode along on
+      // recover the single-query page count.
+      EXPECT_EQ(bs.quantized_pruned, qs.quantized_pruned);
+      EXPECT_EQ(bs.base_pruned, qs.base_pruned);
+      EXPECT_EQ(bs.sq8_pruned, qs.sq8_pruned);
+      EXPECT_EQ(bs.reranked, qs.reranked);
+      EXPECT_EQ(bs.leaf_bytes_scanned, qs.leaf_bytes_scanned);
+      EXPECT_EQ(bs.frontier_pops, qs.frontier_pops);
+      EXPECT_EQ(bs.cutoff_skipped_nodes, qs.cutoff_skipped_nodes);
+      EXPECT_EQ(bs.total_pages + bs.directory_pages + bs.coalesced_reads,
+                qs.total_pages + qs.directory_pages);
+    }
+  }
+}
+
+// WarmLeafBlocks builds every block and its SQ8 mirror without charging
+// a single page or distance computation, serial and pooled alike, and
+// changes no answer.
+TEST(QuantizedEngineTest, WarmLeafBlocksChargesNothing) {
+  const std::size_t dim = 16, k = 5;
+  const std::uint32_t disks = 4;
+  const PointSet data = GenerateUniform(1500, dim, 4701);
+  const PointSet queries = GenerateUniformQueries(4, dim, 4703);
 
   EngineOptions options;
   options.architecture = Architecture::kSharedTree;
   options.bulk_load = true;
   options.quantized_leaf_blocks = true;
-  ParallelSearchEngine quant(
+  ParallelSearchEngine engine(
       dim, std::make_unique<NearOptimalDeclusterer>(dim, disks), options);
-  ASSERT_TRUE(quant.Build(data).ok());
-  options.coalesced_batch = true;
-  options.parallel_workers = 4;
-  ParallelSearchEngine batched(
-      dim, std::make_unique<NearOptimalDeclusterer>(dim, disks), options);
-  ASSERT_TRUE(batched.Build(data).ok());
+  ASSERT_TRUE(engine.Build(data).ok());
 
-  std::vector<QueryStats> batch_stats;
-  const std::vector<KnnResult> batch =
-      batched.QueryBatch(queries, k, &batch_stats);
-  ASSERT_EQ(batch.size(), queries.size());
+  const auto snapshot = [&] {
+    DiskStats total = engine.disks().TotalStats();
+    return std::make_tuple(total.TotalPagesRead(), total.distance_computations,
+                           total.quantized_pruned);
+  };
+  const auto before = snapshot();
+  engine.WarmLeafBlocks(/*threads=*/4);
+  engine.WarmLeafBlocks();  // idempotent
+  EXPECT_EQ(snapshot(), before);
+
+  // The tree-level API really materialized the mirrors.
+  const TreeBase& tree = engine.tree();
+  std::vector<NodeId> stack{tree.root_id()};
+  std::size_t leaves = 0;
+  while (!stack.empty()) {
+    const NodeId id = stack.back();
+    stack.pop_back();
+    const Node& node = tree.PeekNode(id);
+    if (!node.IsLeaf()) {
+      for (const NodeEntry& e : node.entries) stack.push_back(e.child);
+      continue;
+    }
+    ++leaves;
+    const LeafBlock& block = tree.LeafBlockOf(node);
+    EXPECT_TRUE(block.has_sq8);
+    EXPECT_EQ(block.sq8.count, block.count);
+  }
+  EXPECT_GT(leaves, 0u);
+  EXPECT_EQ(snapshot(), before) << "LeafBlockOf after warm must be cached";
+
   for (std::size_t qi = 0; qi < queries.size(); ++qi) {
-    SCOPED_TRACE("query " + std::to_string(qi));
-    QueryStats qs;
-    ExpectBitIdentical(batch[qi], quant.Query(queries[qi], k, &qs));
-    const QueryStats& bs = batch_stats[qi];
-    // Coalescing removes page charges, never sweep work: each query's
-    // prune/re-rank split matches its single-query execution, and the
-    // pages it read plus the pages it rode along on recover the
-    // single-query page count.
-    EXPECT_EQ(bs.quantized_pruned, qs.quantized_pruned);
-    EXPECT_EQ(bs.reranked, qs.reranked);
-    EXPECT_EQ(bs.leaf_bytes_scanned, qs.leaf_bytes_scanned);
-    EXPECT_EQ(bs.total_pages + bs.directory_pages + bs.coalesced_reads,
-              qs.total_pages + qs.directory_pages);
+    ExpectBitIdentical(engine.Query(queries[qi], k),
+                       BruteForceKnn(data, queries[qi], k, options.metric));
+  }
+}
+
+// Phase-attributed profiling: off by default (all-zero breakdown, no
+// accounting drift), populated when enabled, and summed across the
+// batch paths.
+TEST(QuantizedEngineTest, PhaseProfilerAttributesQueryTime) {
+  const std::size_t dim = 16, k = 10;
+  const std::uint32_t disks = 4;
+  const PointSet data = GenerateUniform(2500, dim, 4801);
+  const PointSet queries = GenerateUniformQueries(6, dim, 4803);
+
+  EngineOptions options;
+  options.architecture = Architecture::kSharedTree;
+  options.bulk_load = true;
+  options.quantized_leaf_blocks = true;
+  ParallelSearchEngine plain(
+      dim, std::make_unique<NearOptimalDeclusterer>(dim, disks), options);
+  ASSERT_TRUE(plain.Build(data).ok());
+  options.profile_phases = true;
+  ParallelSearchEngine profiled(
+      dim, std::make_unique<NearOptimalDeclusterer>(dim, disks), options);
+  ASSERT_TRUE(profiled.Build(data).ok());
+
+  QueryStats off_stats, on_stats;
+  const KnnResult want = plain.Query(queries[0], k, &off_stats);
+  ExpectBitIdentical(profiled.Query(queries[0], k, &on_stats), want);
+  EXPECT_EQ(off_stats.phases.total_ms(), 0.0);
+  EXPECT_GT(on_stats.phases.total_ms(), 0.0);
+  // A quantized k-NN query must spend time descending, popping the
+  // frontier, and sweeping leaves.
+  EXPECT_GT(on_stats.phases.of(Phase::kDescent) +
+                on_stats.phases.of(Phase::kFrontier),
+            0.0);
+  EXPECT_GT(on_stats.phases.of(Phase::kSweepPrep) +
+                on_stats.phases.of(Phase::kSweepFull) +
+                on_stats.phases.of(Phase::kSweepRerank),
+            0.0);
+  // Simulated accounting is independent of the profiler.
+  EXPECT_EQ(on_stats.total_pages, off_stats.total_pages);
+  EXPECT_EQ(on_stats.quantized_pruned, off_stats.quantized_pruned);
+
+  // Per-query batch path: the batch breakdown is the per-query sum.
+  PhaseBreakdown batch_phases;
+  std::vector<QueryStats> stats;
+  (void)profiled.QueryBatch(queries, k, &stats, /*threads=*/1,
+                            /*effective_threads=*/nullptr, &batch_phases);
+  EXPECT_GT(batch_phases.total_ms(), 0.0);
+  double per_query_sum = 0.0;
+  for (const QueryStats& s : stats) per_query_sum += s.phases.total_ms();
+  EXPECT_DOUBLE_EQ(batch_phases.total_ms(), per_query_sum);
+
+  // Coalesced threaded path: batch-level breakdown only, still nonzero,
+  // results still bit-identical.
+  EngineOptions co = options;
+  co.coalesced_batch = true;
+  co.parallel_workers = 4;
+  ParallelSearchEngine co_engine(
+      dim, std::make_unique<NearOptimalDeclusterer>(dim, disks), co);
+  ASSERT_TRUE(co_engine.Build(data).ok());
+  PhaseBreakdown co_phases;
+  const std::vector<KnnResult> batch = co_engine.QueryBatch(
+      queries, k, nullptr, /*threads=*/4, nullptr, &co_phases);
+  EXPECT_GT(co_phases.total_ms(), 0.0);
+  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+    ExpectBitIdentical(batch[qi], plain.Query(queries[qi], k));
   }
 }
 

@@ -1,5 +1,6 @@
 #include "src/parallel/engine.h"
 
+#include <future>
 #include <limits>
 #include <memory>
 #include <string>
@@ -11,6 +12,7 @@
 #include "src/core/near_optimal.h"
 #include "src/index/knn.h"
 #include "src/parallel/route_memo.h"
+#include "src/service/query_service.h"
 #include "src/util/random.h"
 #include "src/workload/generators.h"
 
@@ -161,6 +163,40 @@ TEST(EngineTest, NonFiniteCoordinatesRejected) {
         ExpectSameAnswer(engine->Query(queries[q], 10), before[q]);
       }
       expect_valid_trees(*engine);
+    }
+  }
+}
+
+// Queries are validated too: a NaN or infinite query coordinate has no
+// nearest neighbours, so every query entry point of an exact and of an
+// SQ8 engine fails a check instead of answering.
+TEST(EngineDeathTest, NonFiniteQueryCoordinatesFailLoudly) {
+  const std::size_t dim = 16;
+  const PointSet data = GenerateUniform(2000, dim, 375);
+  for (const bool quantized : {false, true}) {
+    EngineOptions options;
+    options.quantized_leaf_blocks = quantized;
+    const auto engine = MakeEngine(data, 8, options);
+    QueryService service(*engine);
+    for (const Scalar bad : {std::numeric_limits<Scalar>::quiet_NaN(),
+                             std::numeric_limits<Scalar>::infinity(),
+                             -std::numeric_limits<Scalar>::infinity()}) {
+      SCOPED_TRACE(std::string(quantized ? "sq8" : "exact") +
+                   ", coordinate " + std::to_string(bad));
+      Point query = data.Materialize(11);
+      query[5] = bad;
+      PointSet batch(dim);
+      batch.Add(data[3]);
+      batch.Add(query);
+      KnnResult result;
+      std::future<ServedResult> served;
+      EXPECT_DEATH((void)engine->Query(query, 10), "AllFinite");
+      EXPECT_DEATH((void)engine->TryQuery(query, 10, &result), "AllFinite");
+      EXPECT_DEATH((void)engine->SimilarityQuery(query, 0.5), "AllFinite");
+      EXPECT_DEATH((void)engine->QueryBatch(batch, 10), "AllFinite");
+      EXPECT_DEATH(
+          (void)service.Submit(query, ServiceQueryOptions{}, &served),
+          "AllFinite");
     }
   }
 }
@@ -366,7 +402,6 @@ void ExpectSameStats(const QueryStats& a, const QueryStats& b) {
   EXPECT_EQ(a.block_kernel_invocations, b.block_kernel_invocations);
   EXPECT_EQ(a.quantized_pruned, b.quantized_pruned);
   EXPECT_EQ(a.base_pruned, b.base_pruned);
-  EXPECT_EQ(a.prefix_pruned, b.prefix_pruned);
   EXPECT_EQ(a.sq8_pruned, b.sq8_pruned);
   EXPECT_EQ(a.reranked, b.reranked);
   EXPECT_EQ(a.leaf_bytes_scanned, b.leaf_bytes_scanned);

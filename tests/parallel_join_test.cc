@@ -1,6 +1,6 @@
 // All-pairs ε-similarity self-join (ParallelSearchEngine::SelfJoin) vs
 // the O(n^2) linear-scan oracle: exact pair sets across dimensions,
-// metrics, engine configurations (exact / quantized / cascade) and an
+// metrics, engine configurations (exact / quantized) and an
 // epsilon grid including 0 and values straddling a planted pair's
 // distance; determinism of results AND stats across thread counts; and
 // composition with fault plans, replicas, and the buffer pool, with the
@@ -18,7 +18,7 @@
 namespace parsim {
 namespace {
 
-enum class SweepMode { kExact, kQuantized, kCascade };
+enum class SweepMode { kExact, kQuantized };
 
 const char* ModeName(SweepMode mode) {
   switch (mode) {
@@ -26,8 +26,6 @@ const char* ModeName(SweepMode mode) {
       return "exact";
     case SweepMode::kQuantized:
       return "quantized";
-    case SweepMode::kCascade:
-      return "cascade";
   }
   return "?";
 }
@@ -43,8 +41,7 @@ std::unique_ptr<ParallelSearchEngine> MakeEngine(
   options.parallel_workers = workers;
   options.buffer_pages_per_disk = buffer_pages;
   options.enable_replicas = replicas;
-  options.quantized_leaf_blocks = mode != SweepMode::kExact;
-  options.cascade_prefix_stage = mode == SweepMode::kCascade;
+  options.quantized_leaf_blocks = mode == SweepMode::kQuantized;
   auto engine = std::make_unique<ParallelSearchEngine>(
       data.dim(), std::make_unique<NearOptimalDeclusterer>(data.dim(), disks),
       options);
@@ -79,7 +76,6 @@ void ExpectSameStats(const JoinStats& a, const JoinStats& b) {
   EXPECT_EQ(a.exact_distances, b.exact_distances);
   EXPECT_EQ(a.quantized_pruned, b.quantized_pruned);
   EXPECT_EQ(a.base_pruned, b.base_pruned);
-  EXPECT_EQ(a.prefix_pruned, b.prefix_pruned);
   EXPECT_EQ(a.sq8_pruned, b.sq8_pruned);
   EXPECT_EQ(a.reranked, b.reranked);
   EXPECT_EQ(a.leaf_bytes_scanned, b.leaf_bytes_scanned);
@@ -100,8 +96,7 @@ void ExpectJoinInvariants(const JoinStats& s) {
             s.block_pairs_considered);
   // Self pairs have MINDIST 0 and are always swept.
   EXPECT_GE(s.block_pairs_swept, n);
-  EXPECT_EQ(s.quantized_pruned,
-            s.base_pruned + s.prefix_pruned + s.sq8_pruned);
+  EXPECT_EQ(s.quantized_pruned, s.base_pruned + s.sq8_pruned);
 }
 
 // Page conservation on a healthy engine: leaves are one page each and
@@ -126,8 +121,7 @@ TEST(SimilarityJoinTest, MatchesOracleAcrossDimsAndSweepModes) {
     // quadratic: distances grow with sqrt(dim).
     const double eps = 0.03 * std::sqrt(static_cast<double>(dim));
     const std::vector<JoinPair> oracle = BruteForceSelfJoin(data, eps);
-    for (const SweepMode mode :
-         {SweepMode::kExact, SweepMode::kQuantized, SweepMode::kCascade}) {
+    for (const SweepMode mode : {SweepMode::kExact, SweepMode::kQuantized}) {
       SCOPED_TRACE("dim " + std::to_string(dim) + " mode " + ModeName(mode));
       const auto engine = MakeEngine(data, 8, mode);
       const JoinResult result = engine->SelfJoin(eps);
@@ -151,7 +145,7 @@ TEST(SimilarityJoinTest, MatchesOracleAcrossMetrics) {
                                                  : 0.05;
     const std::vector<JoinPair> oracle = BruteForceSelfJoin(data, eps, metric);
     EXPECT_FALSE(oracle.empty());
-    for (const SweepMode mode : {SweepMode::kExact, SweepMode::kCascade}) {
+    for (const SweepMode mode : {SweepMode::kExact, SweepMode::kQuantized}) {
       SCOPED_TRACE(std::string("metric ") + MetricKindToString(kind) +
                    " mode " + ModeName(mode));
       const auto engine = MakeEngine(data, 8, mode, kind);
@@ -185,7 +179,7 @@ TEST(SimilarityJoinTest, EpsilonEdgeCasesIncludingPlantedPair) {
         planted * (1.0 + 1e-6), planted * 4.0}) {
     SCOPED_TRACE("eps " + std::to_string(eps));
     const std::vector<JoinPair> oracle = BruteForceSelfJoin(data, eps);
-    for (const SweepMode mode : {SweepMode::kExact, SweepMode::kCascade}) {
+    for (const SweepMode mode : {SweepMode::kExact, SweepMode::kQuantized}) {
       const auto engine = MakeEngine(data, 4, mode);
       const JoinResult result = engine->SelfJoin(eps);
       ExpectSamePairs(oracle, result.pairs);
@@ -225,7 +219,7 @@ TEST(SimilarityJoinTest, EpsilonZeroEmitsOnlyDuplicates) {
 TEST(SimilarityJoinTest, DeterministicAcrossThreadCounts) {
   const PointSet data = GenerateClusteredGaussian(4000, 8, 10, 0.05, 4901);
   const double eps = 0.08;
-  for (const SweepMode mode : {SweepMode::kExact, SweepMode::kCascade}) {
+  for (const SweepMode mode : {SweepMode::kExact, SweepMode::kQuantized}) {
     SCOPED_TRACE(ModeName(mode));
     // Serial engine as the reference.
     const auto serial_engine = MakeEngine(data, 8, mode);
@@ -246,10 +240,10 @@ TEST(SimilarityJoinTest, DeterministicAcrossThreadCounts) {
 TEST(SimilarityJoinTest, ComposesWithBufferPool) {
   const PointSet data = GenerateClusteredGaussian(3000, 6, 8, 0.05, 5101);
   const double eps = 0.07;
-  const auto plain = MakeEngine(data, 8, SweepMode::kCascade);
+  const auto plain = MakeEngine(data, 8, SweepMode::kQuantized);
   const std::vector<JoinPair> expected = plain->SelfJoin(eps).pairs;
 
-  const auto buffered = MakeEngine(data, 8, SweepMode::kCascade,
+  const auto buffered = MakeEngine(data, 8, SweepMode::kQuantized,
                                    MetricKind::kL2, 0, /*buffer_pages=*/4096);
   const JoinResult cold = buffered->SelfJoin(eps);
   ExpectSamePairs(expected, cold.pairs);
@@ -276,7 +270,7 @@ TEST(SimilarityJoinTest, ComposesWithBufferPool) {
 TEST(SimilarityJoinTest, ComposesWithFaultPlanAndReplicas) {
   const PointSet data = GenerateClusteredGaussian(3000, 6, 8, 0.05, 5301);
   const double eps = 0.07;
-  const auto engine = MakeEngine(data, 8, SweepMode::kCascade,
+  const auto engine = MakeEngine(data, 8, SweepMode::kQuantized,
                                  MetricKind::kL2, 0, 0, /*replicas=*/true);
   const JoinResult healthy = engine->SelfJoin(eps);
   ExpectPageConservation(healthy.stats);
@@ -307,30 +301,18 @@ TEST(SimilarityJoinTest, QuantizedSweepAccountingTiesToExact) {
   const double eps = 0.06;
   const auto exact = MakeEngine(data, 8, SweepMode::kExact);
   const auto quant = MakeEngine(data, 8, SweepMode::kQuantized);
-  const auto cascade = MakeEngine(data, 8, SweepMode::kCascade);
   const JoinResult re = exact->SelfJoin(eps);
   const JoinResult rq = quant->SelfJoin(eps);
-  const JoinResult rc = cascade->SelfJoin(eps);
   ExpectSamePairs(re.pairs, rq.pairs);
-  ExpectSamePairs(re.pairs, rc.pairs);
   // The quantized sweeps triage exactly the candidate pairs the exact
   // sweep evaluated: every candidate is either pruned by a provable
   // lower bound or re-ranked through the exact kernel.
   EXPECT_EQ(rq.stats.quantized_pruned + rq.stats.reranked,
             re.stats.exact_distances);
-  EXPECT_EQ(rc.stats.quantized_pruned + rc.stats.reranked,
-            re.stats.exact_distances);
   // Pruning must actually bite on clustered data at a selective eps.
   EXPECT_GT(rq.stats.quantized_pruned, re.stats.exact_distances / 2);
-  // Same-parent pairs sweep the shared parent codebook (full-dimension
-  // reductions, no prefix stage), so prefix attribution can only come
-  // from cross-parent fallback sweeps — it never exceeds the cascade's
-  // own full+base share and both engines triage the same total.
-  EXPECT_EQ(rc.stats.quantized_pruned, rc.stats.base_pruned +
-                                           rc.stats.prefix_pruned +
-                                           rc.stats.sq8_pruned);
-  EXPECT_EQ(rq.stats.quantized_pruned + rq.stats.reranked,
-            rc.stats.quantized_pruned + rc.stats.reranked);
+  EXPECT_EQ(rq.stats.quantized_pruned,
+            rq.stats.base_pruned + rq.stats.sq8_pruned);
   // Re-ranked exact evaluations are the only float kernel work.
   EXPECT_EQ(rq.stats.exact_distances, rq.stats.reranked);
   EXPECT_LT(rq.stats.exact_distances, re.stats.exact_distances);
@@ -359,7 +341,7 @@ TEST(SimilarityJoinTest, TinyInputs) {
 
   // Huge epsilon: all n*(n-1)/2 pairs, still matching the oracle.
   const PointSet small = GenerateUniform(60, 3, 5701);
-  const auto e3 = MakeEngine(small, 2, SweepMode::kCascade);
+  const auto e3 = MakeEngine(small, 2, SweepMode::kQuantized);
   const JoinResult r3 = e3->SelfJoin(10.0);
   EXPECT_EQ(r3.pairs.size(), small.size() * (small.size() - 1) / 2);
   ExpectSamePairs(BruteForceSelfJoin(small, 10.0), r3.pairs);

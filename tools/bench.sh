@@ -18,12 +18,12 @@ cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build -j "$JOBS" --target \
     microbench_query_parallel microbench_buffer_pool \
     microbench_fault_injection microbench_batch_knn \
-    microbench_quantized_knn microbench_cascade microbench_recall \
+    microbench_quantized_knn microbench_recall \
     microbench_service microbench_bulk_load microbench_join
 
 BENCHES=(microbench_query_parallel microbench_buffer_pool
          microbench_fault_injection microbench_batch_knn
-         microbench_quantized_knn microbench_cascade microbench_recall
+         microbench_quantized_knn microbench_recall
          microbench_service microbench_bulk_load microbench_join)
 for b in "${BENCHES[@]}"; do
     echo "== ${b} $* =="

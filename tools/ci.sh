@@ -56,11 +56,12 @@ echo "== [3/4] TSAN build + concurrency tests =="
 # golden_stats_test pins the buffered deterministic-replay accounting;
 # index_quantized_block_test exercises the SQ8 sweep path (whose
 # per-thread scratch and cached kernel dispatch must stay race-free)
-# alongside the concurrent engines; and index_cascade_test adds the
-# prefix-stage cascade, WarmLeafBlocks prebuild, and the phase-profiled
-# coalesced batch (thread-local capture install/remove under a pool);
-# index_approx_knn_test runs the approximate tier's relaxed skips and
-# their per-query counters on a multi-worker coalesced batch;
+# alongside the concurrent engines, including a threaded coalesced SQ8
+# batch at d=16, the pooled WarmLeafBlocks prebuild, and the
+# phase-profiled coalesced batch (thread-local capture install/remove
+# under a pool); index_approx_knn_test runs the approximate tier's
+# relaxed skips and their per-query counters on a multi-worker
+# coalesced batch;
 # parallel_service_test runs the query service's dispatcher thread
 # against concurrent submitters (deadlines, backpressure, priorities,
 # 8-worker determinism); util_parallel_sort_test and
@@ -75,7 +76,7 @@ TSAN_TESTS=(util_thread_pool_test util_parallel_sort_test
             parallel_concurrency_test parallel_threads_test
             parallel_batch_coalesced_test
             parallel_degraded_query_test golden_stats_test
-            index_quantized_block_test index_cascade_test
+            index_quantized_block_test
             index_approx_knn_test parallel_service_test
             index_bulk_load_parallel_test parallel_join_test)
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -92,8 +93,8 @@ echo "== [4/4] microbench + perf ledger smoke lane =="
 # or page-conservation checks fail.
 MICROBENCHES=(microbench_query_parallel microbench_buffer_pool
               microbench_fault_injection microbench_batch_knn
-              microbench_quantized_knn microbench_cascade
-              microbench_recall microbench_service
+              microbench_quantized_knn microbench_recall
+              microbench_service
               microbench_bulk_load microbench_join)
 cmake --build build-ci -j "$JOBS" --target "${MICROBENCHES[@]}"
 # Run from build-ci so the smoke-sized JSON files do not overwrite the
