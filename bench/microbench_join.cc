@@ -18,7 +18,7 @@
 // The headline metric is candidate pairs per second: every config
 // triages the IDENTICAL candidate set (the exact path evaluates it in
 // full; the SQ8 sweep prunes + re-ranks it — the join tests assert
-// quantized_pruned + reranked == exact_distances), so speedup ratios
+// quantized_pruned + reranked == distance_computations), so speedup ratios
 // equal time ratios with no denominator games. The emitted pair lists
 // of all three configs must be bit-identical, and are additionally
 // checked against the O(n^2) oracle when n <= 50000 (always in
@@ -175,7 +175,7 @@ int Run(bool smoke) {
       }
     }
     row.pairs = exact.stats.pairs_emitted;
-    row.candidates = exact.stats.exact_distances;
+    row.candidates = exact.stats.distance_computations;
     row.pruned = sq8.stats.quantized_pruned;
     row.block_pairs_considered = exact.stats.block_pairs_considered;
     row.block_pairs_swept = exact.stats.block_pairs_swept;

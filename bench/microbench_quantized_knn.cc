@@ -172,14 +172,14 @@ SweepResult RunSweepLayer(std::size_t dim, std::size_t n,
   // One full pass over every group through the production sweep;
   // `sink`/`survivors` keep the emit path alive under optimization, and
   // `collect` (identity passes only) records thresholded emits.
-  std::vector<LeafSweepStats> stats;
+  std::vector<Counters> stats;
   const auto sweep_all = [&](std::uint64_t* survivors, double* sink,
-                             LeafSweepStats* total,
+                             Counters* total,
                              std::vector<Emit>* collect) {
     for (std::size_t gi = 0; gi < groups.size(); ++gi) {
       const LeafGroup& g = groups[gi];
       const LeafBlock& block = tree.LeafBlockOf(tree.AccessNode(g.leaf));
-      stats.assign(g.members.size(), LeafSweepStats{});
+      stats.assign(g.members.size(), Counters{});
       SweepLeafBlockMany(
           block, g.qbuf.data(), g.members.size(), metric,
           [&](std::size_t m) { return g.thresholds[m]; },
@@ -194,12 +194,7 @@ SweepResult RunSweepLayer(std::size_t dim, std::size_t n,
           },
           stats.data());
       if (total != nullptr) {
-        for (const LeafSweepStats& s : stats) {
-          total->exact_distances += s.exact_distances;
-          total->quantized_pruned += s.quantized_pruned;
-          total->reranked += s.reranked;
-          total->leaf_bytes_scanned += s.leaf_bytes_scanned;
-        }
+        for (const Counters& s : stats) *total += s;
       }
     }
   };
@@ -223,7 +218,7 @@ SweepResult RunSweepLayer(std::size_t dim, std::size_t n,
   // Quantized mode: same sweeps over SQ8 blocks.
   tree.set_quantized_leaf_blocks(true);
   std::vector<Emit> quant_emits;
-  LeafSweepStats total;
+  Counters total;
   sweep_all(&survivors, &sink, &total, &quant_emits);
   out.quant_ms = BestOfMs(reps, [&] {
     std::uint64_t c = 0;

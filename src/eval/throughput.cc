@@ -46,21 +46,7 @@ ThroughputResult SimulateThroughput(const ParallelSearchEngine& engine,
     const QueryStats& stats = per_query[qi];
     out.avg_latency_ms += stats.parallel_ms;
     if (stats.degraded) ++out.degraded_queries;
-    out.replica_pages += stats.replica_pages;
-    out.failed_read_attempts += stats.failed_read_attempts;
-    out.unavailable_pages += stats.unavailable_pages;
-    out.coalesced_reads += stats.coalesced_reads;
-    out.block_kernel_invocations += stats.block_kernel_invocations;
-    out.quantized_pruned += stats.quantized_pruned;
-    out.base_pruned += stats.base_pruned;
-    out.sq8_pruned += stats.sq8_pruned;
-    out.reranked += stats.reranked;
-    out.leaf_bytes_scanned += stats.leaf_bytes_scanned;
-    out.frontier_pushes += stats.frontier_pushes;
-    out.frontier_pops += stats.frontier_pops;
-    out.cutoff_skipped_nodes += stats.cutoff_skipped_nodes;
-    out.approx_skipped_nodes += stats.approx_skipped_nodes;
-    out.approx_pruned_exactly += stats.approx_pruned_exactly;
+    out += stats;
     // Host share of this query's time (directory work on the shared
     // architecture; zero for federated ones). Derived from the healthy
     // figure so fault penalties never leak into the host share.

@@ -20,12 +20,14 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/io/counters.h"
 #include "src/parallel/engine.h"
 
 namespace parsim {
 
-/// Aggregate result of a batch-throughput simulation.
-struct ThroughputResult {
+/// Aggregate result of a batch-throughput simulation. The work counters
+/// are the per-query counters summed over the batch.
+struct ThroughputResult : Counters {
   /// Simulated time until the whole batch completes.
   double makespan_ms = 0.0;
   /// Queries per simulated second.
@@ -39,52 +41,13 @@ struct ThroughputResult {
   /// Aggregate pages served per disk over the batch.
   std::vector<std::uint64_t> pages_per_disk;
 
-  // Fault / degraded-read aggregates. All zero (and healthy_makespan_ms
-  // == makespan_ms bit for bit) on a healthy disk array.
   /// Batch makespan at healthy rates: same page distribution, but no
   /// slow-disk scaling and no retry penalties. makespan_ms divided by
-  /// healthy_makespan_ms is the batch degradation factor.
+  /// healthy_makespan_ms is the batch degradation factor (equal bit for
+  /// bit on a healthy disk array).
   double healthy_makespan_ms = 0.0;
   /// Queries that read a replica, retried a failed disk, or lost pages.
   std::size_t degraded_queries = 0;
-  /// Pages served by replicas on behalf of failed primaries.
-  std::uint64_t replica_pages = 0;
-  /// Timed-out read attempts against failed primaries (bounded retry).
-  std::uint64_t failed_read_attempts = 0;
-  /// Pages no healthy copy could serve (failed disk, no replica).
-  std::uint64_t unavailable_pages = 0;
-
-  // Batched-execution aggregates. Zero outside the coalesced path.
-  /// Page reads the batch avoided by cross-query coalescing (summed
-  /// per-query coalesced_reads); every one of them is a page the
-  /// per-query execution would have charged to a disk.
-  std::uint64_t coalesced_reads = 0;
-  /// Many-to-many kernel participations (summed per-query counts).
-  std::uint64_t block_kernel_invocations = 0;
-
-  // Quantized-sweep aggregates (summed per-query counts). All zero
-  // unless the engine runs with quantized_leaf_blocks.
-  /// Leaf candidates the SQ8 lower bound eliminated before exact work
-  /// (always base_pruned + sq8_pruned).
-  std::uint64_t quantized_pruned = 0;
-  /// ... of which: killed wholesale by the per-block query bound.
-  std::uint64_t base_pruned = 0;
-  /// ... of which: killed by the SQ8 reduction.
-  std::uint64_t sq8_pruned = 0;
-  /// Leaf candidates re-ranked through the exact float kernels.
-  std::uint64_t reranked = 0;
-  /// Bytes leaf sweeps streamed (bookkeeping; not part of makespan).
-  std::uint64_t leaf_bytes_scanned = 0;
-
-  // Frontier aggregates (summed per-query counts; HS searches only).
-  std::uint64_t frontier_pushes = 0;
-  std::uint64_t frontier_pops = 0;
-  std::uint64_t cutoff_skipped_nodes = 0;
-
-  // Approximate-tier aggregates (zero unless EngineOptions::approx is
-  // enabled with epsilon > 0; see src/parallel/engine.h).
-  std::uint64_t approx_skipped_nodes = 0;
-  std::uint64_t approx_pruned_exactly = 0;
 
   /// Wall-clock phase breakdown of the batch execution (summed over all
   /// workers; all zero unless the engine runs with profile_phases).

@@ -235,7 +235,6 @@ KnnResult HsKnn(const TreeBase& tree, PointView query, std::size_t k,
   // full-k guarantee survives: a skip requires a full bound (k point
   // keys pushed), and those k points can only pop into the result.
   const bool node_approx = approx.node_factor > 1.0;
-  std::uint64_t approx_skipped = 0;
 
   HsScratch& scratch = HsFrontierScratch();
   std::vector<HsItem>& heap = scratch.heap;
@@ -251,9 +250,8 @@ KnnResult HsKnn(const TreeBase& tree, PointView query, std::size_t k,
   heap.clear();
   bound.clear();
   bound.reserve(k);
-  std::uint64_t pushes = 0;
-  std::uint64_t pops = 0;
-  std::uint64_t skipped = 0;
+  // Frontier traffic, booked into the tree's stats sink at the end.
+  Counters frontier;
   const auto push_point = [&](double key, std::uint32_t id) {
     if (bound.size() < k) {
       bound.push_back(key);
@@ -267,10 +265,10 @@ KnnResult HsKnn(const TreeBase& tree, PointView query, std::size_t k,
     }
     heap.push_back(HsItem{key, true, id});
     std::push_heap(heap.begin(), heap.end(), HsGreaterKey{});
-    ++pushes;
+    ++frontier.frontier_pushes;
   };
   heap.push_back(HsItem{0.0, false, tree.root_id()});
-  ++pushes;
+  ++frontier.frontier_pushes;
   while (!heap.empty() && result.size() < k) {
     HsItem item;
     {
@@ -278,7 +276,7 @@ KnnResult HsKnn(const TreeBase& tree, PointView query, std::size_t k,
       std::pop_heap(heap.begin(), heap.end(), HsGreaterKey{});
       item = heap.back();
       heap.pop_back();
-      ++pops;
+      ++frontier.frontier_pops;
       if (item.is_point) {
         result.push_back(Neighbor{item.ref, metric.FromComparable(item.key)});
         continue;
@@ -288,7 +286,7 @@ KnnResult HsKnn(const TreeBase& tree, PointView query, std::size_t k,
         item.key > bound.front() / approx.node_factor) {
       // Never fires on the exact path (factor 1.0): a node whose key
       // strictly exceeds the bound cannot pop before the k-th point.
-      ++approx_skipped;
+      ++frontier.approx_skipped_nodes;
       continue;
     }
     const Node* node;
@@ -336,20 +334,20 @@ KnnResult HsKnn(const TreeBase& tree, PointView query, std::size_t k,
       for (const NodeEntry& e : node->entries) {
         double key;
         if (MinDistExceeds(e.rect, query, metric, cut, &key)) {
-          ++skipped;
+          ++frontier.cutoff_skipped_nodes;
           continue;
         }
         if (node_approx && key > rcut) {
-          ++approx_skipped;
+          ++frontier.approx_skipped_nodes;
           continue;
         }
         heap.push_back(HsItem{key, false, e.child});
         std::push_heap(heap.begin(), heap.end(), HsGreaterKey{});
-        ++pushes;
+        ++frontier.frontier_pushes;
       }
     }
   }
-  tree.disk()->RecordFrontier(pushes, pops, skipped, approx_skipped);
+  tree.disk()->Record(frontier);
   return result;
 }
 

@@ -146,12 +146,12 @@ int CodeCeil(const Sq8Mirror& sq8, std::size_t j, double bound) {
 
 }  // namespace detail
 
-LeafSweepStats SweepLeafRange(const LeafBlock& block, const Rect& query,
-                              std::vector<PointId>* out) {
-  LeafSweepStats sweep;
+Counters SweepLeafRange(const LeafBlock& block, const Rect& query,
+                        std::vector<PointId>* out) {
+  Counters sweep;
   // Containment sweeps never charged simulated distance computations
-  // before quantization and still don't: exact_distances stays 0 on
-  // both paths; only the byte/prune counters differ.
+  // before quantization and still don't: distance_computations stays 0
+  // on both paths; only the byte/prune counters differ.
   if (!block.has_sq8 || block.sq8.scale <= 0.0) {
     // scale == 0 means a constant/empty block whose codes carry no
     // information — the code intervals would be all-pass anyway.
@@ -188,7 +188,6 @@ LeafSweepStats SweepLeafRange(const LeafBlock& block, const Rect& query,
     clo[j] = static_cast<std::uint32_t>(lo_c);
     chi[j] = static_cast<std::uint32_t>(hi_c);
   }
-  std::uint64_t reranked = 0;
   if (!empty) {
     for (std::size_t i = 0; i < block.count; ++i) {
       const std::uint8_t* codes = sq8.row(i);
@@ -204,7 +203,7 @@ LeafSweepStats SweepLeafRange(const LeafBlock& block, const Rect& query,
         ++sweep.quantized_pruned;
         continue;
       }
-      ++reranked;
+      ++sweep.reranked;
       if (query.Contains(block.row(i))) out->push_back(block.ids[i]);
     }
   } else {
@@ -212,9 +211,8 @@ LeafSweepStats SweepLeafRange(const LeafBlock& block, const Rect& query,
   }
   // The code-interval prefilter is this sweep's SQ8 stage.
   sweep.sq8_pruned = sweep.quantized_pruned;
-  sweep.reranked = reranked;
   sweep.leaf_bytes_scanned =
-      block.count * dim + reranked * dim * sizeof(Scalar);
+      block.count * dim + sweep.reranked * dim * sizeof(Scalar);
   return sweep;
 }
 

@@ -18,12 +18,13 @@
 // rejected — emitted keys, result sets, and page accesses are
 // bit-identical to the exact sweep.
 //
-// Each sweep returns (or fills) LeafSweepStats; callers forward them to
-// TreeBase::ChargeLeafSweep so exact re-ranks meter simulated CPU
-// (distance_computations) and the prune/re-rank/bytes counters reach the
-// per-query stats. The integer bound computations charge no simulated
-// CPU: they are the cost the quantized path removes, and the counters
-// make the removal auditable instead of invisible.
+// Each sweep returns (or fills) the Counters it moved (src/io/counters.h);
+// callers forward them to TreeBase::ChargeLeafSweep so exact re-ranks
+// meter simulated CPU (distance_computations; containment sweeps charge
+// none) and the prune/re-rank/bytes counters reach the per-query stats.
+// The integer bound computations charge no simulated CPU: they are the
+// cost the quantized path removes, and the counters make the removal
+// auditable instead of invisible.
 
 #ifndef PARSIM_SRC_INDEX_LEAF_SWEEP_H_
 #define PARSIM_SRC_INDEX_LEAF_SWEEP_H_
@@ -37,43 +38,10 @@
 #include "src/geometry/rect.h"
 #include "src/geometry/sq8.h"
 #include "src/index/leaf_block.h"
+#include "src/io/counters.h"
 #include "src/util/phase_timer.h"
 
 namespace parsim {
-
-/// What one leaf sweep did, for cost charging and stats plumbing.
-struct LeafSweepStats {
-  /// Exact float kernel evaluations: all candidates on the exact path,
-  /// only re-ranked survivors on the quantized path (containment sweeps
-  /// charge none, matching RangeQuery's pre-quantization accounting).
-  std::uint64_t exact_distances = 0;
-  /// Candidates eliminated by the SQ8 lower bound before exact work
-  /// (always base_pruned + sq8_pruned).
-  std::uint64_t quantized_pruned = 0;
-  /// Stage split of quantized_pruned. base_pruned: killed by the
-  /// candidate-independent base term alone (whole-block prune at entry,
-  /// or rest-of-block when the threshold tightens mid-sweep past the
-  /// base) — no per-candidate kernel work. sq8_pruned: killed by the
-  /// integer SQ8 reduction (or the range sweep's code-interval
-  /// prefilter).
-  std::uint64_t base_pruned = 0;
-  std::uint64_t sq8_pruned = 0;
-  /// Bound survivors re-ranked through the exact float kernel.
-  std::uint64_t reranked = 0;
-  /// Approximate tier only (approx_factor > 1): of the pruned
-  /// candidates, how many the LOSSLESS cutoff derived from the same
-  /// running threshold provably would have pruned too (always <=
-  /// quantized_pruned). Conservative: a whole-block relaxed base prune
-  /// skips the integer kernel, so when the exact contract would have
-  /// needed it, nothing is counted as exactly proven.
-  std::uint64_t approx_pruned_exactly = 0;
-  /// Bytes the sweep streamed: count * dim * sizeof(Scalar) on the exact
-  /// path; count * dim code bytes plus the re-ranked float rows on the
-  /// quantized path (zero when the query's base term pruned the whole
-  /// block before the mirror was read). Bookkeeping only — simulated
-  /// time still derives from page counts and distance computations.
-  std::uint64_t leaf_bytes_scanned = 0;
-};
 
 namespace detail {
 
@@ -148,11 +116,10 @@ std::size_t CountSurvivors(const std::uint32_t* reductions,
 /// have killed. At 1.0 (the default) every approx branch is dead and
 /// the sweep is bit-identical to the pre-approx code.
 template <typename ThresholdFn, typename EmitFn>
-LeafSweepStats SweepLeafDistances(const LeafBlock& block, PointView query,
-                                  const Metric& metric,
-                                  ThresholdFn&& threshold, EmitFn&& emit,
-                                  double approx_factor = 1.0) {
-  LeafSweepStats sweep;
+Counters SweepLeafDistances(const LeafBlock& block, PointView query,
+                            const Metric& metric, ThresholdFn&& threshold,
+                            EmitFn&& emit, double approx_factor = 1.0) {
+  Counters sweep;
   detail::LeafSweepScratch& scratch = detail::SweepScratch();
   if (!block.has_sq8) {
     ScopedPhase phase(Phase::kSweepRerank);
@@ -162,7 +129,7 @@ LeafSweepStats SweepLeafDistances(const LeafBlock& block, PointView query,
     for (std::size_t i = 0; i < block.count; ++i) {
       emit(i, scratch.dists[i]);
     }
-    sweep.exact_distances = block.count;
+    sweep.distance_computations = block.count;
     sweep.leaf_bytes_scanned = block.count * block.dim * sizeof(Scalar);
     return sweep;
   }
@@ -269,7 +236,7 @@ LeafSweepStats SweepLeafDistances(const LeafBlock& block, PointView query,
     }
   }
   sweep.quantized_pruned = sweep.base_pruned + sweep.sq8_pruned;
-  sweep.exact_distances = sweep.reranked;
+  sweep.distance_computations = sweep.reranked;
   sweep.leaf_bytes_scanned = block.count * block.dim +
                              sweep.reranked * block.dim * sizeof(Scalar);
   return sweep;
@@ -280,8 +247,8 @@ LeafSweepStats SweepLeafDistances(const LeafBlock& block, PointView query,
 /// conservative per-dimension code-interval prefilter runs over the
 /// uint8 mirror first; survivors go through the exact float Contains, so
 /// the id set matches the exact sweep exactly.
-LeafSweepStats SweepLeafRange(const LeafBlock& block, const Rect& query,
-                              std::vector<PointId>* out);
+Counters SweepLeafRange(const LeafBlock& block, const Rect& query,
+                        std::vector<PointId>* out);
 
 /// Batched variant of SweepLeafDistances: `members` queries (row-major,
 /// members x block.dim scalars) against one block, one many-to-many
@@ -297,7 +264,7 @@ template <typename ThresholdFn, typename EmitFn>
 void SweepLeafBlockMany(const LeafBlock& block, const Scalar* queries,
                         std::size_t members, const Metric& metric,
                         ThresholdFn&& threshold, EmitFn&& emit,
-                        LeafSweepStats* stats, double approx_factor = 1.0) {
+                        Counters* stats, double approx_factor = 1.0) {
   detail::LeafSweepScratch& scratch = detail::SweepScratch();
   const std::size_t dim = block.dim;
   const bool approx = approx_factor > 1.0;
@@ -311,7 +278,7 @@ void SweepLeafBlockMany(const LeafBlock& block, const Scalar* queries,
       for (std::size_t i = 0; i < block.count; ++i) {
         emit(m, i, row[i]);
       }
-      stats[m].exact_distances += block.count;
+      stats[m].distance_computations += block.count;
       stats[m].leaf_bytes_scanned += block.count * dim * sizeof(Scalar);
     }
     return;
@@ -366,19 +333,16 @@ void SweepLeafBlockMany(const LeafBlock& block, const Scalar* queries,
     const std::size_t m = scratch.active[a];
     const std::uint32_t* row = scratch.reductions.data() + a * block.count;
     const Scalar* qrow = queries + m * dim;
-    std::uint64_t base_pruned = 0;
-    std::uint64_t sq8_pruned = 0;
-    std::uint64_t reranked = 0;
-    std::uint64_t approx_exact = 0;
+    Counters sweep;
     // Same compress-then-recheck structure as SweepLeafDistances, and
     // the same per-candidate decisions as the naive interleaved loop.
     double last_threshold = threshold(m);
     double dcut = scratch.bounds[m].PruneCutoff(
         approx ? last_threshold / approx_factor : last_threshold);
     if (dcut < 0.0) {
-      base_pruned += block.count;
+      sweep.base_pruned += block.count;
       if (approx && scratch.bounds[m].PruneCutoff(last_threshold) < 0.0) {
-        approx_exact += block.count;
+        sweep.approx_pruned_exactly += block.count;
       }
     } else {
       std::uint32_t cutoff = detail::IntCutoff(dcut);
@@ -391,9 +355,9 @@ void SweepLeafBlockMany(const LeafBlock& block, const Scalar* queries,
         ScopedPhase phase(Phase::kSweepFull);
         nsurv = detail::CollectSurvivors(row, block.count, cutoff,
                                          scratch.survivors.data());
-        sq8_pruned += block.count - nsurv;
+        sweep.sq8_pruned += block.count - nsurv;
         if (approx) {
-          approx_exact +=
+          sweep.approx_pruned_exactly +=
               block.count - detail::CountSurvivors(row, block.count, ecut);
         }
       }
@@ -404,26 +368,28 @@ void SweepLeafBlockMany(const LeafBlock& block, const Scalar* queries,
       for (std::size_t s = 0; s < nsurv; ++s) {
         const std::size_t i = scratch.survivors[s];
         if (row[i] > cutoff) {
-          ++sq8_pruned;
-          if (approx && row[i] > ecut) ++approx_exact;
+          ++sweep.sq8_pruned;
+          if (approx && row[i] > ecut) ++sweep.approx_pruned_exactly;
           continue;
         }
-        ++reranked;
+        ++sweep.reranked;
         emit(m, i, exact(qrow, block.row(i).data(), dim));
         const double t = threshold(m);
         if (t != last_threshold) {
           last_threshold = t;
           dcut = scratch.bounds[m].PruneCutoff(approx ? t / approx_factor : t);
           if (dcut < 0.0) {
-            base_pruned += nsurv - s - 1;
+            sweep.base_pruned += nsurv - s - 1;
             if (approx) {
               const double ed = scratch.bounds[m].PruneCutoff(t);
               if (ed < 0.0) {
-                approx_exact += nsurv - s - 1;
+                sweep.approx_pruned_exactly += nsurv - s - 1;
               } else {
                 const std::uint32_t ec = detail::IntCutoff(ed);
                 for (std::size_t r = s + 1; r < nsurv; ++r) {
-                  if (row[scratch.survivors[r]] > ec) ++approx_exact;
+                  if (row[scratch.survivors[r]] > ec) {
+                    ++sweep.approx_pruned_exactly;
+                  }
                 }
               }
             }
@@ -436,14 +402,11 @@ void SweepLeafBlockMany(const LeafBlock& block, const Scalar* queries,
         }
       }
     }
-    stats[m].exact_distances += reranked;
-    stats[m].quantized_pruned += base_pruned + sq8_pruned;
-    stats[m].base_pruned += base_pruned;
-    stats[m].sq8_pruned += sq8_pruned;
-    stats[m].reranked += reranked;
-    stats[m].approx_pruned_exactly += approx_exact;
-    stats[m].leaf_bytes_scanned +=
-        block.count * dim + reranked * dim * sizeof(Scalar);
+    sweep.quantized_pruned = sweep.base_pruned + sweep.sq8_pruned;
+    sweep.distance_computations = sweep.reranked;
+    sweep.leaf_bytes_scanned =
+        block.count * dim + sweep.reranked * dim * sizeof(Scalar);
+    stats[m] += sweep;
   }
 }
 
@@ -462,9 +425,9 @@ void SweepLeafBlockMany(const LeafBlock& block, const Scalar* queries,
 /// block's mirror — so a pruned pair provably exceeds the threshold and
 /// the emitted pair set matches the exact path's.
 template <typename EmitFn>
-LeafSweepStats SweepLeafBlockSelf(const LeafBlock& block, const Metric& metric,
-                                  double threshold, EmitFn&& emit) {
-  LeafSweepStats sweep;
+Counters SweepLeafBlockSelf(const LeafBlock& block, const Metric& metric,
+                            double threshold, EmitFn&& emit) {
+  Counters sweep;
   const std::size_t n = block.count;
   if (n < 2) return sweep;
   const std::size_t dim = block.dim;
@@ -482,7 +445,7 @@ LeafSweepStats SweepLeafBlockSelf(const LeafBlock& block, const Metric& metric,
         emit(i, j, row[j]);
       }
     }
-    sweep.exact_distances = total_pairs;
+    sweep.distance_computations = total_pairs;
     sweep.leaf_bytes_scanned = n * dim * sizeof(Scalar);
     return sweep;
   }
@@ -536,7 +499,7 @@ LeafSweepStats SweepLeafBlockSelf(const LeafBlock& block, const Metric& metric,
     }
   }
   sweep.quantized_pruned = sweep.base_pruned + sweep.sq8_pruned;
-  sweep.exact_distances = sweep.reranked;
+  sweep.distance_computations = sweep.reranked;
   sweep.leaf_bytes_scanned =
       total_pairs * dim + sweep.reranked * dim * sizeof(Scalar);
   return sweep;

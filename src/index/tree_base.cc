@@ -107,13 +107,8 @@ void TreeBase::ChargeNodeDistances(const Node& node, std::uint64_t n) const {
   ResolveRoute(node).disk->ChargeDistanceComputations(n);
 }
 
-void TreeBase::ChargeLeafSweep(const Node& node,
-                               const LeafSweepStats& sweep) const {
-  SimulatedDisk* disk = ResolveRoute(node).disk;
-  disk->ChargeDistanceComputations(sweep.exact_distances);
-  disk->RecordLeafSweep(sweep.quantized_pruned, sweep.base_pruned,
-                        sweep.sq8_pruned, sweep.reranked,
-                        sweep.leaf_bytes_scanned, sweep.approx_pruned_exactly);
+void TreeBase::ChargeLeafSweep(const Node& node, const Counters& sweep) const {
+  ResolveRoute(node).disk->Record(sweep);
 }
 
 void TreeBase::WarmLeafBlocks(ThreadPool* pool) const {
@@ -618,6 +613,10 @@ Status TreeBase::BulkLoad(const PointSet& points,
   }
   if (ids != nullptr && ids->size() != points.size()) {
     return Status::InvalidArgument("ids size must match points size");
+  }
+  if (!AllFinite({points.data(), points.size() * dim_})) {
+    return Status::InvalidArgument(
+        "point set has a NaN or infinite coordinate");
   }
   if (!empty() || root_ != kInvalidNodeId) {
     return Status::FailedPrecondition("BulkLoad requires an empty tree");

@@ -116,6 +116,8 @@ class TreeBase {
   /// along a Hilbert curve and packed into leaves at options().bulk_load
   /// fill, then directory levels are built bottom-up. The id of points[i]
   /// is ids[i] when `ids` is given (must match points.size()), else i.
+  /// A point set with a NaN or infinite coordinate is rejected with
+  /// kInvalidArgument before any node is allocated; the tree stays empty.
   ///
   /// With a non-null `pool` every phase — key computation, the
   /// (key, index) sort, STR slab tiling, leaf packing and per-level MBR
@@ -190,7 +192,7 @@ class TreeBase {
   /// Charges one leaf sweep's outcome to the disk that serves `node`:
   /// exact re-ranks meter simulated CPU like ChargeNodeDistances, and
   /// the prune/re-rank/byte counters land in the same stats sink.
-  void ChargeLeafSweep(const Node& node, const LeafSweepStats& sweep) const;
+  void ChargeLeafSweep(const Node& node, const Counters& sweep) const;
 
   /// Whether leaf blocks carry SQ8 mirrors for error-bounded pruned
   /// sweeps (src/index/leaf_sweep.h). Mutation-side toggle — it

@@ -54,7 +54,7 @@ class QueryCostAccumulator {
   std::uint64_t TotalPagesTouched() const {
     std::uint64_t total = 0;
     for (const DiskStats& s : slots_) {
-      total += s.TotalPagesRead() + s.buffer_hit_pages + s.coalesced_pages;
+      total += s.TotalPagesRead() + s.buffer_hit_pages + s.coalesced_reads;
     }
     return total;
   }

@@ -57,12 +57,14 @@ class SimulatedDisk {
   void RecordFailover(std::uint64_t attempts, std::uint64_t pages) {
     DiskStats& sink = Sink();
     sink.failed_read_attempts += attempts;
-    sink.replica_pages_read += pages;
+    sink.replica_pages += pages;
   }
 
   /// Records `pages` that no healthy copy could serve (this disk failed
   /// and had no replica). Queries seeing any unavailable page report
-  /// kUnavailable through the engine's TryQuery.
+  /// kUnavailable through the engine's TryQuery. The shared-tree engine
+  /// still charges the would-be reads to the failed primary; the
+  /// federated engines skip the partition's work and record only this.
   void RecordUnavailable(std::uint64_t pages) {
     Sink().unavailable_pages += pages;
   }
@@ -135,33 +137,11 @@ class SimulatedDisk {
     Sink().distance_computations += n;
   }
 
-  /// Records one leaf sweep's quantization counters (no simulated time:
-  /// these audit the work the SQ8 bound removed or left; exact re-ranks
-  /// are charged separately via ChargeDistanceComputations).
-  void RecordLeafSweep(std::uint64_t pruned, std::uint64_t base,
-                       std::uint64_t sq8, std::uint64_t reranked_points,
-                       std::uint64_t bytes, std::uint64_t approx_exact = 0) {
-    DiskStats& sink = Sink();
-    sink.quantized_pruned += pruned;
-    sink.base_pruned += base;
-    sink.sq8_pruned += sq8;
-    sink.reranked += reranked_points;
-    sink.leaf_bytes_scanned += bytes;
-    sink.approx_pruned_exactly += approx_exact;
-  }
-
-  /// Records one query's HS frontier traffic (no simulated time; audits
-  /// the descent/frontier fast path and the approximate tier's node
-  /// skips).
-  void RecordFrontier(std::uint64_t pushes, std::uint64_t pops,
-                      std::uint64_t skipped_nodes,
-                      std::uint64_t approx_skipped = 0) {
-    DiskStats& sink = Sink();
-    sink.frontier_pushes += pushes;
-    sink.frontier_pops += pops;
-    sink.cutoff_skipped_nodes += skipped_nodes;
-    sink.approx_skipped_nodes += approx_skipped;
-  }
+  /// Adds work counters to this disk's charges: a leaf sweep's (its
+  /// distance_computations are simulated CPU; the prune/re-rank/bytes
+  /// counters audit what the SQ8 bound removed or left) or a search's
+  /// frontier traffic (no simulated time).
+  void Record(const Counters& counters) { Sink() += counters; }
 
   const DiskStats& stats() const { return stats_; }
 

@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "src/io/counters.h"
+
 namespace parsim {
 
 /// Page size used throughout, matching the paper ("The block size used is
@@ -117,106 +119,23 @@ class FaultPlan {
   std::vector<DiskFault> faults_;
 };
 
-/// Cumulative access statistics of one disk (or of a whole array).
-struct DiskStats {
+/// Cumulative access statistics of one disk (or of a whole array): the
+/// cost model's page inputs plus the work counters.
+struct DiskStats : Counters {
   std::uint64_t data_pages_read = 0;
   std::uint64_t directory_pages_read = 0;
   std::uint64_t pages_written = 0;
-  std::uint64_t distance_computations = 0;
-  /// Pages served from the disk's main-memory buffer (no I/O charged).
-  std::uint64_t buffer_hit_pages = 0;
-  /// Of data_pages_read: pages this disk served as the replica of a
-  /// failed primary (tag-along counter; already inside data_pages_read).
-  std::uint64_t replica_pages_read = 0;
-  /// Timed-out read attempts against a failed primary that this disk
-  /// absorbed before serving the failover (each costs failover_timeout_ms).
-  std::uint64_t failed_read_attempts = 0;
-  /// Pages that could not be served at all: the disk failed and no
-  /// healthy replica existed. Queries that saw any unavailable page
-  /// report an error through the engine's TryQuery. (The shared-tree
-  /// engine still charges the would-be page reads to the failed primary
-  /// for accounting continuity; the federated engines skip the
-  /// partition's work entirely and record only this counter.)
-  std::uint64_t unavailable_pages = 0;
-  /// Pages this query obtained for free because another query of the same
-  /// coalesced batch round paid for the fetch (batched execution path).
-  /// Not part of TotalPagesRead() — coalescing is exactly the removal of
-  /// these reads from the cost model — but kept so the saving is visible
-  /// and auditable: per query, pages_read + coalesced_pages equals the
-  /// pages the single-query path would have read.
-  std::uint64_t coalesced_pages = 0;
-  /// Many-to-many kernel calls (Metric::ComparableBlock) issued on this
-  /// query's behalf: one per (leaf group, member) pair per batch round.
-  std::uint64_t block_kernel_invocations = 0;
-  /// Leaf candidates eliminated by the SQ8 lower bound before any exact
-  /// float distance was computed (quantized leaf blocks only; see
-  /// src/index/leaf_sweep.h). distance_computations then counts only the
-  /// re-ranked survivors, so pruned + reranked recovers the exact path's
-  /// distance count for k-NN/ball sweeps.
-  std::uint64_t quantized_pruned = 0;
-  /// Per-stage split of quantized_pruned (base_pruned + sq8_pruned ==
-  /// quantized_pruned): candidates killed by the candidate-independent
-  /// base term alone (whole-block or rest-of-block drops, no kernel
-  /// work), and by the SQ8 kernel test respectively.
-  std::uint64_t base_pruned = 0;
-  std::uint64_t sq8_pruned = 0;
-  /// Leaf candidates that survived the SQ8 bound and went through the
-  /// exact float kernel (equals distance_computations' leaf share on the
-  /// quantized path).
-  std::uint64_t reranked = 0;
-  /// Bytes leaf sweeps streamed on this query's behalf: full float rows
-  /// on the exact path, code bytes plus re-ranked float rows on the
-  /// quantized path. Bookkeeping only — never enters ElapsedMs; the cost
-  /// model stays pages + distance_computations.
-  std::uint64_t leaf_bytes_scanned = 0;
-  /// HS frontier traffic booked on this query's behalf: priority-queue
-  /// pushes (points and nodes) and pops. Bookkeeping only — never enters
-  /// ElapsedMs.
-  std::uint64_t frontier_pushes = 0;
-  std::uint64_t frontier_pops = 0;
-  /// Interior children whose MINDIST provably exceeded the running
-  /// k-th-best cutoff and were dropped before frontier insertion (the
-  /// descent fast path; result-neutral, see src/index/knn.cc).
-  std::uint64_t cutoff_skipped_nodes = 0;
-  /// Approximate-tier accounting (zero unless EngineOptions::approx is
-  /// enabled with epsilon > 0; see src/parallel/engine.h). Nodes the
-  /// early-termination mode dropped because their MINDIST exceeded the
-  /// RELAXED cutoff bound/(1+eps) — each such drop may lose true
-  /// neighbors, which is exactly what the recall harness measures.
-  std::uint64_t approx_skipped_nodes = 0;
-  /// Of the leaf candidates the relaxed SQ8 cutoff pruned, how many the
-  /// lossless cutoff (derived from the same running threshold) provably
-  /// would have pruned too. quantized_pruned - approx_pruned_exactly is
-  /// an upper bound on the prunes attributable to the approximation; the
-  /// count is conservative (a whole-block relaxed base prune whose exact
-  /// counterpart would have needed the kernel contributes zero).
-  std::uint64_t approx_pruned_exactly = 0;
 
   std::uint64_t TotalPagesRead() const {
     return data_pages_read + directory_pages_read;
   }
 
+  using Counters::operator+=;
   DiskStats& operator+=(const DiskStats& other) {
+    Counters::operator+=(other);
     data_pages_read += other.data_pages_read;
     directory_pages_read += other.directory_pages_read;
     pages_written += other.pages_written;
-    distance_computations += other.distance_computations;
-    buffer_hit_pages += other.buffer_hit_pages;
-    replica_pages_read += other.replica_pages_read;
-    failed_read_attempts += other.failed_read_attempts;
-    unavailable_pages += other.unavailable_pages;
-    coalesced_pages += other.coalesced_pages;
-    block_kernel_invocations += other.block_kernel_invocations;
-    quantized_pruned += other.quantized_pruned;
-    base_pruned += other.base_pruned;
-    sq8_pruned += other.sq8_pruned;
-    reranked += other.reranked;
-    leaf_bytes_scanned += other.leaf_bytes_scanned;
-    frontier_pushes += other.frontier_pushes;
-    frontier_pops += other.frontier_pops;
-    cutoff_skipped_nodes += other.cutoff_skipped_nodes;
-    approx_skipped_nodes += other.approx_skipped_nodes;
-    approx_pruned_exactly += other.approx_pruned_exactly;
     return *this;
   }
 };

@@ -13,7 +13,7 @@
 // exactly the one the single-query HsKnn would execute, so the returned
 // neighbor lists are bit-identical to per-query execution. The cost
 // accounting differs exactly where coalescing saves work: followers of a
-// group record the pages they did NOT read as `coalesced_pages` (and, on
+// group record the pages they did NOT read as `coalesced_reads` (and, on
 // a degraded route, still record their replica/unavailable pages so
 // fault semantics are per-query), and retry penalties of a failed
 // primary are paid once per group by the leader instead of once per

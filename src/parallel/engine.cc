@@ -418,20 +418,12 @@ QueryStats ParallelSearchEngine::StatsFromAccumulator(
   const double host_ms = ElapsedMs(host, params);
 
   QueryStats stats;
+  // One sum over every slot, the host's included: the host never records
+  // replica, retry or unavailable pages, so those stay the disks' alone.
+  for (std::size_t slot = 0; slot < acc.num_slots(); ++slot) {
+    stats += acc.slot(slot);
+  }
   stats.directory_pages = host.directory_pages_read;
-  stats.buffer_hit_pages = host.buffer_hit_pages;
-  stats.coalesced_reads = host.coalesced_pages;
-  stats.block_kernel_invocations = host.block_kernel_invocations;
-  stats.quantized_pruned = host.quantized_pruned;
-  stats.base_pruned = host.base_pruned;
-  stats.sq8_pruned = host.sq8_pruned;
-  stats.reranked = host.reranked;
-  stats.leaf_bytes_scanned = host.leaf_bytes_scanned;
-  stats.frontier_pushes = host.frontier_pushes;
-  stats.frontier_pops = host.frontier_pops;
-  stats.cutoff_skipped_nodes = host.cutoff_skipped_nodes;
-  stats.approx_skipped_nodes = host.approx_skipped_nodes;
-  stats.approx_pruned_exactly = host.approx_pruned_exactly;
   stats.pages_per_disk.reserve(n);
   double max_ms = 0.0;
   double sum_ms = 0.0;
@@ -451,22 +443,6 @@ QueryStats ParallelSearchEngine::StatsFromAccumulator(
     stats.max_pages = std::max(stats.max_pages, pages);
     stats.total_pages += pages;
     stats.directory_pages += s.directory_pages_read;
-    stats.buffer_hit_pages += s.buffer_hit_pages;
-    stats.replica_pages += s.replica_pages_read;
-    stats.failed_read_attempts += s.failed_read_attempts;
-    stats.unavailable_pages += s.unavailable_pages;
-    stats.coalesced_reads += s.coalesced_pages;
-    stats.block_kernel_invocations += s.block_kernel_invocations;
-    stats.quantized_pruned += s.quantized_pruned;
-    stats.base_pruned += s.base_pruned;
-    stats.sq8_pruned += s.sq8_pruned;
-    stats.reranked += s.reranked;
-    stats.leaf_bytes_scanned += s.leaf_bytes_scanned;
-    stats.frontier_pushes += s.frontier_pushes;
-    stats.frontier_pops += s.frontier_pops;
-    stats.cutoff_skipped_nodes += s.cutoff_skipped_nodes;
-    stats.approx_skipped_nodes += s.approx_skipped_nodes;
-    stats.approx_pruned_exactly += s.approx_pruned_exactly;
     stats.pages_per_disk.push_back(pages);
   }
   stats.parallel_ms = host_ms + max_ms;

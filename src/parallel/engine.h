@@ -42,6 +42,7 @@
 #include "src/index/knn.h"
 #include "src/index/tree_base.h"
 #include "src/io/cost_capture.h"
+#include "src/io/counters.h"
 #include "src/io/disk_array.h"
 #include "src/parallel/join.h"
 #include "src/util/phase_timer.h"
@@ -145,7 +146,7 @@ struct EngineOptions {
   /// other configurations ignore the flag): the batch's best-first
   /// searches advance in lock-step rounds, queries whose frontiers
   /// request the same page read it ONCE (one member pays the simulated
-  /// I/O, the rest record coalesced_pages), and a leaf page is scored
+  /// I/O, the rest record coalesced_reads), and a leaf page is scored
   /// against all requesting queries by one many-to-many SIMD kernel call
   /// over its SoA block. Results are bit-identical to per-query
   /// execution; per-query costs are deterministic at any thread count
@@ -192,94 +193,39 @@ struct EngineOptions {
   Metric metric{};
 };
 
-/// Per-query accounting.
-struct QueryStats {
+/// Per-query accounting: the work counters (summed over the query
+/// host and every disk) plus the simulated times and page totals derived
+/// from the per-disk charges.
+struct QueryStats : Counters {
   /// Simulated elapsed time under the paper's rule: host directory work
   /// plus the slowest disk's data-page work.
   double parallel_ms = 0.0;
   /// Simulated elapsed time if one disk had served every access.
   double sum_ms = 0.0;
-  /// Data pages read by the busiest disk (the paper's raw metric).
+  /// Pages read by the busiest disk (the paper's raw metric).
   std::uint64_t max_pages = 0;
-  /// Data pages read across all disks.
+  /// Pages read across all disks: data pages, plus under kFederatedTrees
+  /// each disk's directory pages, which directory_pages counts as well.
+  /// On kSharedTree, per query, total_pages + directory_pages +
+  /// buffer_hit_pages + coalesced_reads equals the pages the
+  /// single-query path would have touched.
   std::uint64_t total_pages = 0;
   /// Directory pages read by the query host (kSharedTree) or summed
   /// over disks (kFederatedTrees).
   std::uint64_t directory_pages = 0;
-  /// Pages served from main-memory buffers (free), when buffering is on.
-  std::uint64_t buffer_hit_pages = 0;
-  /// avg/max data-page load over disks; 1.0 = perfectly even.
+  /// avg/max page load over disks; 1.0 = perfectly even.
   double balance = 1.0;
-  /// Data-page reads per disk.
+  /// Pages read per disk.
   std::vector<std::uint64_t> pages_per_disk;
 
-  // Fault / degraded-read accounting. All zero (and degraded false, with
-  // healthy_parallel_ms == parallel_ms bit for bit) on a healthy array.
   /// True when the query felt any fault: a replica read, a retry, an
-  /// unavailable page, or slow-disk time scaling.
+  /// unavailable page, or slow-disk time scaling. False (with
+  /// healthy_parallel_ms == parallel_ms bit for bit) on a healthy array.
   bool degraded = false;
-  /// Pages served by replicas on behalf of failed primaries.
-  std::uint64_t replica_pages = 0;
-  /// Timed-out read attempts against failed primaries (bounded retry).
-  std::uint64_t failed_read_attempts = 0;
-  /// Pages no healthy copy could serve (failed disk, no replica).
-  std::uint64_t unavailable_pages = 0;
   /// The makespan this query would have had at healthy rates: same page
   /// distribution, but no slow-disk scaling and no retry penalties.
   /// parallel_ms / healthy_parallel_ms is the degradation factor.
   double healthy_parallel_ms = 0.0;
-
-  // Batched-execution accounting. Both zero outside the coalesced path.
-  /// Pages this query obtained for free because another query of the
-  /// same batch round paid for the fetch. Per query, total_pages +
-  /// directory_pages + buffer_hit_pages + coalesced_reads equals the
-  /// pages the single-query path would have touched.
-  std::uint64_t coalesced_reads = 0;
-  /// Many-to-many kernel calls (Metric::ComparableBlock) this query
-  /// participated in.
-  std::uint64_t block_kernel_invocations = 0;
-
-  // Quantized-sweep accounting. All zero unless the engine was built
-  // with quantized_leaf_blocks.
-  /// Leaf candidates the SQ8 lower bound eliminated before exact work.
-  /// Always base_pruned + sq8_pruned.
-  std::uint64_t quantized_pruned = 0;
-  /// ... of which: killed wholesale by the per-block query bound (the
-  /// block's best case already missed the threshold; no per-candidate
-  /// kernel work at all).
-  std::uint64_t base_pruned = 0;
-  /// ... of which: killed by the SQ8 reduction.
-  std::uint64_t sq8_pruned = 0;
-  /// Leaf candidates re-ranked through the exact float kernel. For
-  /// k-NN/ball sweeps, quantized_pruned + reranked equals the exact
-  /// path's leaf distance_computations.
-  std::uint64_t reranked = 0;
-  /// Bytes leaf sweeps streamed (code bytes plus re-ranked float rows on
-  /// the quantized path; full float rows otherwise). Bookkeeping only —
-  /// never part of the simulated-time model.
-  std::uint64_t leaf_bytes_scanned = 0;
-
-  // Frontier accounting (HS best-first search; zero under kRkv and the
-  // scan architecture). Bookkeeping only.
-  /// Items pushed onto the best-first priority queue (nodes + points).
-  std::uint64_t frontier_pushes = 0;
-  /// Items popped from it.
-  std::uint64_t frontier_pops = 0;
-  /// Interior children dropped before heap insertion because their
-  /// MINDIST strictly exceeded the running k-th-best cutoff.
-  std::uint64_t cutoff_skipped_nodes = 0;
-
-  // Approximate-tier accounting (zero unless options.approx is enabled
-  // with epsilon > 0).
-  /// Frontier nodes the early-termination mode dropped (push- or
-  /// pop-time) because their MINDIST exceeded the RELAXED cutoff
-  /// bound/(1+eps); unlike cutoff_skipped_nodes these may lose true
-  /// neighbors, and pop-time skips save the node's page read.
-  std::uint64_t approx_skipped_nodes = 0;
-  /// Of quantized_pruned, candidates the lossless cutoff at the same
-  /// running threshold provably would have pruned too; the difference
-  /// bounds the approximation-attributable prunes from above.
-  std::uint64_t approx_pruned_exactly = 0;
 
   /// Wall-clock time by phase (all zero unless the engine was built with
   /// profile_phases). Real time, not simulated time — never compare it

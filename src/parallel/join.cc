@@ -64,21 +64,11 @@ struct JoinParent {
 
 /// Per-row-task output, merged serially in row order after the parallel
 /// sweep so every counter and the pair list are thread-count invariant.
+/// `sweep` also counts the row's kernel runs (block_kernel_invocations).
 struct RowOutput {
-  LeafSweepStats sweep;
+  Counters sweep;
   std::vector<JoinPair> pairs;
-  std::uint64_t kernels = 0;
 };
-
-void AddSweep(LeafSweepStats* into, const LeafSweepStats& s) {
-  into->exact_distances += s.exact_distances;
-  into->quantized_pruned += s.quantized_pruned;
-  into->base_pruned += s.base_pruned;
-  into->sq8_pruned += s.sq8_pruned;
-  into->reranked += s.reranked;
-  into->approx_pruned_exactly += s.approx_pruned_exactly;
-  into->leaf_bytes_scanned += s.leaf_bytes_scanned;
-}
 
 /// Marks a query view whose rows do NOT live in the swept codebook
 /// (the owner leaf sits in a different group).
@@ -126,7 +116,7 @@ void SweepCodebookRun(const GroupCodes& pc, const QueryCodes& qv,
   const std::size_t dim = pc.mirror.dim;
   const std::size_t nq = qv.nq;
   const bool tail = begin == qv.qrow0;
-  LeafSweepStats sweep;
+  Counters sweep;
   // Survivors accumulate into ONE flat batch of absolute codebook rows
   // (CollectSurvivors writes straight into it, then a single pass
   // rebases the run-relative indices) plus one (query row, count) group
@@ -246,10 +236,10 @@ void SweepCodebookRun(const GroupCodes& pc, const QueryCodes& qv,
     sweep.reranked = rerank_n;
   }
   sweep.quantized_pruned = sweep.base_pruned + sweep.sq8_pruned;
-  sweep.exact_distances = sweep.reranked;
+  sweep.distance_computations = sweep.reranked;
   sweep.leaf_bytes_scanned =
       streamed * dim + sweep.reranked * dim * sizeof(Scalar);
-  AddSweep(&out->sweep, sweep);
+  out->sweep += sweep;
 }
 
 }  // namespace
@@ -392,8 +382,8 @@ std::vector<JoinPair> SimilarityJoin::Run(double epsilon,
     if (extra == 0) continue;
     const std::uint64_t pages = extra * leaf.node->pages;
     DiskStats& s = acc->slot(leaf.route.disk->id());
-    s.coalesced_pages += pages;
-    if (leaf.route.failover) s.replica_pages_read += pages;
+    s.coalesced_reads += pages;
+    if (leaf.route.failover) s.replica_pages += pages;
     if (leaf.route.unavailable) s.unavailable_pages += pages;
   }
 
@@ -514,7 +504,7 @@ std::vector<JoinPair> SimilarityJoin::Run(double epsilon,
     const Node& node_i = *leaves[i].node;
     if (node_i.entries.empty()) return;
     const LeafBlock& bi = tree_.LeafBlockOf(node_i);
-    thread_local std::vector<LeafSweepStats> member_stats;
+    thread_local std::vector<Counters> member_stats;
     // Foreign-group query prep, cached per (owner row, target group):
     // js is sorted and groups are contiguous leaf ranges, so every pair
     // landing in one foreign group is handled while `prepped` holds it
@@ -574,12 +564,12 @@ std::vector<JoinPair> SimilarityJoin::Run(double epsilon,
                           kNoOwnRow};
         }
         SweepCodebookRun(pc, qv, metric_, eps_cmp, run_box, begin, end, &out);
-        out.kernels += t2 - t;
+        out.sweep.block_kernel_invocations += t2 - t;
         t = t2;
         continue;
       }
       if (j == i) {
-        const LeafSweepStats s = SweepLeafBlockSelf(
+        out.sweep += SweepLeafBlockSelf(
             bi, metric_, eps_cmp,
             [&](std::size_t li, std::size_t lj, double cmp) {
               if (cmp <= eps_cmp) {
@@ -590,8 +580,7 @@ std::vector<JoinPair> SimilarityJoin::Run(double epsilon,
                     JoinPair{a, b, metric_.FromComparable(cmp)});
               }
             });
-        AddSweep(&out.sweep, s);
-        ++out.kernels;
+        ++out.sweep.block_kernel_invocations;
         ++t;
         continue;
       }
@@ -605,7 +594,7 @@ std::vector<JoinPair> SimilarityJoin::Run(double epsilon,
       // against block j — one many-to-many kernel, SQ8 prune and all,
       // with the join's fixed threshold (it never tightens, unlike a
       // k-NN heap bound).
-      member_stats.assign(bi.count, LeafSweepStats{});
+      member_stats.assign(bi.count, Counters{});
       SweepLeafBlockMany(
           bj, bi.coords.data(), bi.count, metric_,
           [eps_cmp](std::size_t) { return eps_cmp; },
@@ -618,8 +607,8 @@ std::vector<JoinPair> SimilarityJoin::Run(double epsilon,
             }
           },
           member_stats.data());
-      for (const LeafSweepStats& ms : member_stats) AddSweep(&out.sweep, ms);
-      ++out.kernels;
+      for (const Counters& ms : member_stats) out.sweep += ms;
+      ++out.sweep.block_kernel_invocations;
       ++t;
     }
   };
@@ -641,22 +630,8 @@ std::vector<JoinPair> SimilarityJoin::Run(double epsilon,
   }
   for (std::size_t i = 0; i < num_leaves; ++i) {
     const RowOutput& out = rows[i];
-    DiskStats& s = acc->slot(leaves[i].route.disk->id());
-    s.distance_computations += out.sweep.exact_distances;
-    s.quantized_pruned += out.sweep.quantized_pruned;
-    s.base_pruned += out.sweep.base_pruned;
-    s.sq8_pruned += out.sweep.sq8_pruned;
-    s.reranked += out.sweep.reranked;
-    s.leaf_bytes_scanned += out.sweep.leaf_bytes_scanned;
-    s.block_kernel_invocations += out.kernels;
+    acc->slot(leaves[i].route.disk->id()) += out.sweep;
     pairs.insert(pairs.end(), out.pairs.begin(), out.pairs.end());
-    stats->exact_distances += out.sweep.exact_distances;
-    stats->quantized_pruned += out.sweep.quantized_pruned;
-    stats->base_pruned += out.sweep.base_pruned;
-    stats->sq8_pruned += out.sweep.sq8_pruned;
-    stats->reranked += out.sweep.reranked;
-    stats->leaf_bytes_scanned += out.sweep.leaf_bytes_scanned;
-    stats->block_kernel_invocations += out.kernels;
   }
   std::sort(pairs.begin(), pairs.end());
   stats->pairs_emitted = pairs.size();
@@ -705,19 +680,15 @@ JoinResult ParallelSearchEngine::SelfJoin(double epsilon,
   const SimilarityJoin join(*trees_[0], options_.metric);
   result.pairs = join.Run(epsilon, &acc, pool.get(),
                           profile ? &phase_acc : nullptr, &result.stats);
-  // Pages, fault tags, and simulated times derive from the captured
-  // charges exactly as a query's do, so the join's accounting composes
-  // with buffering, replicas, and fault plans for free.
+  // Counters, pages, fault tags, and simulated times derive from the
+  // captured charges exactly as a query's do, so the join's accounting
+  // composes with buffering, replicas, and fault plans for free.
   const QueryStats qs = StatsFromAccumulator(acc);
   JoinStats& js = result.stats;
+  static_cast<Counters&>(js) = qs;
   js.total_pages = qs.total_pages;
   js.directory_pages = qs.directory_pages;
   js.max_pages = qs.max_pages;
-  js.buffer_hit_pages = qs.buffer_hit_pages;
-  js.coalesced_reads = qs.coalesced_reads;
-  js.replica_pages = qs.replica_pages;
-  js.failed_read_attempts = qs.failed_read_attempts;
-  js.unavailable_pages = qs.unavailable_pages;
   js.degraded = qs.degraded;
   js.parallel_ms = qs.parallel_ms;
   js.sum_ms = qs.sum_ms;

@@ -18,7 +18,7 @@
 //   3. Fetch: each distinct leaf involved in any surviving pair is read
 //      ONCE, in ascending node-id order (the leader pays the faulted /
 //      buffered read, as in the coalesced batch scheduler); every
-//      additional pair that shares the leaf books coalesced_pages
+//      additional pair that shares the leaf books coalesced_reads
 //      instead of a second read.
 //   4. Sweep: pairs are grouped into block rows — row i owns every pair
 //      (i, j) with j >= i (Özkural & Aykanat's 1-D owner-computes
@@ -55,6 +55,7 @@
 #include "src/geometry/point.h"
 #include "src/index/tree_base.h"
 #include "src/io/cost_capture.h"
+#include "src/io/counters.h"
 #include "src/util/phase_timer.h"
 #include "src/util/thread_pool.h"
 
@@ -91,8 +92,12 @@ struct JoinOptions {
 
 /// What the join did, in the same two currencies as QueryStats:
 /// simulated cost (pages, distances, derived times) plus workload
-/// counters. All counters are thread-count invariant.
-struct JoinStats {
+/// counters. The work counters come from the join's cost accumulator,
+/// exactly like a query's; distance_computations is the float kernel
+/// evaluations (all candidate pairs on the exact path, re-ranked
+/// survivors on the quantized path). All counters are thread-count
+/// invariant.
+struct JoinStats : Counters {
   /// Non-empty leaf blocks of the tree (== the number of self block
   /// pairs, every one of which is swept: MINDIST(i,i) = 0).
   std::uint64_t leaf_blocks = 0;
@@ -114,28 +119,12 @@ struct JoinStats {
   //     total_pages + buffer_hit_pages + coalesced_reads
   //         == sum over swept pairs of their blocks' pages,
   // and total_pages + buffer_hit_pages counts each distinct leaf once.
+  // coalesced_reads are the reads spared because an earlier pair of
+  // this join already paid for the block's fetch (leader pays).
   std::uint64_t total_pages = 0;
   std::uint64_t directory_pages = 0;
   std::uint64_t max_pages = 0;
-  std::uint64_t buffer_hit_pages = 0;
-  /// Data-page reads spared because an earlier pair of this join already
-  /// paid for the block's fetch (the leader-pays scheme of PR 4).
-  std::uint64_t coalesced_reads = 0;
-  std::uint64_t replica_pages = 0;
-  std::uint64_t failed_read_attempts = 0;
-  std::uint64_t unavailable_pages = 0;
   bool degraded = false;
-
-  // Sweep accounting (same fields as QueryStats; exact_distances is the
-  // float kernel evaluations, i.e. all candidate pairs on the exact
-  // path, re-ranked survivors on the quantized path).
-  std::uint64_t exact_distances = 0;
-  std::uint64_t quantized_pruned = 0;
-  std::uint64_t base_pruned = 0;
-  std::uint64_t sq8_pruned = 0;
-  std::uint64_t reranked = 0;
-  std::uint64_t leaf_bytes_scanned = 0;
-  std::uint64_t block_kernel_invocations = 0;
 
   /// Simulated times under the paper's rule (host directory work plus
   /// the slowest disk), derived from the accumulator exactly like a
@@ -164,9 +153,10 @@ class SimilarityJoin {
   /// their declustered disks and directory pages to the host).
   SimilarityJoin(const TreeBase& tree, const Metric& metric);
 
-  /// Runs the join. Simulated charges (directory reads, leader-paid leaf
-  /// fetches, coalesced bookings, sweep CPU) land in `acc`; workload
-  /// counters in `*stats` (the caller derives times from `acc`).
+  /// Runs the join. Simulated charges and work counters (directory
+  /// reads, leader-paid leaf fetches, coalesced bookings, sweep CPU and
+  /// prune counts) land in `acc`; the block-pair and pair counts in
+  /// `*stats` (the caller derives times and counters from `acc`).
   /// `pool` may be nullptr (serial). `phases` may be nullptr (no
   /// wall-clock attribution). Returns the sorted pair list.
   std::vector<JoinPair> Run(double epsilon, QueryCostAccumulator* acc,

@@ -12,14 +12,14 @@ namespace parsim {
 void HsRoundScheduler::QueryState::Push(const Item& item) {
   queue.push_back(item);
   std::push_heap(queue.begin(), queue.end(), GreaterKey{});
-  ++frontier_pushes;
+  ++frontier.frontier_pushes;
 }
 
 HsRoundScheduler::QueryState::Item HsRoundScheduler::QueryState::Pop() {
   std::pop_heap(queue.begin(), queue.end(), GreaterKey{});
   const Item item = queue.back();
   queue.pop_back();
-  ++frontier_pops;
+  ++frontier.frontier_pops;
   return item;
 }
 
@@ -65,7 +65,7 @@ void HsRoundScheduler::Advance(QueryState* q) {
     }
     if (approx_.node_factor > 1.0 && q->bound.size() >= q->k &&
         item.key > q->bound.front() / approx_.node_factor) {
-      ++q->approx_skipped_nodes;
+      ++q->frontier.approx_skipped_nodes;
       continue;
     }
     q->request = item.ref;
@@ -109,10 +109,7 @@ std::size_t HsRoundScheduler::Add(PointView query, std::size_t k,
   s.live = true;
   s.done = false;
   s.expired = false;
-  s.frontier_pushes = 0;
-  s.frontier_pops = 0;
-  s.cutoff_skipped_nodes = 0;
-  s.approx_skipped_nodes = 0;
+  s.frontier = Counters{};
   ++occupied_;
   if (tree_.root_id() != kInvalidNodeId) {
     s.Push(QueryState::Item{0.0, false, tree_.root_id()});
@@ -136,12 +133,8 @@ KnnResult HsRoundScheduler::Take(std::size_t slot) {
   QueryState& s = states_[slot];
   PARSIM_CHECK(s.live && s.done);
   // Frontier traffic books into the query's host slot — the same sink
-  // HsKnn's RecordFrontier uses for single-query execution.
-  DiskStats& hs = s.acc->slot(s.acc->num_slots() - 1);
-  hs.frontier_pushes += s.frontier_pushes;
-  hs.frontier_pops += s.frontier_pops;
-  hs.cutoff_skipped_nodes += s.cutoff_skipped_nodes;
-  hs.approx_skipped_nodes += s.approx_skipped_nodes;
+  // HsKnn uses for single-query execution.
+  s.acc->slot(s.acc->num_slots() - 1) += s.frontier;
   s.live = false;
   s.acc = nullptr;
   --occupied_;
@@ -192,7 +185,7 @@ std::size_t HsRoundScheduler::Step(ThreadPool* pool, RoundStats* round) {
   // Phase 1 (serial): each group fetches its node once. The leader —
   // the group's lowest slot index — pays the read through the normal
   // buffered, fault-aware path; every other member books the pages it
-  // was spared as coalesced_pages (plus its share of the degraded-read
+  // was spared as coalesced_reads (plus its share of the degraded-read
   // accounting, which stays per-query). This is the only phase that
   // touches shared state (the buffer-pool LRU), so running it in sorted
   // group order keeps buffered costs reproducible. Retry penalties of a
@@ -211,8 +204,8 @@ std::size_t HsRoundScheduler::Step(ThreadPool* pool, RoundStats* round) {
       const std::size_t slot = g.route.disk->id();
       for (std::size_t m = g.begin + 1; m < g.end; ++m) {
         DiskStats& s = states_[requests_[m].second].acc->slot(slot);
-        s.coalesced_pages += g.accessed->pages;
-        if (g.route.failover) s.replica_pages_read += g.accessed->pages;
+        s.coalesced_reads += g.accessed->pages;
+        if (g.route.failover) s.replica_pages += g.accessed->pages;
         if (g.route.unavailable) s.unavailable_pages += g.accessed->pages;
       }
     }
@@ -239,14 +232,14 @@ std::size_t HsRoundScheduler::Step(ThreadPool* pool, RoundStats* round) {
       // src/index/leaf_sweep.h). Scratch is thread-local: the rounds
       // allocate nothing in steady state.
       thread_local std::vector<Scalar> qbuf;
-      thread_local std::vector<LeafSweepStats> sweeps;
+      thread_local std::vector<Counters> sweeps;
       qbuf.resize(members * dim_);
       for (std::size_t m = 0; m < members; ++m) {
         const QueryState& state = states_[requests_[g.begin + m].second];
         std::copy(state.query.begin(), state.query.end(),
                   qbuf.data() + m * dim_);
       }
-      sweeps.assign(members, LeafSweepStats{});
+      sweeps.assign(members, Counters{});
       SweepLeafBlockMany(
           block, qbuf.data(), members, metric_,
           [&](std::size_t m) {
@@ -263,16 +256,10 @@ std::size_t HsRoundScheduler::Step(ThreadPool* pool, RoundStats* round) {
       for (std::size_t m = 0; m < members; ++m) {
         const std::size_t qi = requests_[g.begin + m].second;
         DiskStats& s = states_[qi].acc->slot(slot);
-        s.distance_computations += sweeps[m].exact_distances;
-        s.quantized_pruned += sweeps[m].quantized_pruned;
-        s.base_pruned += sweeps[m].base_pruned;
-        s.sq8_pruned += sweeps[m].sq8_pruned;
-        s.reranked += sweeps[m].reranked;
-        s.leaf_bytes_scanned += sweeps[m].leaf_bytes_scanned;
-        s.approx_pruned_exactly += sweeps[m].approx_pruned_exactly;
+        s += sweeps[m];
         s.block_kernel_invocations += 1;
         g.pruned += sweeps[m].quantized_pruned;
-        g.scored += sweeps[m].exact_distances;
+        g.scored += sweeps[m].distance_computations;
         Advance(&states_[qi]);
       }
     } else {
@@ -295,11 +282,11 @@ std::size_t HsRoundScheduler::Step(ThreadPool* pool, RoundStats* round) {
           for (const NodeEntry& e : node.entries) {
             double key;
             if (MinDistExceeds(e.rect, qv, metric_, cut, &key)) {
-              ++state.cutoff_skipped_nodes;
+              ++state.frontier.cutoff_skipped_nodes;
               continue;
             }
             if (approx_.node_factor > 1.0 && key > rcut) {
-              ++state.approx_skipped_nodes;
+              ++state.frontier.approx_skipped_nodes;
               continue;
             }
             state.Push(QueryState::Item{key, false, e.child});

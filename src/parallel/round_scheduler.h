@@ -65,8 +65,9 @@ class HsRoundScheduler {
     /// Query-node expansions served (>= groups; the difference is
     /// coalesced rides).
     std::size_t members = 0;
-    /// Leaf candidates killed before exact work (quantized bounds +
-    /// frontier cutoff/approx skips) across the round.
+    /// Leaf candidates the quantized bounds killed before exact work
+    /// (the members' quantized_pruned) across the round. Frontier
+    /// cutoff and approx skips are not in it.
     std::uint64_t pruned = 0;
     /// Leaf candidates that reached an exact float kernel.
     std::uint64_t scored = 0;
@@ -95,7 +96,7 @@ class HsRoundScheduler {
   void Expire(std::size_t slot);
 
   /// Finalizes a finished or expired slot: books its frontier counters
-  /// into the accumulator's host slot (HsKnn's RecordFrontier sink),
+  /// into the accumulator's host slot (HsKnn's frontier sink),
   /// frees the slot for reuse, and moves the result out.
   KnnResult Take(std::size_t slot);
 
@@ -142,11 +143,8 @@ class HsRoundScheduler {
     bool done = false;
     bool expired = false;
     /// This query's frontier traffic, booked into its host stats slot by
-    /// Take (matches HsKnn's RecordFrontier accounting).
-    std::uint64_t frontier_pushes = 0;
-    std::uint64_t frontier_pops = 0;
-    std::uint64_t cutoff_skipped_nodes = 0;
-    std::uint64_t approx_skipped_nodes = 0;
+    /// Take (where HsKnn books it for single-query execution).
+    Counters frontier;
 
     void Push(const Item& item);
     Item Pop();

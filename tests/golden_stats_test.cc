@@ -2,7 +2,9 @@
 // workload's per-query stats — healthy and degraded — must stay
 // bit-identical across refactors. Doubles are printed with %.17g, which
 // round-trips IEEE binary64 exactly, so any drift in the cost formulas
-// shows up as a diff.
+// shows up as a diff. Every work counter (src/io/counters.h) must also
+// be non-zero in at least one rendered scenario: a counter that reads 0
+// everywhere is a dead signal.
 //
 // Regenerate after an *intentional* accounting change with
 //   PARSIM_UPDATE_GOLDEN=1 ./golden_stats_test
@@ -37,7 +39,11 @@ std::string FormatDouble(double value) {
   return buffer;
 }
 
-void AppendQueryStats(std::ostringstream* out, const QueryStats& stats) {
+// Writes one query's stats line; `rendered` sums the counters of every
+// stats line written.
+void AppendQueryStats(std::ostringstream* out, const QueryStats& stats,
+                      Counters* rendered) {
+  *rendered += stats;
   *out << "parallel_ms=" << FormatDouble(stats.parallel_ms)
        << " healthy_parallel_ms=" << FormatDouble(stats.healthy_parallel_ms)
        << " sum_ms=" << FormatDouble(stats.sum_ms)
@@ -45,30 +51,15 @@ void AppendQueryStats(std::ostringstream* out, const QueryStats& stats) {
        << " max_pages=" << stats.max_pages
        << " total_pages=" << stats.total_pages
        << " directory_pages=" << stats.directory_pages
-       << " degraded=" << (stats.degraded ? 1 : 0)
-       << " replica_pages=" << stats.replica_pages
-       << " failed_read_attempts=" << stats.failed_read_attempts
-       << " unavailable_pages=" << stats.unavailable_pages
-       << " coalesced_reads=" << stats.coalesced_reads
-       << " block_kernel_invocations=" << stats.block_kernel_invocations
-       << " quantized_pruned=" << stats.quantized_pruned
-       << " base_pruned=" << stats.base_pruned
-       << " sq8_pruned=" << stats.sq8_pruned
-       << " reranked=" << stats.reranked
-       << " leaf_bytes_scanned=" << stats.leaf_bytes_scanned
-       << " frontier_pushes=" << stats.frontier_pushes
-       << " frontier_pops=" << stats.frontier_pops
-       << " cutoff_skipped_nodes=" << stats.cutoff_skipped_nodes
-       << " approx_skipped_nodes=" << stats.approx_skipped_nodes
-       << " approx_pruned_exactly=" << stats.approx_pruned_exactly
-       << " pages_per_disk=";
+       << " degraded=" << (stats.degraded ? 1 : 0) << ' '
+       << static_cast<const Counters&>(stats) << " pages_per_disk=";
   for (std::size_t d = 0; d < stats.pages_per_disk.size(); ++d) {
     *out << (d == 0 ? "" : ",") << stats.pages_per_disk[d];
   }
   *out << "\n";
 }
 
-std::string RenderActualStats() {
+std::string RenderActualStats(Counters* rendered) {
   const std::size_t dim = 6;
   const std::uint32_t disks = 8;
   const std::size_t k = 10;
@@ -90,7 +81,7 @@ std::string RenderActualStats() {
     QueryStats stats;
     (void)engine.Query(queries[qi], k, &stats);
     out << "query " << qi << ": ";
-    AppendQueryStats(&out, stats);
+    AppendQueryStats(&out, stats, rendered);
   }
 
   out << "[degraded disk0_failed replicas_on]\n";
@@ -101,7 +92,7 @@ std::string RenderActualStats() {
     QueryStats stats;
     (void)engine.Query(queries[qi], k, &stats);
     out << "query " << qi << ": ";
-    AppendQueryStats(&out, stats);
+    AppendQueryStats(&out, stats, rendered);
   }
 
   out << "[degraded disk2_slow_x3]\n";
@@ -112,7 +103,7 @@ std::string RenderActualStats() {
     QueryStats stats;
     (void)engine.Query(queries[qi], k, &stats);
     out << "query " << qi << ": ";
-    AppendQueryStats(&out, stats);
+    AppendQueryStats(&out, stats, rendered);
   }
   engine.ClearFaults();
 
@@ -146,7 +137,7 @@ std::string RenderActualStats() {
   for (std::size_t qi = 0; qi < queries.size(); ++qi) {
     out << "query " << qi << ": hits=" << batch_stats[qi].buffer_hit_pages
         << " ";
-    AppendQueryStats(&out, batch_stats[qi]);
+    AppendQueryStats(&out, batch_stats[qi], rendered);
   }
 
   // Coalesced batched execution over the same buffered workload: the
@@ -171,7 +162,7 @@ std::string RenderActualStats() {
   for (std::size_t qi = 0; qi < queries.size(); ++qi) {
     out << "query " << qi << ": hits=" << co_stats[qi].buffer_hit_pages
         << " ";
-    AppendQueryStats(&out, co_stats[qi]);
+    AppendQueryStats(&out, co_stats[qi], rendered);
   }
 
   // Quantized leaf blocks: results must be bit-identical to the exact
@@ -193,7 +184,7 @@ std::string RenderActualStats() {
       EXPECT_EQ(got[i].distance, want[i].distance) << "rank " << i;
     }
     out << "query " << qi << ": ";
-    AppendQueryStats(&out, stats);
+    AppendQueryStats(&out, stats, rendered);
   }
 
   // Approximate tier at a pinned epsilon: the relaxed-skip and
@@ -218,7 +209,7 @@ std::string RenderActualStats() {
         << ": recall=" << FormatDouble(RecallAtK(approx_results[qi],
                                                  truth[qi], k))
         << " ";
-    AppendQueryStats(&out, stats);
+    AppendQueryStats(&out, stats, rendered);
   }
   const RecallStats recall = ScoreRecall(approx_results, truth, k);
   out << "recall_mean=" << FormatDouble(recall.mean)
@@ -230,7 +221,8 @@ std::string RenderActualStats() {
   // counters, and the simulated-time split are all deterministic. The
   // two engines must emit identical pair lists (checked outside the
   // golden text); the counters pin each path's work separately.
-  const auto append_join_stats = [&out](const JoinStats& stats) {
+  const auto append_join_stats = [&out, rendered](const JoinStats& stats) {
+    *rendered += stats;
     out << "leaf_blocks=" << stats.leaf_blocks
         << " considered=" << stats.block_pairs_considered
         << " pruned=" << stats.block_pairs_pruned
@@ -238,15 +230,8 @@ std::string RenderActualStats() {
         << " pairs=" << stats.pairs_emitted
         << " total_pages=" << stats.total_pages
         << " directory_pages=" << stats.directory_pages
-        << " max_pages=" << stats.max_pages
-        << " coalesced_reads=" << stats.coalesced_reads
-        << " exact_distances=" << stats.exact_distances
-        << " quantized_pruned=" << stats.quantized_pruned
-        << " base_pruned=" << stats.base_pruned
-        << " sq8_pruned=" << stats.sq8_pruned
-        << " reranked=" << stats.reranked
-        << " leaf_bytes_scanned=" << stats.leaf_bytes_scanned
-        << " block_kernel_invocations=" << stats.block_kernel_invocations
+        << " max_pages=" << stats.max_pages << ' '
+        << static_cast<const Counters&>(stats)
         << " parallel_ms=" << FormatDouble(stats.parallel_ms)
         << " sum_ms=" << FormatDouble(stats.sum_ms)
         << " balance=" << FormatDouble(stats.balance) << "\n";
@@ -305,11 +290,69 @@ std::string RenderActualStats() {
       << " height=" << str_tree.height()
       << " data_pages=" << str_tree.DataPages() << "\n";
   append_tree_levels(str_tree);
+
+  // The three sections below each make one counter move that no
+  // scenario above does.
+  //
+  // unavailable_pages: with replicas off, the pages of failed disk 0 have
+  // no healthy copy, and TryQuery reports kUnavailable.
+  EngineOptions no_replicas = options;
+  no_replicas.enable_replicas = false;
+  ParallelSearchEngine lone_engine(
+      dim, std::make_unique<NearOptimalDeclusterer>(dim, disks), no_replicas);
+  EXPECT_TRUE(lone_engine.Build(data).ok());
+  lone_engine.SetFaultPlan(plan);
+  out << "[unavailable disk0_failed replicas_off]\n";
+  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+    KnnResult result;
+    QueryStats stats;
+    const Status status = lone_engine.TryQuery(queries[qi], k, &result, &stats);
+    out << "query " << qi << ": status=" << StatusCodeToString(status.code())
+        << " ";
+    AppendQueryStats(&out, stats, rendered);
+  }
+
+  // cutoff_skipped_nodes: the n=2500 tree has height 2, so its root's
+  // children are all expanded before the k-th-best cutoff exists; a
+  // height-3 tree skips directory children against it.
+  const PointSet big_data = GenerateUniform(20000, dim, 3301);
+  ParallelSearchEngine big_engine(
+      dim, std::make_unique<NearOptimalDeclusterer>(dim, disks), options);
+  EXPECT_TRUE(big_engine.Build(big_data).ok());
+  out << "[cutoff skips d=6 n=20000 height=" << big_engine.tree().height()
+      << "]\n";
+  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+    QueryStats stats;
+    (void)big_engine.Query(queries[qi], k, &stats);
+    out << "query " << qi << ": ";
+    AppendQueryStats(&out, stats, rendered);
+  }
+
+  // base_pruned: without early termination the approx tier sweeps leaves
+  // whose MINDIST exceeds the relaxed threshold, and the query's base
+  // term prunes them whole.
+  EngineOptions no_early = approx;
+  no_early.approx.early_termination = false;
+  ParallelSearchEngine no_early_engine(
+      dim, std::make_unique<NearOptimalDeclusterer>(dim, disks), no_early);
+  EXPECT_TRUE(no_early_engine.Build(data).ok());
+  out << "[approx eps=0.25 quantized no_early_termination]\n";
+  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+    QueryStats stats;
+    const KnnResult got = no_early_engine.Query(queries[qi], k, &stats);
+    out << "query " << qi
+        << ": recall=" << FormatDouble(RecallAtK(got, truth[qi], k)) << " ";
+    AppendQueryStats(&out, stats, rendered);
+  }
   return out.str();
 }
 
 TEST(GoldenStatsTest, SimulatedAccountingMatchesGoldenFile) {
-  const std::string actual = RenderActualStats();
+  Counters rendered;
+  const std::string actual = RenderActualStats(&rendered);
+  rendered.ForEach([](const char* name, std::uint64_t total) {
+    EXPECT_GT(total, 0u) << name << " reads 0 in every golden scenario";
+  });
   const std::string path = GoldenPath();
 
   if (const char* update = std::getenv("PARSIM_UPDATE_GOLDEN");

@@ -1,4 +1,7 @@
 #include <algorithm>
+#include <limits>
+#include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -37,6 +40,47 @@ TEST(BulkLoadTest, IdsVectorSizeMustMatch) {
   const PointSet data = GenerateUniform(10, 2, 91);
   const std::vector<PointId> ids = {1, 2, 3};
   EXPECT_EQ(tree.BulkLoad(data, &ids).code(), StatusCode::kInvalidArgument);
+}
+
+// A NaN or infinite coordinate fails the load before any node is
+// allocated or page written, for both tree kinds and packing orders, and
+// the tree stays empty, so a later load of finite points succeeds.
+TEST(BulkLoadTest, NonFiniteCoordinatesRejectedAndTreeStaysEmpty) {
+  const std::size_t dim = 4;
+  const PointSet good = GenerateUniform(3000, dim, 97);
+  const Scalar bad_values[] = {std::numeric_limits<Scalar>::quiet_NaN(),
+                               std::numeric_limits<Scalar>::infinity(),
+                               -std::numeric_limits<Scalar>::infinity()};
+  for (const bool xtree : {true, false}) {
+    for (const BulkLoadOrder order :
+         {BulkLoadOrder::kHilbert, BulkLoadOrder::kStr}) {
+      for (const Scalar bad : bad_values) {
+        SCOPED_TRACE(std::string(xtree ? "xtree" : "rstar") +
+                     (order == BulkLoadOrder::kStr ? " str " : " hilbert ") +
+                     std::to_string(bad));
+        SimulatedDisk disk(0);
+        XTreeOptions options;
+        options.bulk_load_order = order;
+        std::unique_ptr<TreeBase> tree;
+        if (xtree) {
+          tree = std::make_unique<XTree>(dim, &disk, options);
+        } else {
+          tree = std::make_unique<RStarTree>(dim, &disk, options);
+        }
+        PointSet poisoned = good;
+        poisoned.Mutable(1234)[2] = bad;
+        EXPECT_EQ(tree->BulkLoad(poisoned).code(),
+                  StatusCode::kInvalidArgument);
+        EXPECT_TRUE(tree->empty());
+        EXPECT_EQ(tree->num_nodes(), 0u);
+        EXPECT_EQ(tree->root_id(), kInvalidNodeId);
+        EXPECT_EQ(disk.stats().pages_written, 0u);
+        ASSERT_TRUE(tree->BulkLoad(good).ok());
+        EXPECT_EQ(tree->size(), good.size());
+        EXPECT_TRUE(tree->ValidateInvariants().ok());
+      }
+    }
+  }
 }
 
 TEST(BulkLoadTest, StructureValidAndComplete) {

@@ -106,7 +106,7 @@ TEST(SimulatedDiskFaultTest, FailoverChargesRetryTimeouts) {
   const double base_ms = replica.ElapsedMs();
   replica.RecordFailover(/*attempts=*/3, /*pages=*/5);
   EXPECT_EQ(replica.stats().failed_read_attempts, 3u);
-  EXPECT_EQ(replica.stats().replica_pages_read, 5u);
+  EXPECT_EQ(replica.stats().replica_pages, 5u);
   EXPECT_DOUBLE_EQ(replica.ElapsedMs(), base_ms + 3 * 2.0);
   // Retry penalties are a fault artifact: absent from the healthy figure.
   EXPECT_DOUBLE_EQ(replica.HealthyElapsedMs(), base_ms);

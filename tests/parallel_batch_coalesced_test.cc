@@ -52,15 +52,16 @@ void ExpectSameStats(const std::vector<QueryStats>& a,
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t q = 0; q < a.size(); ++q) {
     SCOPED_TRACE("query " + std::to_string(q));
+    EXPECT_EQ(Counters(a[q]), Counters(b[q]));
     EXPECT_EQ(a[q].parallel_ms, b[q].parallel_ms);
+    EXPECT_EQ(a[q].sum_ms, b[q].sum_ms);
+    EXPECT_EQ(a[q].max_pages, b[q].max_pages);
     EXPECT_EQ(a[q].total_pages, b[q].total_pages);
     EXPECT_EQ(a[q].directory_pages, b[q].directory_pages);
-    EXPECT_EQ(a[q].buffer_hit_pages, b[q].buffer_hit_pages);
-    EXPECT_EQ(a[q].coalesced_reads, b[q].coalesced_reads);
-    EXPECT_EQ(a[q].block_kernel_invocations, b[q].block_kernel_invocations);
+    EXPECT_EQ(a[q].balance, b[q].balance);
     EXPECT_EQ(a[q].pages_per_disk, b[q].pages_per_disk);
-    EXPECT_EQ(a[q].replica_pages, b[q].replica_pages);
-    EXPECT_EQ(a[q].failed_read_attempts, b[q].failed_read_attempts);
+    EXPECT_EQ(a[q].degraded, b[q].degraded);
+    EXPECT_EQ(a[q].healthy_parallel_ms, b[q].healthy_parallel_ms);
   }
 }
 

@@ -27,18 +27,15 @@ void ExpectSameResult(const KnnResult& a, const KnnResult& b) {
 }
 
 void ExpectSameStats(const QueryStats& a, const QueryStats& b) {
+  EXPECT_EQ(Counters(a), Counters(b));
   EXPECT_EQ(a.max_pages, b.max_pages);
   EXPECT_EQ(a.total_pages, b.total_pages);
   EXPECT_EQ(a.directory_pages, b.directory_pages);
-  EXPECT_EQ(a.buffer_hit_pages, b.buffer_hit_pages);
   EXPECT_EQ(a.pages_per_disk, b.pages_per_disk);
   EXPECT_EQ(a.parallel_ms, b.parallel_ms);  // bitwise
   EXPECT_EQ(a.sum_ms, b.sum_ms);
   EXPECT_EQ(a.balance, b.balance);
   EXPECT_EQ(a.degraded, b.degraded);
-  EXPECT_EQ(a.replica_pages, b.replica_pages);
-  EXPECT_EQ(a.failed_read_attempts, b.failed_read_attempts);
-  EXPECT_EQ(a.unavailable_pages, b.unavailable_pages);
   EXPECT_EQ(a.healthy_parallel_ms, b.healthy_parallel_ms);  // bitwise
 }
 

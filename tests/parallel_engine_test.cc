@@ -385,31 +385,16 @@ TEST(EngineTest, BuildStatsRecordedAndQueriesStartClean) {
 }
 
 void ExpectSameStats(const QueryStats& a, const QueryStats& b) {
+  EXPECT_EQ(Counters(a), Counters(b));
   EXPECT_EQ(a.parallel_ms, b.parallel_ms);  // bitwise
   EXPECT_EQ(a.sum_ms, b.sum_ms);
   EXPECT_EQ(a.max_pages, b.max_pages);
   EXPECT_EQ(a.total_pages, b.total_pages);
   EXPECT_EQ(a.directory_pages, b.directory_pages);
-  EXPECT_EQ(a.buffer_hit_pages, b.buffer_hit_pages);
   EXPECT_EQ(a.balance, b.balance);
   EXPECT_EQ(a.pages_per_disk, b.pages_per_disk);
   EXPECT_EQ(a.degraded, b.degraded);
-  EXPECT_EQ(a.replica_pages, b.replica_pages);
-  EXPECT_EQ(a.failed_read_attempts, b.failed_read_attempts);
-  EXPECT_EQ(a.unavailable_pages, b.unavailable_pages);
   EXPECT_EQ(a.healthy_parallel_ms, b.healthy_parallel_ms);
-  EXPECT_EQ(a.coalesced_reads, b.coalesced_reads);
-  EXPECT_EQ(a.block_kernel_invocations, b.block_kernel_invocations);
-  EXPECT_EQ(a.quantized_pruned, b.quantized_pruned);
-  EXPECT_EQ(a.base_pruned, b.base_pruned);
-  EXPECT_EQ(a.sq8_pruned, b.sq8_pruned);
-  EXPECT_EQ(a.reranked, b.reranked);
-  EXPECT_EQ(a.leaf_bytes_scanned, b.leaf_bytes_scanned);
-  EXPECT_EQ(a.frontier_pushes, b.frontier_pushes);
-  EXPECT_EQ(a.frontier_pops, b.frontier_pops);
-  EXPECT_EQ(a.cutoff_skipped_nodes, b.cutoff_skipped_nodes);
-  EXPECT_EQ(a.approx_skipped_nodes, b.approx_skipped_nodes);
-  EXPECT_EQ(a.approx_pruned_exactly, b.approx_pruned_exactly);
   EXPECT_EQ(a.phases.ms, b.phases.ms);
 }
 

@@ -1,7 +1,13 @@
 #!/usr/bin/env bash
 # CI driver for the execution layer.
 #
-#   1. Release build + the full test suite (the tier-1 gate).
+#   1. Release build + the full test suite (the tier-1 gate), then the
+#      perf ledger's smoke mode (bench/ledger/run.py --smoke): all five
+#      ledger workloads at about 1/50 size for 1 s each, exiting nonzero
+#      on any wrong answer (k-NN oracle, page conservation, join pairs,
+#      the read-write live-set oracle). bench/ledger/perf_ledger.cc
+#      compiles against the stats structs' fields, so it runs before the
+#      slow sanitizer lanes: a reshaped struct fails the run in minutes.
 #   2. ASAN+UBSAN build + the full test suite: any heap error, leak, or
 #      undefined behavior anywhere in the library fails the run
 #      (-fno-sanitize-recover makes every UBSAN report fatal).
@@ -10,11 +16,7 @@
 #      fails the run.
 #   4. Smoke run of every microbench (seconds-scale workloads): their
 #      built-in identity and invariant checks run on every CI pass, not
-#      just when someone regenerates the BENCH_*.json files. Then the
-#      perf ledger's smoke mode (bench/ledger/run.py --smoke): all five
-#      ledger workloads at about 1/50 size for 1 s each, exiting nonzero
-#      on any wrong answer (k-NN oracle, page conservation, join pairs,
-#      the read-write live-set oracle).
+#      just when someone regenerates the BENCH_*.json files.
 #
 # Usage: tools/ci.sh            (from anywhere; builds into build-ci/,
 #                                build-asan/, build-tsan/ and, for the
@@ -27,10 +29,12 @@ cd "$(dirname "$0")/.."
 
 JOBS="${JOBS:-$(nproc)}"
 
-echo "== [1/4] Release build + full suite =="
+echo "== [1/4] Release build + full suite + perf ledger smoke =="
 cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build-ci -j "$JOBS"
 ctest --test-dir build-ci --output-on-failure -j "$JOBS"
+echo "-- smoke: perf ledger"
+python3 bench/ledger/run.py --smoke --out build-ci/ledger-smoke
 
 echo "== [2/4] ASAN+UBSAN build + full suite =="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -88,7 +92,7 @@ for t in "${TSAN_TESTS[@]}"; do
     "./build-tsan/tests/${t}"
 done
 
-echo "== [4/4] microbench + perf ledger smoke lane =="
+echo "== [4/4] microbench smoke lane =="
 # Seconds-scale workloads; each bench exits nonzero if its bit-identity
 # or page-conservation checks fail.
 MICROBENCHES=(microbench_query_parallel microbench_buffer_pool
@@ -104,7 +108,5 @@ for b in "${MICROBENCHES[@]}"; do
     echo "-- smoke: ${b}"
     (cd build-ci && "./bench/${b}" --smoke)
 done
-echo "-- smoke: perf ledger"
-python3 bench/ledger/run.py --smoke --out build-ci/ledger-smoke
 
 echo "ci: all green"
