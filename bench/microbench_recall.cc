@@ -218,9 +218,7 @@ struct CurvePoint {
   double qps = 0.0;
   double speedup_vs_exact = 1.0;
   std::uint64_t total_pages = 0;
-  std::uint64_t approx_skipped_nodes = 0;
-  std::uint64_t approx_pruned_exactly = 0;
-  std::uint64_t quantized_pruned = 0;
+  Counters counters;        // summed over the curve point's queries
   bool contract_ok = true;  // D_k <= (1+eps) * d_true_k, every query
 };
 
@@ -327,7 +325,7 @@ int Run(bool smoke) {
     exact_qps = p.qps;
     for (const QueryStats& s : exact_stats) {
       p.total_pages += s.total_pages;
-      p.quantized_pruned += s.quantized_pruned;
+      p.counters += s;
     }
     // The tree path is exact: anything below 1.0 here is a search bug,
     // not an approximation.
@@ -363,9 +361,7 @@ int Run(bool smoke) {
     p.speedup_vs_exact = exact_qps > 0.0 ? p.qps / exact_qps : 0.0;
     for (const QueryStats& s : stats) {
       p.total_pages += s.total_pages;
-      p.approx_skipped_nodes += s.approx_skipped_nodes;
-      p.approx_pruned_exactly += s.approx_pruned_exactly;
-      p.quantized_pruned += s.quantized_pruned;
+      p.counters += s;
     }
     p.contract_ok = ContractHolds(results, truth, k, eps);
     if (!p.contract_ok) {
@@ -385,8 +381,8 @@ int Run(bool smoke) {
         "(%.2fx)  pages %llu  skipped %llu  exact-pruned %llu\n",
         eps, p.recall_mean, p.recall_min, p.wall_ms, p.qps,
         p.speedup_vs_exact, static_cast<unsigned long long>(p.total_pages),
-        static_cast<unsigned long long>(p.approx_skipped_nodes),
-        static_cast<unsigned long long>(p.approx_pruned_exactly));
+        static_cast<unsigned long long>(p.counters.approx_skipped_nodes),
+        static_cast<unsigned long long>(p.counters.approx_pruned_exactly));
   }
 
   // --- Curve shape ---------------------------------------------------------
@@ -468,9 +464,9 @@ int Run(bool smoke) {
         "\"quantized_pruned\": %llu, \"contract_ok\": %s}%s\n",
         p.recall_mean, p.recall_min, p.wall_ms, p.qps, p.speedup_vs_exact,
         static_cast<unsigned long long>(p.total_pages),
-        static_cast<unsigned long long>(p.approx_skipped_nodes),
-        static_cast<unsigned long long>(p.approx_pruned_exactly),
-        static_cast<unsigned long long>(p.quantized_pruned),
+        static_cast<unsigned long long>(p.counters.approx_skipped_nodes),
+        static_cast<unsigned long long>(p.counters.approx_pruned_exactly),
+        static_cast<unsigned long long>(p.counters.quantized_pruned),
         p.contract_ok ? "true" : "false", i + 1 < curve.size() ? "," : "");
   }
   std::fprintf(json, "  ],\n");

@@ -174,17 +174,6 @@ void PrepareSq8QueryMany(const Sq8Mirror& mirror, const Scalar* queries,
                          std::size_t members, MetricKind kind,
                          std::uint8_t* codes_out, Sq8Bound* bounds_out);
 
-/// Owning-storage convenience wrapper around PrepareSq8Query.
-struct Sq8Query {
-  std::vector<std::uint8_t> codes;
-  Sq8Bound bound;
-
-  void Prepare(const Sq8Mirror& mirror, PointView query, MetricKind kind) {
-    codes.resize(mirror.dim);
-    bound = PrepareSq8Query(mirror, query, kind, codes.data());
-  }
-};
-
 }  // namespace parsim
 
 #endif  // PARSIM_SRC_GEOMETRY_SQ8_H_

@@ -2,7 +2,8 @@
 //
 //   * HsKnn  — incremental best-first search of Hjaltason & Samet
 //              [HS 95]: a priority queue ordered by MINDIST; optimal in
-//              the number of pages read. The default in the engine.
+//              the number of pages read. The default in the engine; it
+//              drives one HsSearch (src/index/hs_search.h) to the end.
 //   * RkvKnn — depth-first branch-and-bound of Roussopoulos, Kelley &
 //              Vincent [RKV 95] with MINDIST ordering and MINMAXDIST
 //              pruning; the algorithm the paper used on the X-tree.
@@ -27,6 +28,12 @@ struct Neighbor {
 
   friend bool operator==(const Neighbor& a, const Neighbor& b) {
     return a.id == b.id && a.distance == b.distance;
+  }
+  /// The answer order of every k-NN and ball result: ascending distance,
+  /// ties by ascending id.
+  friend bool operator<(const Neighbor& a, const Neighbor& b) {
+    if (a.distance != b.distance) return a.distance < b.distance;
+    return a.id < b.id;
   }
 };
 
@@ -97,8 +104,9 @@ double MinDistComparable(const Rect& rect, PointView query,
 /// all-pairs similarity join (compare against ToComparable(epsilon)).
 double MinDistComparable(const Rect& a, const Rect& b, const Metric& metric);
 
-/// Early-exit MINDIST against a known cutoff (the descent fast path,
-/// shared by HsKnn and the batched scheduler): returns true iff
+/// Early-exit MINDIST against a known cutoff (the descent fast path of
+/// HsSearch::ExpandDirectory, and the self-join's row-vs-box test):
+/// returns true iff
 /// MinDistComparable(rect, query, metric) > cutoff, bailing out of the
 /// per-dimension loop as soon as the partial accumulation — a
 /// nondecreasing sum/max of nonnegative terms — already exceeds it.

@@ -1,12 +1,12 @@
 // The one place every leaf-page sweep goes through.
 //
-// Before this helper, the quantized/exact decision would have been
-// duplicated across five call-sites (HsKnn, RkvKnn, BallQuery,
-// RangeQuery/partial-match, and the coalesced batch expander — the R*
-// reinsert's center-distance sort operates on a scratch entry buffer,
-// not a LeafBlock, so it is not a leaf sweep in this sense). SweepLeaf*
-// centralizes it: on a plain block the sweep is the familiar
-// ComparableMany / ComparableBlock / Contains pass; on a quantized block
+// There are three sweeps: SweepLeafBlockMany for distance-threshold
+// queries (k-NN and ball; the single-query SweepLeafDistances is its
+// one-member case, so HsKnn, RkvKnn, BallQuery and the round scheduler
+// share one implementation), SweepLeafRange for containment queries,
+// and SweepLeafBlockSelf for the self-join. Each holds the
+// quantized/exact decision once: on a plain block the sweep is the
+// familiar ComparableBlock / Contains pass; on a quantized block
 // (LeafBlock::has_sq8) it first runs one full-width integer SQ8
 // reduction over the uint8 mirror, prunes every candidate whose
 // comparable-space lower bound (Sq8Bound::LowerBound, applied through
@@ -31,7 +31,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <vector>
 
 #include "src/geometry/metric.h"
@@ -39,6 +38,7 @@
 #include "src/geometry/sq8.h"
 #include "src/index/leaf_block.h"
 #include "src/io/counters.h"
+#include "src/util/check.h"
 #include "src/util/phase_timer.h"
 
 namespace parsim {
@@ -60,9 +60,8 @@ inline void GrowTo(std::vector<T>& v, std::size_t n) {
 struct LeafSweepScratch {
   std::vector<double> dists;
   std::vector<std::uint32_t> reductions;
-  Sq8Query query;
-  std::vector<std::uint8_t> qcodes;    // batched sweeps: members x dim
-  std::vector<Sq8Bound> bounds;        // batched sweeps: one per member
+  std::vector<std::uint8_t> qcodes;    // members x dim
+  std::vector<Sq8Bound> bounds;        // one per member
   std::vector<std::uint32_t> survivors;  // bound survivors of one sweep
   std::vector<std::uint32_t> active;   // members surviving the base prune
 };
@@ -95,153 +94,6 @@ std::size_t CountSurvivors(const std::uint32_t* reductions,
 
 }  // namespace detail
 
-/// Sweeps one leaf block for a distance-threshold query (k-NN, ball).
-/// `threshold()` is the caller's CURRENT comparable-space cutoff — a
-/// candidate strictly above it can no longer matter (k-th best bound, or
-/// the ball radius); it is re-read after every emit — the only point it
-/// can tighten — so each candidate is tested against the threshold in
-/// force when the sweep reaches it, exactly as a per-candidate re-read
-/// would. `emit(i, comparable)` receives every surviving candidate
-/// with its exact comparable distance, in block order — bit-identical,
-/// on both paths, to what the exact kernels compute.
-///
-/// `approx_factor` > 1 enables the approximate tier's bound relaxation
-/// (quantized blocks only; the exact path has no cutoff to relax): the
-/// SQ8 prune cutoff derives from threshold()/approx_factor
-/// instead of threshold(), so candidates whose lower bound clears the
-/// exact threshold but not the relaxed one are dropped without a
-/// re-rank — deliberately lossy, measured by the recall harness
-/// (src/eval/recall.h). approx_pruned_exactly counts, among the pruned,
-/// those the lossless cutoff at the same running threshold would also
-/// have killed. At 1.0 (the default) every approx branch is dead and
-/// the sweep is bit-identical to the pre-approx code.
-template <typename ThresholdFn, typename EmitFn>
-Counters SweepLeafDistances(const LeafBlock& block, PointView query,
-                            const Metric& metric, ThresholdFn&& threshold,
-                            EmitFn&& emit, double approx_factor = 1.0) {
-  Counters sweep;
-  detail::LeafSweepScratch& scratch = detail::SweepScratch();
-  if (!block.has_sq8) {
-    ScopedPhase phase(Phase::kSweepRerank);
-    detail::GrowTo(scratch.dists, block.count);
-    metric.ComparableMany(query, block.coords.data(), block.count, block.dim,
-                          scratch.dists.data());
-    for (std::size_t i = 0; i < block.count; ++i) {
-      emit(i, scratch.dists[i]);
-    }
-    sweep.distance_computations = block.count;
-    sweep.leaf_bytes_scanned = block.count * block.dim * sizeof(Scalar);
-    return sweep;
-  }
-  {
-    ScopedPhase phase(Phase::kSweepPrep);
-    scratch.query.Prepare(block.sq8, query, metric.kind());
-  }
-  // When the query's candidate-independent `base` term already exceeds
-  // the threshold (a query far outside the block's lattice range —
-  // PruneCutoff's negative sentinel), every candidate prunes without the
-  // integer kernel ever running: the sweep costs one query preparation.
-  const bool approx = approx_factor > 1.0;
-  double last_threshold = threshold();
-  double dcut = scratch.query.bound.PruneCutoff(
-      approx ? last_threshold / approx_factor : last_threshold);
-  if (dcut < 0.0) {
-    sweep.base_pruned = block.count;
-    sweep.quantized_pruned = block.count;
-    if (approx && scratch.query.bound.PruneCutoff(last_threshold) < 0.0) {
-      sweep.approx_pruned_exactly = block.count;
-    }
-    return sweep;
-  }
-  // One SIMD pass compresses the survivor indices under the cutoff in
-  // force at block entry; the emit loop then re-checks each survivor
-  // against the current cutoff, which only tightens when an emit lands.
-  // Per candidate this decides exactly what the naive interleaved loop
-  // decides: a candidate pruned at entry is pruned under any later
-  // (tighter) cutoff too, and one that entry-survives but reaches the
-  // emit loop after a tightening is caught by the re-check — so counters
-  // and emitted keys are identical, at one compare per candidate plus
-  // one per survivor.
-  const ComparableFn exact = metric.comparable_fn();
-  std::uint32_t cutoff = detail::IntCutoff(dcut);
-  // Exact-attribution twin of `cutoff` (approx only): the integer
-  // cutoff the lossless contract would use at the same threshold.
-  // PruneCutoff is monotone in its threshold and the relaxed cutoff was
-  // non-negative, so the exact one is too, ecut >= cutoff, and the
-  // exactly-proven prunes are a subset of the relaxed prunes.
-  std::uint32_t ecut = 0;
-  if (approx) {
-    ecut = detail::IntCutoff(scratch.query.bound.PruneCutoff(last_threshold));
-  }
-  detail::GrowTo(scratch.survivors, block.count);
-  detail::GrowTo(scratch.reductions, block.count);
-  std::size_t nsurv;
-  {
-    ScopedPhase phase(Phase::kSweepFull);
-    metric.Sq8Many(scratch.query.codes.data(), block.sq8.codes.data(),
-                   block.count, block.dim, scratch.reductions.data());
-    nsurv = detail::CollectSurvivors(scratch.reductions.data(), block.count,
-                                     cutoff, scratch.survivors.data());
-    sweep.sq8_pruned += block.count - nsurv;
-    if (approx) {
-      sweep.approx_pruned_exactly += block.count - detail::CountSurvivors(
-          scratch.reductions.data(), block.count, ecut);
-    }
-  }
-  {
-    ScopedPhase phase(Phase::kSweepRerank);
-    // The threshold can only tighten when an emit lands, so it is
-    // re-read exactly once per emit instead of once per survivor —
-    // every survivor still sees the same (cutoff, dcut) state as the
-    // read-every-iteration loop, and the counters match it exactly.
-    for (std::size_t s = 0; s < nsurv; ++s) {
-      const std::size_t i = scratch.survivors[s];
-      const std::uint32_t reduction = scratch.reductions[i];
-      if (reduction > cutoff) {
-        ++sweep.sq8_pruned;
-        if (approx && reduction > ecut) ++sweep.approx_pruned_exactly;
-        continue;
-      }
-      ++sweep.reranked;
-      emit(i, exact(query.data(), block.row(i).data(), block.dim));
-      const double t = threshold();
-      if (t != last_threshold) {
-        last_threshold = t;
-        dcut = scratch.query.bound.PruneCutoff(approx ? t / approx_factor : t);
-        if (dcut < 0.0) {
-          sweep.base_pruned += nsurv - s - 1;
-          if (approx) {
-            // Exact attribution of the rest-of-block drop: the exact
-            // base may not have crossed yet, in which case each
-            // remaining survivor's already-computed reduction decides.
-            const double ed = scratch.query.bound.PruneCutoff(t);
-            if (ed < 0.0) {
-              sweep.approx_pruned_exactly += nsurv - s - 1;
-            } else {
-              const std::uint32_t ec = detail::IntCutoff(ed);
-              for (std::size_t r = s + 1; r < nsurv; ++r) {
-                if (scratch.reductions[scratch.survivors[r]] > ec) {
-                  ++sweep.approx_pruned_exactly;
-                }
-              }
-            }
-          }
-          break;
-        }
-        cutoff = detail::IntCutoff(dcut);
-        if (approx) {
-          ecut = detail::IntCutoff(scratch.query.bound.PruneCutoff(t));
-        }
-      }
-    }
-  }
-  sweep.quantized_pruned = sweep.base_pruned + sweep.sq8_pruned;
-  sweep.distance_computations = sweep.reranked;
-  sweep.leaf_bytes_scanned = block.count * block.dim +
-                             sweep.reranked * block.dim * sizeof(Scalar);
-  return sweep;
-}
-
 /// Sweeps one leaf block for a containment query (range / partial
 /// match), appending matching ids to `out`. On a quantized block a
 /// conservative per-dimension code-interval prefilter runs over the
@@ -250,16 +102,29 @@ Counters SweepLeafDistances(const LeafBlock& block, PointView query,
 Counters SweepLeafRange(const LeafBlock& block, const Rect& query,
                         std::vector<PointId>* out);
 
-/// Batched variant of SweepLeafDistances: `members` queries (row-major,
-/// members x block.dim scalars) against one block, one many-to-many
-/// kernel call. `threshold(m)` and `emit(m, i, comparable)` are the
-/// per-member analogues; for each member, candidates arrive in block
-/// order (members in ascending order), so the per-member emit sequence
-/// matches the single-query sweep exactly. `stats` must have `members`
-/// entries; entry m accumulates member m's share. `approx_factor` is
-/// the approximate tier's bound relaxation, exactly as in
-/// SweepLeafDistances (1.0 = exact, bit-identical to the pre-approx
-/// code).
+/// Sweeps one leaf block for `members` distance-threshold queries (k-NN,
+/// ball) at once: `queries` is row-major, members x block.dim scalars,
+/// scored by one many-to-many kernel call. `threshold(m)` is member m's
+/// CURRENT comparable-space cutoff — a candidate strictly above it can no
+/// longer matter (its k-th best bound, or the ball radius); it is re-read
+/// after every emit of m — the only point it can tighten — so each
+/// candidate is tested against the threshold in force when the sweep
+/// reaches it, exactly as a per-candidate re-read would.
+/// `emit(m, i, comparable)` receives every surviving candidate of m with
+/// its exact comparable distance, in block order (members in ascending
+/// order) — bit-identical, on both paths, to what the exact kernels
+/// compute. `stats` must have `members` entries; entry m accumulates
+/// member m's share.
+///
+/// `approx_factor` > 1 enables the approximate tier's bound relaxation
+/// (quantized blocks only; the exact path has no cutoff to relax): the
+/// SQ8 prune cutoff derives from threshold(m)/approx_factor instead of
+/// threshold(m), so candidates whose lower bound clears the exact
+/// threshold but not the relaxed one are dropped without a re-rank —
+/// deliberately lossy, measured by the recall harness
+/// (src/eval/recall.h). approx_pruned_exactly counts, among the pruned,
+/// those the lossless cutoff at the same running threshold would also
+/// have killed. At 1.0 (the default) every approx branch is dead.
 template <typename ThresholdFn, typename EmitFn>
 void SweepLeafBlockMany(const LeafBlock& block, const Scalar* queries,
                         std::size_t members, const Metric& metric,
@@ -334,8 +199,14 @@ void SweepLeafBlockMany(const LeafBlock& block, const Scalar* queries,
     const std::uint32_t* row = scratch.reductions.data() + a * block.count;
     const Scalar* qrow = queries + m * dim;
     Counters sweep;
-    // Same compress-then-recheck structure as SweepLeafDistances, and
-    // the same per-candidate decisions as the naive interleaved loop.
+    // One SIMD pass compresses the survivor indices under the cutoff in
+    // force at block entry; the emit loop then re-checks each survivor
+    // against the current cutoff, which only tightens when an emit
+    // lands. Per candidate this decides exactly what the naive
+    // interleaved loop decides: a candidate pruned at entry is pruned
+    // under any later (tighter) cutoff too, and one that entry-survives
+    // but reaches the emit loop after a tightening is caught by the
+    // re-check — at one compare per candidate plus one per survivor.
     double last_threshold = threshold(m);
     double dcut = scratch.bounds[m].PruneCutoff(
         approx ? last_threshold / approx_factor : last_threshold);
@@ -346,6 +217,11 @@ void SweepLeafBlockMany(const LeafBlock& block, const Scalar* queries,
       }
     } else {
       std::uint32_t cutoff = detail::IntCutoff(dcut);
+      // Exact-attribution twin of `cutoff` (approx only): the integer
+      // cutoff the lossless contract would use at the same threshold.
+      // PruneCutoff is monotone in its threshold and the relaxed cutoff
+      // was non-negative, so the exact one is too, ecut >= cutoff, and
+      // the exactly-proven prunes are a subset of the relaxed prunes.
       std::uint32_t ecut = 0;
       if (approx) {
         ecut = detail::IntCutoff(scratch.bounds[m].PruneCutoff(last_threshold));
@@ -362,9 +238,10 @@ void SweepLeafBlockMany(const LeafBlock& block, const Scalar* queries,
         }
       }
       ScopedPhase phase(Phase::kSweepRerank);
-      // Threshold re-read once per emit (it can only change on an
-      // emit), as in the single-query sweep — same decisions, same
-      // counters, one callback per emit instead of per survivor.
+      // The threshold can only tighten when an emit lands, so it is
+      // re-read once per emit instead of once per survivor — every
+      // survivor still sees the same (cutoff, dcut) state as the
+      // read-every-iteration loop, and the counters match it exactly.
       for (std::size_t s = 0; s < nsurv; ++s) {
         const std::size_t i = scratch.survivors[s];
         if (row[i] > cutoff) {
@@ -381,6 +258,9 @@ void SweepLeafBlockMany(const LeafBlock& block, const Scalar* queries,
           if (dcut < 0.0) {
             sweep.base_pruned += nsurv - s - 1;
             if (approx) {
+              // Exact attribution of the rest-of-block drop: the exact
+              // base may not have crossed yet, in which case each
+              // remaining survivor's already-computed reduction decides.
               const double ed = scratch.bounds[m].PruneCutoff(t);
               if (ed < 0.0) {
                 sweep.approx_pruned_exactly += nsurv - s - 1;
@@ -408,6 +288,27 @@ void SweepLeafBlockMany(const LeafBlock& block, const Scalar* queries,
         block.count * dim + sweep.reranked * dim * sizeof(Scalar);
     stats[m] += sweep;
   }
+}
+
+/// The one-query sweep: SweepLeafBlockMany with one member, so
+/// `threshold()` and `emit(i, comparable)` mean exactly what
+/// threshold(0) and emit(0, i, comparable) mean there. At one member the
+/// many-to-many kernels and the query preparation reduce to their
+/// one-query forms, bit for bit.
+template <typename ThresholdFn, typename EmitFn>
+Counters SweepLeafDistances(const LeafBlock& block, PointView query,
+                            const Metric& metric, ThresholdFn&& threshold,
+                            EmitFn&& emit, double approx_factor = 1.0) {
+  PARSIM_DCHECK(query.size() == block.dim);
+  Counters sweep;
+  SweepLeafBlockMany(
+      block, query.data(), 1, metric,
+      [&](std::size_t) { return threshold(); },
+      [&](std::size_t, std::size_t i, double comparable) {
+        emit(i, comparable);
+      },
+      &sweep, approx_factor);
+  return sweep;
 }
 
 /// Symmetric self-sweep of one leaf block for the all-pairs similarity

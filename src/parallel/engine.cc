@@ -6,7 +6,7 @@
 #include "src/core/near_optimal.h"
 #include "src/index/rstar_tree.h"
 #include "src/index/xtree.h"
-#include "src/parallel/batch_knn.h"
+#include "src/parallel/round_scheduler.h"
 #include "src/parallel/route_memo.h"
 #include "src/util/check.h"
 
@@ -391,11 +391,7 @@ KnnResult ParallelSearchEngine::ScanQuery(PointView query,
     for (Neighbor& n : local) n.id = scan_ids_[d][n.id];
     merged.insert(merged.end(), local.begin(), local.end());
   }
-  std::sort(merged.begin(), merged.end(),
-            [](const Neighbor& a, const Neighbor& b) {
-              if (a.distance != b.distance) return a.distance < b.distance;
-              return a.id < b.id;
-            });
+  std::sort(merged.begin(), merged.end());
   if (merged.size() > k) merged.resize(k);
   return merged;
 }
@@ -590,11 +586,7 @@ KnnResult ParallelSearchEngine::SimilarityQuery(PointView query,
       }
     }
   }
-  std::sort(merged.begin(), merged.end(),
-            [](const Neighbor& a, const Neighbor& b) {
-              if (a.distance != b.distance) return a.distance < b.distance;
-              return a.id < b.id;
-            });
+  std::sort(merged.begin(), merged.end());
   if (stats != nullptr) *stats = StatsFromAccumulator(acc);
   MergeAccumulator(acc);
   return merged;
@@ -652,11 +644,7 @@ KnnResult ParallelSearchEngine::Query(PointView query, std::size_t k,
       for (const KnnResult& r : local) {
         merged.insert(merged.end(), r.begin(), r.end());
       }
-      std::sort(merged.begin(), merged.end(),
-                [](const Neighbor& a, const Neighbor& b) {
-                  if (a.distance != b.distance) return a.distance < b.distance;
-                  return a.id < b.id;
-                });
+      std::sort(merged.begin(), merged.end());
       if (merged.size() > k) merged.resize(k);
     }
   }
@@ -736,10 +724,18 @@ std::vector<KnnResult> ParallelSearchEngine::QueryBatch(
     // Coalesced rounds interleave every query, so the phase breakdown is
     // batch-level only; per-query stats[i].phases stays zero here.
     PhaseAccumulator phase_acc;
-    results = CoalescedHsBatch(
-        *trees_[0], queries, k, options_.metric, &accs, pool.get(),
-        options_.profile_phases ? &phase_acc : nullptr, approx_);
+    // A closed schedule: every query is admitted up front, in query
+    // order, so the rounds' (node, slot) fetch order is (node, query).
+    HsRoundScheduler scheduler(*trees_[0], options_.metric, approx_,
+                               options_.profile_phases ? &phase_acc : nullptr);
     for (std::size_t i = 0; i < queries.size(); ++i) {
+      const std::size_t slot = scheduler.Add(queries[i], k, &accs[i]);
+      PARSIM_CHECK(slot == i);
+    }
+    while (scheduler.Step(pool.get()) > 0) {
+    }
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      results[i] = scheduler.Take(i);
       if (stats != nullptr) (*stats)[i] = StatsFromAccumulator(accs[i]);
       MergeAccumulator(accs[i]);
     }

@@ -9,34 +9,6 @@
 
 namespace parsim {
 
-void HsRoundScheduler::QueryState::Push(const Item& item) {
-  queue.push_back(item);
-  std::push_heap(queue.begin(), queue.end(), GreaterKey{});
-  ++frontier.frontier_pushes;
-}
-
-HsRoundScheduler::QueryState::Item HsRoundScheduler::QueryState::Pop() {
-  std::pop_heap(queue.begin(), queue.end(), GreaterKey{});
-  const Item item = queue.back();
-  queue.pop_back();
-  ++frontier.frontier_pops;
-  return item;
-}
-
-void HsRoundScheduler::QueryState::PushPoint(double key, std::uint32_t id) {
-  if (bound.size() < k) {
-    bound.push_back(key);
-    std::push_heap(bound.begin(), bound.end());
-  } else if (key > bound.front()) {
-    return;
-  } else if (key < bound.front()) {
-    std::pop_heap(bound.begin(), bound.end());
-    bound.back() = key;
-    std::push_heap(bound.begin(), bound.end());
-  }
-  Push(Item{key, true, id});
-}
-
 HsRoundScheduler::HsRoundScheduler(const TreeBase& tree, const Metric& metric,
                                    const ApproxContext& approx,
                                    PhaseAccumulator* phases)
@@ -46,45 +18,9 @@ HsRoundScheduler::HsRoundScheduler(const TreeBase& tree, const Metric& metric,
       phases_(phases),
       dim_(tree.dim()) {}
 
-// Replays HsKnn's main loop until the query finishes or needs a node:
-// points pop into the result, the first node item pauses the query with
-// `request` set (Step fetches and expands it). node_factor > 1 is the
-// approximate tier's early-termination mode: a popped node whose key
-// exceeds the RELAXED cutoff bound/node_factor is dropped instead of
-// requested — exactly HsKnn's pop-time skip, so the page its group would
-// have fetched is saved.
-void HsRoundScheduler::Advance(QueryState* q) {
-  ScopedPhase phase(Phase::kFrontier);
-  q->request = kInvalidNodeId;
-  while (q->result.size() < q->k && !q->queue.empty()) {
-    const QueryState::Item item = q->Pop();
-    if (item.is_point) {
-      q->result.push_back(
-          Neighbor{item.ref, metric_.FromComparable(item.key)});
-      continue;
-    }
-    if (approx_.node_factor > 1.0 && q->bound.size() >= q->k &&
-        item.key > q->bound.front() / approx_.node_factor) {
-      ++q->frontier.approx_skipped_nodes;
-      continue;
-    }
-    q->request = item.ref;
-    return;
-  }
-  q->done = true;
-}
-
-void HsRoundScheduler::ExpireState(QueryState* q) {
-  if (q->done) return;
-  q->done = true;
-  q->expired = true;
-  q->request = kInvalidNodeId;
-}
-
 std::size_t HsRoundScheduler::Add(PointView query, std::size_t k,
                                   QueryCostAccumulator* acc,
                                   std::uint64_t max_pages) {
-  PARSIM_CHECK(k >= 1);
   PARSIM_CHECK(acc != nullptr);
   PARSIM_CHECK(query.size() == dim_);
   ScopedPhaseCapture phase_capture(phases_);
@@ -97,49 +33,38 @@ std::size_t HsRoundScheduler::Add(PointView query, std::size_t k,
     states_.emplace_back();
   }
   QueryState& s = states_[slot];
-  s.queue.clear();
-  s.bound.clear();
-  s.bound.reserve(k);
+  s.search.Start(tree_.root_id(), k, metric_, approx_);
   s.query.assign(query.begin(), query.end());
-  s.result.clear();
   s.acc = acc;
-  s.k = k;
   s.max_pages = max_pages;
-  s.request = kInvalidNodeId;
   s.live = true;
-  s.done = false;
   s.expired = false;
-  s.frontier = Counters{};
+  s.request = s.search.Next();
   ++occupied_;
-  if (tree_.root_id() != kInvalidNodeId) {
-    s.Push(QueryState::Item{0.0, false, tree_.root_id()});
-    Advance(&s);
-  } else {
-    s.done = true;
-  }
-  if (!s.done) ++running_;
+  if (s.running()) ++running_;
   return slot;
 }
 
 void HsRoundScheduler::Expire(std::size_t slot) {
   QueryState& s = states_[slot];
   PARSIM_CHECK(s.live);
-  if (s.done) return;
-  ExpireState(&s);
+  if (!s.running()) return;
+  s.request = kInvalidNodeId;
+  s.expired = true;
   --running_;
 }
 
 KnnResult HsRoundScheduler::Take(std::size_t slot) {
   QueryState& s = states_[slot];
-  PARSIM_CHECK(s.live && s.done);
+  PARSIM_CHECK(s.live && !s.running());
   // Frontier traffic books into the query's host slot — the same sink
   // HsKnn uses for single-query execution.
-  s.acc->slot(s.acc->num_slots() - 1) += s.frontier;
+  s.acc->slot(s.acc->num_slots() - 1) += s.search.frontier;
   s.live = false;
   s.acc = nullptr;
   --occupied_;
   free_slots_.push_back(slot);
-  return std::move(s.result);
+  return std::move(s.search.result);
 }
 
 std::size_t HsRoundScheduler::Step(ThreadPool* pool, RoundStats* round) {
@@ -149,23 +74,16 @@ std::size_t HsRoundScheduler::Step(ThreadPool* pool, RoundStats* round) {
   requests_.clear();
   for (std::size_t i = 0; i < states_.size(); ++i) {
     QueryState& s = states_[i];
-    if (!s.live || s.done) continue;
+    if (!s.running()) continue;
     // Page budgets expire at round granularity: a query at or past its
     // budget stops before fetching another page, keeping its best-first
     // prefix as the partial result.
     if (s.max_pages > 0 && s.acc->TotalPagesTouched() >= s.max_pages) {
-      ExpireState(&s);
+      s.request = kInvalidNodeId;
+      s.expired = true;
       continue;
     }
     requests_.emplace_back(s.request, i);
-  }
-  if (requests_.empty()) {
-    std::size_t running = 0;
-    for (const QueryState& s : states_) {
-      if (s.live && !s.done) ++running;
-    }
-    running_ = running;
-    return running_;
   }
   // Ascending (node id, slot index): the grouping — and with it the
   // buffer-pool access order below — is a pure function of the
@@ -243,14 +161,13 @@ std::size_t HsRoundScheduler::Step(ThreadPool* pool, RoundStats* round) {
       SweepLeafBlockMany(
           block, qbuf.data(), members, metric_,
           [&](std::size_t m) {
-            // Member m's running k-th best point key — HsKnn's bound.
             // Emits only tighten m's own bound, so reading it per
-            // candidate matches the single-query sweep exactly.
-            return states_[requests_[g.begin + m].second].Cutoff();
+            // candidate matches the one-member sweep exactly.
+            return states_[requests_[g.begin + m].second].search.Cutoff();
           },
           [&](std::size_t m, std::size_t i, double key) {
-            states_[requests_[g.begin + m].second].PushPoint(key,
-                                                            block.ids[i]);
+            states_[requests_[g.begin + m].second].search.PushPoint(
+                key, block.ids[i]);
           },
           sweeps.data(), approx_.sweep_factor);
       for (std::size_t m = 0; m < members; ++m) {
@@ -260,39 +177,13 @@ std::size_t HsRoundScheduler::Step(ThreadPool* pool, RoundStats* round) {
         s.block_kernel_invocations += 1;
         g.pruned += sweeps[m].quantized_pruned;
         g.scored += sweeps[m].distance_computations;
-        Advance(&states_[qi]);
+        states_[qi].request = states_[qi].search.Next();
       }
     } else {
       for (std::size_t m = 0; m < members; ++m) {
-        const std::size_t qi = requests_[g.begin + m].second;
-        QueryState& state = states_[qi];
-        const PointView qv(state.query);
-        {
-          ScopedPhase phase(Phase::kDescent);
-          // Fast path: children whose MINDIST strictly exceeds the
-          // member's running k-th-best cutoff can never pop before the
-          // k-th result and are dropped before heap insertion. Ties
-          // MUST still push to preserve the pop sequence (see HsKnn).
-          // Exact cut first (keeps cutoff_skipped_nodes' exact-path
-          // meaning), then the approximate tier's relaxed cut — same
-          // two-step as HsKnn's descent.
-          const double cut = state.Cutoff();
-          const double rcut =
-              approx_.node_factor > 1.0 ? cut / approx_.node_factor : cut;
-          for (const NodeEntry& e : node.entries) {
-            double key;
-            if (MinDistExceeds(e.rect, qv, metric_, cut, &key)) {
-              ++state.frontier.cutoff_skipped_nodes;
-              continue;
-            }
-            if (approx_.node_factor > 1.0 && key > rcut) {
-              ++state.frontier.approx_skipped_nodes;
-              continue;
-            }
-            state.Push(QueryState::Item{key, false, e.child});
-          }
-        }
-        Advance(&state);
+        QueryState& state = states_[requests_[g.begin + m].second];
+        state.search.ExpandDirectory(node, state.query);
+        state.request = state.search.Next();
       }
     }
   };
@@ -310,11 +201,10 @@ std::size_t HsRoundScheduler::Step(ThreadPool* pool, RoundStats* round) {
       round->scored += g.scored;
     }
   }
-  std::size_t running = 0;
+  running_ = 0;
   for (const QueryState& s : states_) {
-    if (s.live && !s.done) ++running;
+    if (s.running()) ++running_;
   }
-  running_ = running;
   return running_;
 }
 

@@ -1,38 +1,59 @@
-// The pausable round scheduler under both batched k-NN execution and the
-// query service: a set of HS best-first searches over ONE shared tree
-// advances in lock-step coalesced rounds (see src/parallel/batch_knn.h
-// for the round/group/leader semantics and the bit-identity argument).
+// The pausable round scheduler under coalesced batch k-NN
+// (ParallelSearchEngine::QueryBatch with coalesced_batch) and the query
+// service: many HS best-first searches (src/index/hs_search.h) over ONE
+// shared tree advance in lock-step rounds.
 //
-// This class generalizes the closed-batch scheduler in three ways the
-// service front-end needs:
+// Each round, every running query exposes the node its search needs
+// next; queries requesting the same node form a group, and the group
+// fetches the page ONCE. The leader — the group's lowest slot — pays the
+// simulated I/O through the normal buffered, fault-aware read path; the
+// other members book the pages they were spared as coalesced_reads (and,
+// on a degraded route, their replica/unavailable pages, so fault
+// semantics stay per-query), and a failed primary's retry penalty is
+// paid once per group. The members then expand the node together: a
+// directory through each member's ExpandDirectory, a leaf through one
+// many-to-many sweep (SweepLeafBlockMany) of every member against every
+// point of the page.
+//
+// Each query's push/pop sequence is the one single-query HsKnn runs:
+// both drive the same HsSearch, and the batched sweep emits each
+// member's candidates exactly as the one-member sweep does. Results are
+// therefore bit-identical to per-query execution; the accounting differs
+// exactly where coalescing saves work. The schedule is deterministic at
+// any thread count: the fetch phase — the only one touching shared
+// state, the buffer-pool LRU — runs serially in ascending (node, slot)
+// order, and the expansion phase, which may fan out over a pool, touches
+// each query in exactly one group per round.
+//
+// A closed batch admits every query up front (a fresh scheduler hands
+// out slots 0, 1, 2, ... in Add order), steps until nothing runs, and
+// takes each slot. The query service uses the rest:
 //
 //   * continuous admission — Add() may be called between any two rounds;
-//     a query's push/pop sequence depends only on its own frontier, so
-//     joining or leaving a round never changes any other query's result
-//     (each remains bit-identical to single-query HsKnn);
+//     a query's sequence depends only on its own frontier, so joining or
+//     leaving a round never changes another query's result;
 //   * per-query k — members of one round may search for different k;
-//   * per-query page budgets — a query whose accumulated page work
-//     reaches its budget is expired at round granularity: it stops
-//     requesting pages and keeps the best-first prefix found so far as a
-//     partial result (pops leave the frontier in ascending key order, so
-//     the prefix is exactly the true top-m). Wall-clock deadlines are
-//     the caller's clock policy: call Expire() before a round.
+//   * per-query page budgets — a query whose page work reaches its
+//     budget expires at round granularity and keeps the best-first
+//     prefix found so far (pops leave the frontier in ascending key
+//     order, so the prefix is exactly the true top-m). Wall-clock
+//     deadlines are the caller's policy: call Expire() before a round.
 //
 // Slots are reused through a free list, so a long-lived service reaches
 // a steady state where rounds allocate nothing. Only one thread may call
-// Add/Step/Expire/Take (the scheduling thread); Step's expansion phase
-// fans out over the given pool internally.
+// Add/Step/Expire/Take; Step's expansion phase fans out over the given
+// pool internally.
 
 #ifndef PARSIM_SRC_PARALLEL_ROUND_SCHEDULER_H_
 #define PARSIM_SRC_PARALLEL_ROUND_SCHEDULER_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "src/geometry/metric.h"
 #include "src/geometry/point.h"
+#include "src/index/hs_search.h"
 #include "src/index/knn.h"
 #include "src/index/tree_base.h"
 #include "src/io/cost_capture.h"
@@ -82,9 +103,7 @@ class HsRoundScheduler {
   std::size_t Step(ThreadPool* pool, RoundStats* round = nullptr);
 
   /// True while the slot has neither finished nor expired.
-  bool IsRunning(std::size_t slot) const {
-    return states_[slot].live && !states_[slot].done;
-  }
+  bool IsRunning(std::size_t slot) const { return states_[slot].running(); }
   /// True when the slot stopped on a budget/deadline with a partial
   /// result rather than completing its search.
   bool IsExpired(std::size_t slot) const {
@@ -96,8 +115,8 @@ class HsRoundScheduler {
   void Expire(std::size_t slot);
 
   /// Finalizes a finished or expired slot: books its frontier counters
-  /// into the accumulator's host slot (HsKnn's frontier sink),
-  /// frees the slot for reuse, and moves the result out.
+  /// into the accumulator's host slot (where HsKnn books them), frees
+  /// the slot for reuse, and moves the result out.
   KnnResult Take(std::size_t slot);
 
   /// Queries admitted and not yet taken, running or settled.
@@ -106,60 +125,23 @@ class HsRoundScheduler {
   std::size_t running() const { return running_; }
 
  private:
-  /// One query's pausable best-first search; the queue/bound structures
-  /// replay HsKnn exactly (see src/parallel/batch_knn.h).
+  /// One admitted query: its best-first search plus the scheduling
+  /// state around it.
   struct QueryState {
-    struct Item {
-      double key;
-      bool is_point;
-      std::uint32_t ref;  // NodeId or PointId
-    };
-    struct GreaterKey {
-      bool operator()(const Item& a, const Item& b) const {
-        return a.key > b.key;
-      }
-    };
-    /// Binary min-heap via push_heap/pop_heap with GreaterKey — the
-    /// exact algorithm std::priority_queue runs internally, in reusable
-    /// storage that is reserved once and never reallocated in steady
-    /// state. Identical pop sequence.
-    std::vector<Item> queue;
-    /// Max-heap of the k smallest point keys pushed so far — HsKnn's
-    /// pruning bound. Points beyond it can never pop before the k-th
-    /// result does, so skipping them is invisible to the pop sequence
-    /// but keeps the frontier small enough that a wide round stays
-    /// cache resident.
-    std::vector<double> bound;
+    HsSearch search;
     /// This slot's query coordinates (owned; dim() scalars).
     std::vector<Scalar> query;
-    KnnResult result;
     QueryCostAccumulator* acc = nullptr;
-    std::size_t k = 0;
     /// Page budget; 0 = unbudgeted.
     std::uint64_t max_pages = 0;
-    /// The node the frontier needs next; kInvalidNodeId while none.
+    /// The node the search needs next (HsSearch::Next); kInvalidNodeId
+    /// once the query finished or expired.
     NodeId request = kInvalidNodeId;
     bool live = false;
-    bool done = false;
     bool expired = false;
-    /// This query's frontier traffic, booked into its host stats slot by
-    /// Take (where HsKnn books it for single-query execution).
-    Counters frontier;
 
-    void Push(const Item& item);
-    Item Pop();
-    void PushPoint(double key, std::uint32_t id);
-    /// HsKnn's running comparable-space cutoff: the k-th best point key,
-    /// +inf while fewer than k points were pushed.
-    double Cutoff() const {
-      return bound.size() < k ? std::numeric_limits<double>::infinity()
-                              : bound.front();
-    }
+    bool running() const { return live && request != kInvalidNodeId; }
   };
-
-  /// Replays HsKnn's main loop until the query finishes or needs a node.
-  void Advance(QueryState* q);
-  void ExpireState(QueryState* q);
 
   const TreeBase& tree_;
   const Metric& metric_;

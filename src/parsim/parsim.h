@@ -10,6 +10,8 @@
 //   * ParallelSearchEngine — declusters a PointSet over simulated disks,
 //     one X-tree per disk, merged parallel k-NN queries.
 //   * XTree / RStarTree + HsKnn / RkvKnn — the index substrate.
+//   * HsSearch — one query's best-first frontier, driven to the end by
+//     HsKnn and in coalesced rounds by HsRoundScheduler.
 //   * workload generators, analytic cost model, experiment runner.
 
 #ifndef PARSIM_SRC_PARSIM_PARSIM_H_
@@ -36,6 +38,7 @@
 #include "src/geometry/rect.h"
 #include "src/geometry/sq8.h"
 #include "src/hilbert/hilbert.h"
+#include "src/index/hs_search.h"
 #include "src/index/knn.h"
 #include "src/index/leaf_block.h"
 #include "src/index/leaf_sweep.h"
@@ -46,7 +49,6 @@
 #include "src/io/disk.h"
 #include "src/io/disk_array.h"
 #include "src/io/disk_model.h"
-#include "src/parallel/batch_knn.h"
 #include "src/parallel/engine.h"
 #include "src/parallel/join.h"
 #include "src/parallel/route_memo.h"

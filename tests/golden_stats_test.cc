@@ -10,8 +10,10 @@
 //   PARSIM_UPDATE_GOLDEN=1 ./golden_stats_test
 // and commit the updated tests/golden/query_stats.golden alongside it.
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -343,6 +345,79 @@ std::string RenderActualStats(Counters* rendered) {
     out << "query " << qi
         << ": recall=" << FormatDouble(RecallAtK(got, truth[qi], k)) << " ";
     AppendQueryStats(&out, stats, rendered);
+  }
+
+  // Ties: every point of the lattice {0, 1/8, ..., 7/8}^4 (exact in
+  // float) is stored twice, so neighbours come in equal-distance twins,
+  // and with odd k the k-th neighbour's twin falls just outside the
+  // answer. Which twin wins is decided by the frontier's order among
+  // equal keys, so a hash of each (id, distance) list pins the tie
+  // handling of the single-query search and of the coalesced rounds, on
+  // the exact and the SQ8 engine alike.
+  const std::size_t lattice_dim = 4;
+  const std::size_t lattice_k = 9;
+  PointSet lattice(lattice_dim);
+  for (int copy = 0; copy < 2; ++copy) {
+    for (std::size_t code = 0; code < 4096; ++code) {
+      std::vector<Scalar> p(lattice_dim);
+      for (std::size_t j = 0; j < lattice_dim; ++j) {
+        p[j] = static_cast<Scalar>((code >> (3 * j)) & 7) / 8.0f;
+      }
+      lattice.Add(p);
+    }
+  }
+  PointSet lattice_queries(lattice_dim);
+  for (const std::vector<Scalar>& q :
+       {std::vector<Scalar>{0, 0, 0, 0}, std::vector<Scalar>{3, 4, 2, 5},
+        std::vector<Scalar>{7, 1, 6, 3}, std::vector<Scalar>{4, 4, 4, 4}}) {
+    std::vector<Scalar> p(q);
+    for (Scalar& c : p) c /= 8.0f;
+    lattice_queries.Add(p);
+  }
+  const auto hash_neighbors = [](const KnnResult& result) {
+    std::uint64_t h = 14695981039346656037ull;  // FNV-1a
+    const auto mix = [&h](std::uint64_t word) {
+      for (int byte = 0; byte < 8; ++byte) {
+        h = (h ^ ((word >> (8 * byte)) & 0xff)) * 1099511628211ull;
+      }
+    };
+    for (const Neighbor& n : result) {
+      std::uint64_t bits;
+      std::memcpy(&bits, &n.distance, sizeof(bits));
+      mix(n.id);
+      mix(bits);
+    }
+    return h;
+  };
+  out << "[knn lattice ties d=4 n=8192 k=9]\n";
+  for (const bool quantized : {false, true}) {
+    EngineOptions tie_options = options;
+    tie_options.coalesced_batch = true;
+    tie_options.quantized_leaf_blocks = quantized;
+    ParallelSearchEngine tie_engine(
+        lattice_dim,
+        std::make_unique<NearOptimalDeclusterer>(lattice_dim, disks),
+        tie_options);
+    EXPECT_TRUE(tie_engine.Build(lattice).ok());
+    const char* name = quantized ? "sq8" : "exact";
+    std::vector<KnnResult> single;
+    for (std::size_t qi = 0; qi < lattice_queries.size(); ++qi) {
+      QueryStats stats;
+      single.push_back(
+          tie_engine.Query(lattice_queries[qi], lattice_k, &stats));
+      out << name << " query " << qi
+          << ": hash=" << hash_neighbors(single.back()) << ' ';
+      AppendQueryStats(&out, stats, rendered);
+    }
+    std::vector<QueryStats> batch_stats;
+    const std::vector<KnnResult> batch = tie_engine.QueryBatch(
+        lattice_queries, lattice_k, &batch_stats, /*threads=*/2);
+    for (std::size_t qi = 0; qi < lattice_queries.size(); ++qi) {
+      EXPECT_EQ(batch[qi], single[qi]) << name << " query " << qi;
+      out << name << " batch " << qi << ": hash=" << hash_neighbors(batch[qi])
+          << ' ';
+      AppendQueryStats(&out, batch_stats[qi], rendered);
+    }
   }
   return out.str();
 }

@@ -173,6 +173,7 @@ TEST(BulkLoadTest, HilbertPackingClustersSpatially) {
     }
   }
   ASSERT_GT(leaves, 0u);
+  EXPECT_EQ(leaves, stats.num_leaves);
   EXPECT_LT(total_volume / static_cast<double>(leaves),
             5.0 / static_cast<double>(leaves));
 }

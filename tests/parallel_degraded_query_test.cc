@@ -116,7 +116,9 @@ TEST_F(DegradedQueryTest, QuantizedFailoverMatchesHealthyExact) {
       EXPECT_EQ(stats.unavailable_pages, 0u);
       replica_pages += stats.replica_pages;
       quantized_pruned += stats.quantized_pruned;
-      if (stats.replica_pages > 0) EXPECT_TRUE(stats.degraded);
+      if (stats.replica_pages > 0) {
+        EXPECT_TRUE(stats.degraded);
+      }
     }
     quant.ClearFaults();
   }

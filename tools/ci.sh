@@ -1,7 +1,12 @@
 #!/usr/bin/env bash
 # CI driver for the execution layer.
 #
-#   1. Release build + the full test suite (the tier-1 gate), then the
+#   1. Clean Release build of every target, failing on any compiler
+#      warning that points into the repo's own sources (src/, tests/,
+#      tools/, bench/, examples/; the library already builds with
+#      -Werror, the other targets do not). Diagnostics under
+#      /usr/include — GCC 12's libstdc++ false positives — are not
+#      matched. Then the full test suite (the tier-1 gate) and the
 #      perf ledger's smoke mode (bench/ledger/run.py --smoke): all five
 #      ledger workloads at about 1/50 size for 1 s each, exiting nonzero
 #      on any wrong answer (k-NN oracle, page conservation, join pairs,
@@ -31,7 +36,14 @@ JOBS="${JOBS:-$(nproc)}"
 
 echo "== [1/4] Release build + full suite + perf ledger smoke =="
 cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=Release
-cmake --build build-ci -j "$JOBS"
+# --clean-first: every source compiles, so every warning reaches the log.
+cmake --build build-ci -j "$JOBS" --clean-first 2>&1 \
+    | tee build-ci/build.log
+if grep -E "^($PWD/)?(src|tests|tools|bench|examples)/[^:]+:[0-9]+:([0-9]+:)? warning:" \
+        build-ci/build.log; then
+    echo "ci: compiler warnings in repo sources (listed above)" >&2
+    exit 1
+fi
 ctest --test-dir build-ci --output-on-failure -j "$JOBS"
 echo "-- smoke: perf ledger"
 python3 bench/ledger/run.py --smoke --out build-ci/ledger-smoke

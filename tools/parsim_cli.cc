@@ -1,9 +1,9 @@
 // parsim command-line tool: generate workloads, build/persist indexes,
 // and run declustering experiments without writing C++.
 //
-//   parsim_cli generate --workload=fourier --mb=8 --dim=15 --seed=7 \
+//   parsim_cli generate --workload=fourier --mb=8 --dim=15 --seed=7
 //              --out=/tmp/parts.bin
-//   parsim_cli experiment --data=/tmp/parts.bin --declusterer=new \
+//   parsim_cli experiment --data=/tmp/parts.bin --declusterer=new
 //              --disks=16 --k=10 --queries=20
 //   parsim_cli compare --data=/tmp/parts.bin --disks=16 --k=10
 //   parsim_cli info --data=/tmp/parts.bin
