@@ -1044,6 +1044,121 @@ __attribute__((target("avx2,fma"))) void LmaxBlockAvx2(
 
 #endif  // PARSIM_METRIC_X86
 
+// ---------------------------------------------------------------------
+// Point-to-many-boxes MINDIST over a dimension-major box image (a
+// directory node's DirImage): box j's bounds in dimension i are
+// lo[i * stride + j] and hi[i * stride + j]. Each box replays the
+// per-dimension sequence of MinDistComparable (src/index/knn.cc):
+//   gap = std::max(std::max(lo - q, q - hi), 0.0), accumulated in
+//   dimension order by sum += gap * gap (L2), sum += gap (L1) or
+//   best = std::max(best, gap) (Lmax),
+// so every value is bit-identical to it. std::max(a, b) returns
+// (a < b) ? b : a, which is exactly _mm256_max_pd(b, a) (MAXPD returns
+// its second operand when the two compare equal, as for -0.0 vs +0.0);
+// the AVX2 variant writes every max with swapped operands, and it is
+// compiled without FMA so gap * gap + sum never fuses.
+// ---------------------------------------------------------------------
+
+using MinDistManyKernel = void (*)(const float*, const float*, const float*,
+                                   std::size_t, std::size_t, std::size_t,
+                                   double*);
+
+/// Dimension-outer scalar loop: each box still accumulates its own
+/// dimensions in order, and out[] doubles as the accumulator row.
+template <MetricKind kKind>
+void MinDistManyUnrolled(const float* query, const float* lo, const float* hi,
+                         std::size_t count, std::size_t stride,
+                         std::size_t dim, double* out) {
+  std::fill(out, out + count, 0.0);
+  for (std::size_t i = 0; i < dim; ++i) {
+    const double q = static_cast<double>(query[i]);
+    const float* lo_row = lo + i * stride;
+    const float* hi_row = hi + i * stride;
+    for (std::size_t j = 0; j < count; ++j) {
+      const double below = static_cast<double>(lo_row[j]) - q;
+      const double above = q - static_cast<double>(hi_row[j]);
+      const double gap = std::max(std::max(below, above), 0.0);
+      if constexpr (kKind == MetricKind::kL2) {
+        out[j] += gap * gap;
+      } else if constexpr (kKind == MetricKind::kL1) {
+        out[j] += gap;
+      } else {
+        out[j] = std::max(out[j], gap);
+      }
+    }
+  }
+}
+
+#ifdef PARSIM_METRIC_X86
+
+/// One dimension's step for four boxes: acc op gap(q, lo, hi).
+template <MetricKind kKind>
+__attribute__((target("avx2"))) inline __m256d MinDistStep(__m256d acc,
+                                                            __m256d q,
+                                                            __m128 lo,
+                                                            __m128 hi) {
+  const __m256d below = _mm256_sub_pd(_mm256_cvtps_pd(lo), q);
+  const __m256d above = _mm256_sub_pd(q, _mm256_cvtps_pd(hi));
+  const __m256d gap = _mm256_max_pd(_mm256_setzero_pd(),
+                                    _mm256_max_pd(above, below));
+  if constexpr (kKind == MetricKind::kL2) {
+    return _mm256_add_pd(acc, _mm256_mul_pd(gap, gap));
+  } else if constexpr (kKind == MetricKind::kL1) {
+    return _mm256_add_pd(acc, gap);
+  } else {
+    return _mm256_max_pd(gap, acc);
+  }
+}
+
+/// Eight boxes per iteration (two independent accumulator chains), then
+/// four, then the last one to three through masked loads and stores, so
+/// nothing reads or writes past the image.
+template <MetricKind kKind>
+__attribute__((target("avx2"))) void MinDistManyAvx2(
+    const float* query, const float* lo, const float* hi, std::size_t count,
+    std::size_t stride, std::size_t dim, double* out) {
+  std::size_t j = 0;
+  for (; j + 8 <= count; j += 8) {
+    __m256d acc0 = _mm256_setzero_pd();
+    __m256d acc1 = _mm256_setzero_pd();
+    for (std::size_t i = 0; i < dim; ++i) {
+      const __m256d q = _mm256_set1_pd(static_cast<double>(query[i]));
+      const float* l = lo + i * stride + j;
+      const float* h = hi + i * stride + j;
+      acc0 = MinDistStep<kKind>(acc0, q, _mm_loadu_ps(l), _mm_loadu_ps(h));
+      acc1 = MinDistStep<kKind>(acc1, q, _mm_loadu_ps(l + 4),
+                                _mm_loadu_ps(h + 4));
+    }
+    _mm256_storeu_pd(out + j, acc0);
+    _mm256_storeu_pd(out + j + 4, acc1);
+  }
+  if (j + 4 <= count) {
+    __m256d acc = _mm256_setzero_pd();
+    for (std::size_t i = 0; i < dim; ++i) {
+      const __m256d q = _mm256_set1_pd(static_cast<double>(query[i]));
+      acc = MinDistStep<kKind>(acc, q, _mm_loadu_ps(lo + i * stride + j),
+                               _mm_loadu_ps(hi + i * stride + j));
+    }
+    _mm256_storeu_pd(out + j, acc);
+    j += 4;
+  }
+  if (j < count) {
+    const int rest = static_cast<int>(count - j);
+    const __m128i mask = _mm_cmpgt_epi32(_mm_set1_epi32(rest),
+                                         _mm_setr_epi32(0, 1, 2, 3));
+    __m256d acc = _mm256_setzero_pd();
+    for (std::size_t i = 0; i < dim; ++i) {
+      const __m256d q = _mm256_set1_pd(static_cast<double>(query[i]));
+      acc = MinDistStep<kKind>(acc, q,
+                               _mm_maskload_ps(lo + i * stride + j, mask),
+                               _mm_maskload_ps(hi + i * stride + j, mask));
+    }
+    _mm256_maskstore_pd(out + j, _mm256_cvtepi32_epi64(mask), acc);
+  }
+}
+
+#endif  // PARSIM_METRIC_X86
+
 /// One query's codes against a contiguous block of code rows.
 using Sq8ManyKernel = void (*)(const std::uint8_t*, const std::uint8_t*,
                                std::size_t, std::size_t, std::uint32_t*);
@@ -1137,18 +1252,25 @@ struct KernelTable {
   Sq8ManyUnderKernel sq8_sad_many_under;
   Sq8ManyUnderKernel sq8_ssd_many_under;
   Sq8ManyUnderKernel sq8_mad_many_under;
+  /// Point-to-boxes MINDIST over a directory image.
+  MinDistManyKernel min_dist_l2_many;
+  MinDistManyKernel min_dist_l1_many;
+  MinDistManyKernel min_dist_lmax_many;
   bool simd;
 };
 
 KernelTable PickKernels() {
 #ifdef PARSIM_METRIC_X86
-  // The SQ8 kernels only need avx2, but they dispatch together with the
-  // float kernels: one cpuid decision, one table.
+  // The SQ8 and MINDIST kernels only need avx2, but they dispatch
+  // together with the float kernels: one cpuid decision, one table.
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
     return {SquaredL2Avx2,        L1Avx2,              LmaxAvx2,
             SquaredL2BlockAvx2,   L1BlockAvx2,         LmaxBlockAvx2,
             Sq8SadManyAvx2,       Sq8SsdManyAvx2,      Sq8MadManyAvx2,
             Sq8SadManyUnderAvx2,  Sq8SsdManyUnderAvx2, Sq8MadManyUnderAvx2,
+            MinDistManyAvx2<MetricKind::kL2>,
+            MinDistManyAvx2<MetricKind::kL1>,
+            MinDistManyAvx2<MetricKind::kLmax>,
             /*simd=*/true};
   }
 #endif
@@ -1157,8 +1279,12 @@ KernelTable PickKernels() {
           Sq8SadManyUnrolled,      Sq8SsdManyUnrolled,   Sq8MadManyUnrolled,
           Sq8SadManyUnderUnrolled, Sq8SsdManyUnderUnrolled,
           Sq8MadManyUnderUnrolled,
+          MinDistManyUnrolled<MetricKind::kL2>,
+          MinDistManyUnrolled<MetricKind::kL1>,
+          MinDistManyUnrolled<MetricKind::kLmax>,
           /*simd=*/false};
 }
+
 
 const KernelTable& Kernels() {
   static const KernelTable table = PickKernels();
@@ -1170,6 +1296,26 @@ const KernelTable& Kernels() {
 namespace detail {
 
 bool SimdEnabled() { return Kernels().simd; }
+
+void MinDistManyScalar(MetricKind kind, PointView query, const Scalar* lo,
+                       const Scalar* hi, std::size_t count,
+                       std::size_t stride, double* out) {
+  MinDistManyKernel kernel;
+  switch (kind) {
+    case MetricKind::kL1:
+      kernel = MinDistManyUnrolled<MetricKind::kL1>;
+      break;
+    case MetricKind::kL2:
+      kernel = MinDistManyUnrolled<MetricKind::kL2>;
+      break;
+    case MetricKind::kLmax:
+      kernel = MinDistManyUnrolled<MetricKind::kLmax>;
+      break;
+    default:
+      PARSIM_UNREACHABLE();
+  }
+  kernel(query.data(), lo, hi, count, stride, query.size(), out);
+}
 
 }  // namespace detail
 
@@ -1309,6 +1455,18 @@ Sq8ManyKernel Sq8ManyKernelFor(MetricKind kind) {
   PARSIM_UNREACHABLE();
 }
 
+MinDistManyKernel MinDistManyKernelFor(MetricKind kind) {
+  switch (kind) {
+    case MetricKind::kL1:
+      return Kernels().min_dist_l1_many;
+    case MetricKind::kL2:
+      return Kernels().min_dist_l2_many;
+    case MetricKind::kLmax:
+      return Kernels().min_dist_lmax_many;
+  }
+  PARSIM_UNREACHABLE();
+}
+
 Sq8ManyUnderKernel Sq8ManyUnderKernelFor(MetricKind kind) {
   switch (kind) {
     case MetricKind::kL1:
@@ -1322,6 +1480,14 @@ Sq8ManyUnderKernel Sq8ManyUnderKernelFor(MetricKind kind) {
 }
 
 }  // namespace
+
+void Metric::MinDistMany(PointView query, const Scalar* lo, const Scalar* hi,
+                         std::size_t count, std::size_t stride,
+                         double* out) const {
+  PARSIM_DCHECK(stride >= count);
+  MinDistManyKernelFor(kind_)(query.data(), lo, hi, count, stride,
+                              query.size(), out);
+}
 
 void Metric::Sq8Many(const std::uint8_t* query, const std::uint8_t* codes,
                      std::size_t count, std::size_t dim,

@@ -67,6 +67,12 @@ std::uint32_t Sq8SsdScalar(const std::uint8_t* a, const std::uint8_t* b,
 std::uint32_t Sq8MadScalar(const std::uint8_t* a, const std::uint8_t* b,
                            std::size_t n);
 
+/// Portable version of Metric::MinDistMany for `kind`, the reference the
+/// dispatched kernel is tested against.
+void MinDistManyScalar(MetricKind kind, PointView query, const Scalar* lo,
+                       const Scalar* hi, std::size_t count,
+                       std::size_t stride, double* out);
+
 }  // namespace detail
 
 /// The dispatched pair kernel underlying Comparable(): two row-major
@@ -109,6 +115,17 @@ class Metric {
   /// is bit-identical to the corresponding one-to-one Comparable() call.
   void ComparableMany(PointView query, const Scalar* points,
                       std::size_t count, std::size_t dim, double* out) const;
+
+  /// One-point-to-many-boxes MINDIST, the directory expansion's kernel:
+  /// out[j] is the MINDIST from `query` to box j in the comparable scale
+  /// (squared for L2), where box j spans [lo[i * stride + j],
+  /// hi[i * stride + j]] in dimension i — the dimension-major layout of a
+  /// directory node's DirImage (src/index/node.h), stride >= count. Each
+  /// out[j] is bit-identical to MinDistComparable(rect_j, query, *this)
+  /// (src/index/knn.h): the per-dimension operations run in the same
+  /// order, and neither path fuses a multiply into an add.
+  void MinDistMany(PointView query, const Scalar* lo, const Scalar* hi,
+                   std::size_t count, std::size_t stride, double* out) const;
 
   /// Many-queries-to-many-points kernel, the batched execution path's
   /// workhorse: out[q * count + i] = Comparable(query_q, p_i), where

@@ -91,13 +91,14 @@ class HsSearch {
   }
 
   /// Pushes the children of directory `node`, keyed by their MINDIST to
-  /// `query`. With the bound full, a child whose MINDIST strictly exceeds
-  /// Cutoff() can never pop before the search ends: the k queued points
-  /// with keys <= Cutoff() all pop first, and the k-th ends it. Such a
-  /// child is not pushed, and MinDistExceeds stops its accumulation the
-  /// moment it crosses the cutoff; no pop changes. A tie MUST still push:
-  /// a node keyed exactly at the cutoff may pop before an equal-keyed
-  /// point, and dropping it could change the visit sequence.
+  /// `query`: one Metric::MinDistMany call scores every child of the
+  /// node's DirImage, and the children are then walked in entry order.
+  /// With the bound full, a child whose MINDIST strictly exceeds Cutoff()
+  /// can never pop before the search ends: the k queued points with keys
+  /// <= Cutoff() all pop first, and the k-th ends it. Such a child is not
+  /// pushed; no pop changes. A tie MUST still push: a node keyed exactly
+  /// at the cutoff may pop before an equal-keyed point, and dropping it
+  /// could change the visit sequence.
   ///
   /// The exact cutoff test runs first, so cutoff_skipped_nodes keeps its
   /// exact-path meaning (and its count at eps=0); children inside the
@@ -105,12 +106,16 @@ class HsSearch {
   /// own skips.
   void ExpandDirectory(const Node& node, PointView query) {
     ScopedPhase phase(Phase::kDescent);
+    const DirImage& image = node.image;
+    const std::size_t n = image.count();
+    if (keys_.size() < n) keys_.resize(n);
+    metric_->MinDistMany(query, image.lo(), image.hi(), n, n, keys_.data());
     const bool node_approx = approx_.node_factor > 1.0;
     const double cut = Cutoff();
     const double rcut = node_approx ? cut / approx_.node_factor : cut;
-    for (const NodeEntry& e : node.entries) {
-      double key;
-      if (MinDistExceeds(e.rect, query, *metric_, cut, &key)) {
+    for (std::size_t j = 0; j < n; ++j) {
+      const double key = keys_[j];
+      if (key > cut) {
         ++frontier.cutoff_skipped_nodes;
         continue;
       }
@@ -118,7 +123,7 @@ class HsSearch {
         ++frontier.approx_skipped_nodes;
         continue;
       }
-      Push(Item{key, false, e.child});
+      Push(Item{key, false, image.children[j]});
     }
   }
 
@@ -185,6 +190,8 @@ class HsSearch {
   std::vector<Item> heap_;
   /// Max-heap of the k smallest point keys pushed so far.
   std::vector<double> bound_;
+  /// ExpandDirectory's MINDIST of every child, grown to the widest node.
+  std::vector<double> keys_;
 };
 
 }  // namespace parsim

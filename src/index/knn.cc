@@ -193,9 +193,10 @@ KnnResult HsKnn(const TreeBase& tree, PointView query, std::size_t k,
   search.Start(tree.root_id(), k, metric, approx);
   for (NodeId id = search.Next(); id != kInvalidNodeId; id = search.Next()) {
     const Node* node;
+    TreeBase::DiskRoute route;
     {
       ScopedPhase phase(Phase::kIo);
-      node = &tree.AccessNode(id);
+      node = &tree.AccessNode(id, &route);
     }
     if (!node->IsLeaf()) {
       search.ExpandDirectory(*node, query);
@@ -203,7 +204,7 @@ KnnResult HsKnn(const TreeBase& tree, PointView query, std::size_t k,
     }
     const LeafBlock& block = tree.LeafBlockOf(*node);
     tree.ChargeLeafSweep(
-        *node, SweepLeafDistances(
+        route, SweepLeafDistances(
                    block, query, metric, [&] { return search.Cutoff(); },
                    [&](std::size_t i, double key) {
                      search.PushPoint(key, block.ids[i]);
@@ -218,14 +219,15 @@ namespace {
 
 void RkvVisit(const TreeBase& tree, NodeId node_id, PointView query,
               std::size_t k, const Metric& metric, TopK* best) {
-  const Node& node = tree.AccessNode(node_id);
+  TreeBase::DiskRoute route;
+  const Node& node = tree.AccessNode(node_id, &route);
   if (node.IsLeaf()) {
     // TopK::Offer rejects keys >= Threshold() when full, so pruning on
     // the (re-read, tightening) threshold preserves the heap's update
     // sequence exactly.
     const LeafBlock& block = tree.LeafBlockOf(node);
     tree.ChargeLeafSweep(
-        node, SweepLeafDistances(
+        route, SweepLeafDistances(
                   block, query, metric, [&] { return best->Threshold(); },
                   [&](std::size_t i, double key) {
                     best->Offer(key, block.ids[i]);
@@ -283,17 +285,19 @@ KnnResult BallQuery(const TreeBase& tree, PointView query, double radius,
   if (tree.root_id() == kInvalidNodeId) return out;
   const double threshold = metric.ToComparable(radius);
   std::vector<NodeId> stack = {tree.root_id()};
+  std::vector<double> keys;
   while (!stack.empty()) {
     const NodeId id = stack.back();
     stack.pop_back();
-    const Node& node = tree.AccessNode(id);
+    TreeBase::DiskRoute route;
+    const Node& node = tree.AccessNode(id, &route);
     if (node.IsLeaf()) {
       // Constant threshold (the ball radius in the comparable scale):
       // a candidate with lower bound above it fails `<= threshold` for
       // sure, so the emitted set is unchanged.
       const LeafBlock& block = tree.LeafBlockOf(node);
       tree.ChargeLeafSweep(
-          node, SweepLeafDistances(
+          route, SweepLeafDistances(
                     block, query, metric, [&] { return threshold; },
                     [&](std::size_t i, double key) {
                       if (key <= threshold) {
@@ -302,10 +306,14 @@ KnnResult BallQuery(const TreeBase& tree, PointView query, double radius,
                       }
                     }));
     } else {
-      for (const NodeEntry& e : node.entries) {
-        if (MinDistComparable(e.rect, query, metric) <= threshold) {
-          stack.push_back(e.child);
-        }
+      // One kernel call over the node's image; its keys are the
+      // MinDistComparable values bit for bit.
+      const DirImage& image = node.image;
+      keys.resize(image.count());
+      metric.MinDistMany(query, image.lo(), image.hi(), image.count(),
+                         image.count(), keys.data());
+      for (std::size_t j = 0; j < image.count(); ++j) {
+        if (keys[j] <= threshold) stack.push_back(image.children[j]);
       }
     }
   }

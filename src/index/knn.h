@@ -104,9 +104,8 @@ double MinDistComparable(const Rect& rect, PointView query,
 /// all-pairs similarity join (compare against ToComparable(epsilon)).
 double MinDistComparable(const Rect& a, const Rect& b, const Metric& metric);
 
-/// Early-exit MINDIST against a known cutoff (the descent fast path of
-/// HsSearch::ExpandDirectory, and the self-join's row-vs-box test):
-/// returns true iff
+/// Early-exit MINDIST against a known cutoff (the self-join's
+/// row-vs-box test): returns true iff
 /// MinDistComparable(rect, query, metric) > cutoff, bailing out of the
 /// per-dimension loop as soon as the partial accumulation — a
 /// nondecreasing sum/max of nonnegative terms — already exceeds it.

@@ -64,6 +64,7 @@ struct LeafSweepScratch {
   std::vector<Sq8Bound> bounds;        // one per member
   std::vector<std::uint32_t> survivors;  // bound survivors of one sweep
   std::vector<std::uint32_t> active;   // members surviving the base prune
+  std::vector<double> active_cuts;     // their PruneCutoff at block entry
 };
 
 LeafSweepScratch& SweepScratch();
@@ -163,9 +164,12 @@ void SweepLeafBlockMany(const LeafBlock& block, const Scalar* queries,
   // batches most member/block pairs end here, at the cost of one query
   // preparation and one compare.
   scratch.active.clear();
+  scratch.active_cuts.clear();
   for (std::size_t m = 0; m < members; ++m) {
     const double t = threshold(m);
-    if (scratch.bounds[m].PruneCutoff(approx ? t / approx_factor : t) < 0.0) {
+    const double dcut =
+        scratch.bounds[m].PruneCutoff(approx ? t / approx_factor : t);
+    if (dcut < 0.0) {
       stats[m].quantized_pruned += block.count;
       stats[m].base_pruned += block.count;
       if (approx && scratch.bounds[m].PruneCutoff(t) < 0.0) {
@@ -173,6 +177,7 @@ void SweepLeafBlockMany(const LeafBlock& block, const Scalar* queries,
       }
     } else {
       scratch.active.push_back(static_cast<std::uint32_t>(m));
+      scratch.active_cuts.push_back(dcut);
     }
   }
   const std::size_t nactive = scratch.active.size();
@@ -207,78 +212,72 @@ void SweepLeafBlockMany(const LeafBlock& block, const Scalar* queries,
     // under any later (tighter) cutoff too, and one that entry-survives
     // but reaches the emit loop after a tightening is caught by the
     // re-check — at one compare per candidate plus one per survivor.
+    // Only m's own emits move threshold(m), and none came since the base
+    // prune, so its cutoff from there still holds (and is >= 0).
     double last_threshold = threshold(m);
-    double dcut = scratch.bounds[m].PruneCutoff(
-        approx ? last_threshold / approx_factor : last_threshold);
-    if (dcut < 0.0) {
-      sweep.base_pruned += block.count;
-      if (approx && scratch.bounds[m].PruneCutoff(last_threshold) < 0.0) {
-        sweep.approx_pruned_exactly += block.count;
-      }
-    } else {
-      std::uint32_t cutoff = detail::IntCutoff(dcut);
-      // Exact-attribution twin of `cutoff` (approx only): the integer
-      // cutoff the lossless contract would use at the same threshold.
-      // PruneCutoff is monotone in its threshold and the relaxed cutoff
-      // was non-negative, so the exact one is too, ecut >= cutoff, and
-      // the exactly-proven prunes are a subset of the relaxed prunes.
-      std::uint32_t ecut = 0;
+    double dcut = scratch.active_cuts[a];
+    std::uint32_t cutoff = detail::IntCutoff(dcut);
+    // Exact-attribution twin of `cutoff` (approx only): the integer
+    // cutoff the lossless contract would use at the same threshold.
+    // PruneCutoff is monotone in its threshold and the relaxed cutoff
+    // was non-negative, so the exact one is too, ecut >= cutoff, and
+    // the exactly-proven prunes are a subset of the relaxed prunes.
+    std::uint32_t ecut = 0;
+    if (approx) {
+      ecut = detail::IntCutoff(scratch.bounds[m].PruneCutoff(last_threshold));
+    }
+    std::size_t nsurv;
+    {
+      ScopedPhase phase(Phase::kSweepFull);
+      nsurv = detail::CollectSurvivors(row, block.count, cutoff,
+                                       scratch.survivors.data());
+      sweep.sq8_pruned += block.count - nsurv;
       if (approx) {
-        ecut = detail::IntCutoff(scratch.bounds[m].PruneCutoff(last_threshold));
+        sweep.approx_pruned_exactly +=
+            block.count - detail::CountSurvivors(row, block.count, ecut);
       }
-      std::size_t nsurv;
-      {
-        ScopedPhase phase(Phase::kSweepFull);
-        nsurv = detail::CollectSurvivors(row, block.count, cutoff,
-                                         scratch.survivors.data());
-        sweep.sq8_pruned += block.count - nsurv;
-        if (approx) {
-          sweep.approx_pruned_exactly +=
-              block.count - detail::CountSurvivors(row, block.count, ecut);
-        }
+    }
+    ScopedPhase phase(Phase::kSweepRerank);
+    // The threshold can only tighten when an emit lands, so it is
+    // re-read once per emit instead of once per survivor — every
+    // survivor still sees the same (cutoff, dcut) state as the
+    // read-every-iteration loop, and the counters match it exactly.
+    for (std::size_t s = 0; s < nsurv; ++s) {
+      const std::size_t i = scratch.survivors[s];
+      if (row[i] > cutoff) {
+        ++sweep.sq8_pruned;
+        if (approx && row[i] > ecut) ++sweep.approx_pruned_exactly;
+        continue;
       }
-      ScopedPhase phase(Phase::kSweepRerank);
-      // The threshold can only tighten when an emit lands, so it is
-      // re-read once per emit instead of once per survivor — every
-      // survivor still sees the same (cutoff, dcut) state as the
-      // read-every-iteration loop, and the counters match it exactly.
-      for (std::size_t s = 0; s < nsurv; ++s) {
-        const std::size_t i = scratch.survivors[s];
-        if (row[i] > cutoff) {
-          ++sweep.sq8_pruned;
-          if (approx && row[i] > ecut) ++sweep.approx_pruned_exactly;
-          continue;
-        }
-        ++sweep.reranked;
-        emit(m, i, exact(qrow, block.row(i).data(), dim));
-        const double t = threshold(m);
-        if (t != last_threshold) {
-          last_threshold = t;
-          dcut = scratch.bounds[m].PruneCutoff(approx ? t / approx_factor : t);
-          if (dcut < 0.0) {
-            sweep.base_pruned += nsurv - s - 1;
-            if (approx) {
-              // Exact attribution of the rest-of-block drop: the exact
-              // base may not have crossed yet, in which case each
-              // remaining survivor's already-computed reduction decides.
-              const double ed = scratch.bounds[m].PruneCutoff(t);
-              if (ed < 0.0) {
-                sweep.approx_pruned_exactly += nsurv - s - 1;
-              } else {
-                const std::uint32_t ec = detail::IntCutoff(ed);
-                for (std::size_t r = s + 1; r < nsurv; ++r) {
-                  if (row[scratch.survivors[r]] > ec) {
-                    ++sweep.approx_pruned_exactly;
-                  }
+      ++sweep.reranked;
+      emit(m, i, exact(qrow, block.row(i).data(), dim));
+      const double t = threshold(m);
+      if (t != last_threshold) {
+        last_threshold = t;
+        dcut = scratch.bounds[m].PruneCutoff(approx ? t / approx_factor : t);
+        if (dcut < 0.0) {
+          sweep.base_pruned += nsurv - s - 1;
+          if (approx) {
+            // Exact attribution of the rest-of-block drop: the exact
+            // base may not have crossed yet, in which case each
+            // remaining survivor's already-computed reduction decides.
+            const double ed = scratch.bounds[m].PruneCutoff(t);
+            if (ed < 0.0) {
+              sweep.approx_pruned_exactly += nsurv - s - 1;
+            } else {
+              const std::uint32_t ec = detail::IntCutoff(ed);
+              for (std::size_t r = s + 1; r < nsurv; ++r) {
+                if (row[scratch.survivors[r]] > ec) {
+                  ++sweep.approx_pruned_exactly;
                 }
               }
             }
-            break;
           }
-          cutoff = detail::IntCutoff(dcut);
-          if (approx) {
-            ecut = detail::IntCutoff(scratch.bounds[m].PruneCutoff(t));
-          }
+          break;
+        }
+        cutoff = detail::IntCutoff(dcut);
+        if (approx) {
+          ecut = detail::IntCutoff(scratch.bounds[m].PruneCutoff(t));
         }
       }
     }

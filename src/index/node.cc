@@ -1,10 +1,38 @@
 #include "src/index/node.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "src/util/check.h"
 
 namespace parsim {
+
+void DirImage::BuildFrom(const std::vector<NodeEntry>& entries,
+                         std::size_t dim) {
+  const std::size_t n = entries.size();
+  children.resize(n);
+  bounds.resize(2 * dim * n);
+  Scalar* lo_rows = bounds.data();
+  Scalar* hi_rows = bounds.data() + dim * n;
+  for (std::size_t j = 0; j < n; ++j) {
+    const Rect& r = entries[j].rect;
+    PARSIM_DCHECK(r.dim() == dim);
+    children[j] = entries[j].child;
+    for (std::size_t i = 0; i < dim; ++i) {
+      lo_rows[i * n + j] = r.lo(i);
+      hi_rows[i * n + j] = r.hi(i);
+    }
+  }
+}
+
+bool operator==(const DirImage& a, const DirImage& b) {
+  if (a.children != b.children || a.bounds.size() != b.bounds.size()) {
+    return false;
+  }
+  return a.bounds.empty() ||
+         std::memcmp(a.bounds.data(), b.bounds.data(),
+                     a.bounds.size() * sizeof(Scalar)) == 0;
+}
 
 Rect Node::ComputeMbr(std::size_t dim) const {
   Rect mbr = Rect::Empty(dim);

@@ -32,6 +32,38 @@ struct NodeEntry {
   PointView AsPoint() const { return rect.lo(); }
 };
 
+/// Structure-of-arrays image of a directory node's children, in entry
+/// order: the child ids, then the child boxes dimension-major, so MINDIST
+/// from a query to every child is one Metric::MinDistMany call over two
+/// contiguous row sets instead of two heap-allocated Rect vectors per
+/// child. The entries stay the source of truth (splits, MBR refreshes
+/// and the on-disk format use them); the image is derived from them by
+/// BuildFrom — in BulkLoad, LoadTree, and at the end of every Insert and
+/// Delete for the directory nodes whose entries it changed — so between
+/// writes it equals a fresh build bit for bit (TreeBase::
+/// ValidateInvariants checks this). Leaves keep an empty image.
+struct DirImage {
+  /// children[j] is entries[j].child.
+  std::vector<NodeId> children;
+  /// 2 * dim rows of count() floats: row i holds every child's lo(i),
+  /// row dim + i every child's hi(i).
+  std::vector<Scalar> bounds;
+
+  std::size_t count() const { return children.size(); }
+  /// Row-major [dim][count] lower bounds; the stride is count().
+  const Scalar* lo() const { return bounds.data(); }
+  /// Row-major [dim][count] upper bounds; the stride is count().
+  const Scalar* hi() const { return bounds.data() + bounds.size() / 2; }
+
+  /// Rebuilds the image from `entries` (directory entries of `dim`-d
+  /// rects).
+  void BuildFrom(const std::vector<NodeEntry>& entries,
+                 std::size_t dim);
+
+  /// Bitwise equality: a -0.0 bound differs from a +0.0 one.
+  friend bool operator==(const DirImage& a, const DirImage& b);
+};
+
 /// A tree node. `level` 0 is the leaf level.
 struct Node {
   NodeId id = kInvalidNodeId;
@@ -43,6 +75,8 @@ struct Node {
   /// history, one bit per dimension). Propagated to split siblings.
   std::uint32_t split_history = 0;
   std::vector<NodeEntry> entries;
+  /// The SoA image of `entries` (directory nodes only; see DirImage).
+  DirImage image;
 
   bool IsLeaf() const { return level == 0; }
 

@@ -201,9 +201,14 @@ Status LoadTree(TreeBase* tree, const std::string& path) {
     return Status::InvalidArgument("root id out of range");
   }
   // Unreferenced slots (dissolved nodes of the source tree) become empty
-  // placeholder leaves so the dense id table stays valid.
+  // placeholder leaves so the dense id table stays valid. Directory
+  // images are derived state, not part of the format: build them here.
   for (auto& slot : nodes) {
-    if (slot == nullptr) slot = std::make_unique<Node>();
+    if (slot == nullptr) {
+      slot = std::make_unique<Node>();
+    } else if (!slot->IsLeaf()) {
+      slot->image.BuildFrom(slot->entries, static_cast<std::size_t>(dim));
+    }
   }
   tree->nodes_ = std::move(nodes);
   tree->root_ = root;

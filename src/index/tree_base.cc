@@ -86,12 +86,12 @@ TreeBase::DiskRoute TreeBase::ResolveRoute(const Node& node) const {
   return route;
 }
 
-const Node& TreeBase::AccessNode(NodeId id) const {
+const Node& TreeBase::AccessNode(NodeId id, DiskRoute* route_out) const {
   PARSIM_CHECK(id < nodes_.size());
   const Node& node = *nodes_[id];
   const DiskRoute route = ResolveRoute(node);
-  // Fault annotations are recorded exactly once per node READ (distance
-  // charges re-resolve the route but do not repeat them).
+  // Fault annotations are recorded exactly once per node READ (the
+  // sweep's charge reuses the route but does not repeat them).
   if (route.failover) route.disk->RecordFailover(route.retry_attempts,
                                                 node.pages);
   if (route.unavailable) route.disk->RecordUnavailable(node.pages);
@@ -100,15 +100,8 @@ const Node& TreeBase::AccessNode(NodeId id) const {
   } else {
     route.disk->ReadDirectoryPagesBuffered(node.id, node.pages);
   }
+  if (route_out != nullptr) *route_out = route;
   return node;
-}
-
-void TreeBase::ChargeNodeDistances(const Node& node, std::uint64_t n) const {
-  ResolveRoute(node).disk->ChargeDistanceComputations(n);
-}
-
-void TreeBase::ChargeLeafSweep(const Node& node, const Counters& sweep) const {
-  ResolveRoute(node).disk->Record(sweep);
 }
 
 void TreeBase::WarmLeafBlocks(ThreadPool* pool) const {
@@ -151,8 +144,21 @@ Status TreeBase::Insert(PointView p, PointId id) {
                                   false);
   InsertEntryAtLevel(std::move(entry), /*target_level=*/0, &reinsert_done);
   ++size_;
-  InvalidateChangedLeafBlocks();
+  SyncChangedNodes();
   return Status::Ok();
+}
+
+void TreeBase::SyncChangedNodes() {
+  leaf_blocks_.Invalidate(changed_leaves_, nodes_.size());
+  std::sort(changed_dirs_.begin(), changed_dirs_.end());
+  changed_dirs_.erase(std::unique(changed_dirs_.begin(), changed_dirs_.end()),
+                      changed_dirs_.end());
+  for (const NodeId id : changed_dirs_) {
+    Node& node = *nodes_[id];
+    node.image.BuildFrom(node.entries, dim_);
+  }
+  changed_dirs_.clear();
+  data_pages_cache_.store(0, std::memory_order_relaxed);
 }
 
 std::vector<NodeId> TreeBase::ChoosePath(const Rect& rect,
@@ -237,7 +243,10 @@ void TreeBase::RefreshPathMbrs(const std::vector<NodeId>& path) {
     bool found = false;
     for (NodeEntry& e : nodes_[parent]->entries) {
       if (e.child == child) {
-        e.rect = mbr;
+        if (!(e.rect == mbr)) {
+          e.rect = mbr;
+          NoteEntriesChanged(parent);
+        }
         found = true;
         break;
       }
@@ -295,6 +304,7 @@ void TreeBase::InsertEntryAtLevel(NodeEntry entry, int target_level,
     sibling_entry.rect = nodes_[sibling]->ComputeMbr(dim_);
     sibling_entry.child = sibling;
     pnode.entries.push_back(std::move(sibling_entry));
+    NoteEntriesChanged(parent);
     // Continue: the parent may now overflow.
   }
 }
@@ -362,6 +372,7 @@ void TreeBase::GrowRoot(NodeId left, NodeId right) {
   re.child = right;
   root_node.entries.push_back(std::move(le));
   root_node.entries.push_back(std::move(re));
+  NoteEntriesChanged(new_root);
   root_ = new_root;
 }
 
@@ -734,7 +745,8 @@ Status TreeBase::BulkLoad(const PointSet& points,
 
   // Build directory levels bottom-up. Each level is a barrier: its
   // groups read only fully-built child nodes (ComputeMbr is pure) and
-  // write only their own node, so the groups fan out over the pool.
+  // write only their own node and its image, so the groups fan out over
+  // the pool.
   int level = 1;
   Node dir_probe;
   dir_probe.level = 1;
@@ -763,6 +775,7 @@ Status TreeBase::BulkLoad(const PointSet& points,
         e.child = child;
         dir.entries.push_back(std::move(e));
       }
+      dir.image.BuildFrom(dir.entries, dim_);
     });
     std::vector<NodeId> next_level(sizes.size());
     std::iota(next_level.begin(), next_level.end(), first_dir);
@@ -823,7 +836,7 @@ Status TreeBase::Delete(PointView p, PointId id) {
   NoteEntriesChanged(path.back());
   --size_;
   CondenseTree(path);
-  InvalidateChangedLeafBlocks();
+  SyncChangedNodes();
   return Status::Ok();
 }
 
@@ -855,12 +868,16 @@ void TreeBase::CondenseTree(const std::vector<NodeId>& path) {
         }
       }
       PARSIM_CHECK(unhooked);
+      NoteEntriesChanged(path[i - 1]);
     } else {
       // Keep, but tighten the parent entry's MBR.
       const Rect mbr = node.ComputeMbr(dim_);
       for (NodeEntry& e : parent.entries) {
         if (e.child == path[i]) {
-          e.rect = mbr;
+          if (!(e.rect == mbr)) {
+            e.rect = mbr;
+            NoteEntriesChanged(path[i - 1]);
+          }
           break;
         }
       }
@@ -928,13 +945,14 @@ std::vector<PointId> TreeBase::RangeQuery(const Rect& query) const {
   while (!stack.empty()) {
     const NodeId id = stack.back();
     stack.pop_back();
-    const Node& node = AccessNode(id);
+    DiskRoute route;
+    const Node& node = AccessNode(id, &route);
     if (node.IsLeaf()) {
       // Sweep the SoA block instead of the AoS entries: a leaf entry's
       // rect is the degenerate rect of its point, so Intersects(e.rect)
       // is exactly Contains(point), and the block preserves entry order.
       const LeafBlock& block = LeafBlockOf(node);
-      ChargeLeafSweep(node, SweepLeafRange(block, query, &out));
+      ChargeLeafSweep(route, SweepLeafRange(block, query, &out));
       continue;
     }
     for (const NodeEntry& e : node.entries) {
@@ -1057,6 +1075,11 @@ Status TreeBase::ValidateSubtree(NodeId id, int expected_level, bool is_root,
     }
     *points_seen += node.entries.size();
     return Status::Ok();
+  }
+  DirImage fresh;
+  fresh.BuildFrom(node.entries, dim_);
+  if (!(node.image == fresh)) {
+    return Status::Internal("directory image disagrees with its entries");
   }
   for (const NodeEntry& e : node.entries) {
     if (e.child >= nodes_.size()) {

@@ -102,7 +102,8 @@ class TreeBase {
   /// source and a leaf CondenseTree dissolved. Every statement that
   /// rewrites a leaf's entries records it, so an id may repeat.
   /// Directory edits (MBR refresh, root growth and shrink, supernode
-  /// growth) change no leaf. Empty after a failed call; BulkLoad and
+  /// growth) change no leaf; they rebuild directory images instead (see
+  /// NoteEntriesChanged). Empty after a failed call; BulkLoad and
   /// deserialization, which invalidate derived state wholesale, clear it.
   /// Node ids are never recycled, so every other leaf keeps the entries,
   /// MBR and disk route it had, and ids at or past the previous
@@ -168,16 +169,12 @@ class TreeBase {
     node_disk_resolver_ = std::move(resolver);
   }
 
-  /// Resolves where `node`'s charges land without reading anything: the
-  /// installed resolver's route, or the tree's own disk (healthy) when no
-  /// resolver is set. The batched k-NN scheduler uses this to attribute a
-  /// coalesced page fetch to the right disk for every query in a group.
-  DiskRoute ResolveRoute(const Node& node) const;
-
   /// Reads a node, charging its pages to the resolved disk. Directory
   /// and data pages are metered separately, matching the paper's
-  /// accounting.
-  const Node& AccessNode(NodeId id) const;
+  /// accounting. A non-null `route` receives the route the read was
+  /// charged to, so the caller charges the node's sweep (ChargeLeafSweep)
+  /// or books coalesced reads without resolving it again.
+  const Node& AccessNode(NodeId id, DiskRoute* route = nullptr) const;
 
   /// The SoA block of `leaf`, built lazily and cached until the next
   /// structural change. Safe for concurrent queries; see LeafBlockCache.
@@ -185,14 +182,13 @@ class TreeBase {
     return leaf_blocks_.Get(leaf, dim_);
   }
 
-  /// Charges `n` distance computations to the disk that serves `node`
-  /// (the CPU doing the work sits next to that disk).
-  void ChargeNodeDistances(const Node& node, std::uint64_t n) const;
-
-  /// Charges one leaf sweep's outcome to the disk that serves `node`:
-  /// exact re-ranks meter simulated CPU like ChargeNodeDistances, and
-  /// the prune/re-rank/byte counters land in the same stats sink.
-  void ChargeLeafSweep(const Node& node, const Counters& sweep) const;
+  /// Charges one leaf sweep's outcome to the disk that served the leaf's
+  /// read (`route`, from AccessNode; the CPU doing the work sits next to
+  /// that disk): exact re-ranks meter simulated CPU, and the
+  /// prune/re-rank/byte counters land in the same stats sink.
+  void ChargeLeafSweep(const DiskRoute& route, const Counters& sweep) const {
+    route.disk->Record(sweep);
+  }
 
   /// Whether leaf blocks carry SQ8 mirrors for error-bounded pruned
   /// sweeps (src/index/leaf_sweep.h). Mutation-side toggle — it
@@ -231,7 +227,8 @@ class TreeBase {
   Stats ComputeStats() const;
 
   /// Full structural audit: MBR containment and exactness, level
-  /// consistency, fill bounds, reachability, stored-point count.
+  /// consistency, fill bounds, reachability, stored-point count, and
+  /// every reachable directory image equal to a fresh build.
   Status ValidateInvariants() const;
 
   virtual std::string name() const = 0;
@@ -297,20 +294,26 @@ class TreeBase {
     data_pages_cache_.store(0, std::memory_order_relaxed);
   }
 
-  /// Marks stale only the blocks of changed_leaves_ and drops the
-  /// data-page count. Insert and Delete call this before returning.
-  void InvalidateChangedLeafBlocks() {
-    leaf_blocks_.Invalidate(changed_leaves_, nodes_.size());
-    data_pages_cache_.store(0, std::memory_order_relaxed);
-  }
+  /// Brings the derived state of the nodes the running Insert or Delete
+  /// changed up to date: marks stale the blocks of changed_leaves_,
+  /// rebuilds the image of every directory node in changed_dirs_ once,
+  /// and drops the data-page count. Insert and Delete call this before
+  /// returning.
+  void SyncChangedNodes();
 
-  /// Records that `id`'s entry list changed, if `id` is a leaf.
+  /// Records that `id`'s entry list or one of its entry rects changed:
+  /// a leaf's cached block goes stale, a directory node's image is
+  /// rebuilt by SyncChangedNodes. Every statement that writes a node's
+  /// entries calls it.
   void NoteEntriesChanged(NodeId id) {
-    if (nodes_[id]->IsLeaf()) changed_leaves_.push_back(id);
+    (nodes_[id]->IsLeaf() ? changed_leaves_ : changed_dirs_).push_back(id);
   }
 
   /// See changed_leaves(); cleared at the start of Insert and Delete.
   std::vector<NodeId> changed_leaves_;
+  /// The directory nodes whose entries the running Insert or Delete
+  /// changed (an id may repeat); emptied by SyncChangedNodes.
+  std::vector<NodeId> changed_dirs_;
 
   /// Cached DataPages() sum; 0 = unknown (a non-empty tree has >= 1).
   mutable std::atomic<std::uint64_t> data_pages_cache_{0};
@@ -338,6 +341,11 @@ class TreeBase {
 
   Status ValidateSubtree(NodeId id, int expected_level, bool is_root,
                          std::size_t* points_seen) const;
+
+  // Where `node`'s charges land: the installed resolver's route, or the
+  // tree's own disk (healthy) when no resolver is set. AccessNode hands
+  // it to its caller.
+  DiskRoute ResolveRoute(const Node& node) const;
 
   // Finds the path (root..leaf) to the leaf holding the exact record;
   // empty if absent.

@@ -372,8 +372,7 @@ std::vector<JoinPair> SimilarityJoin::Run(double epsilon,
     ScopedPhase phase(Phase::kIo);
     ScopedCostCapture capture(acc);
     for (JoinLeaf& leaf : leaves) {
-      leaf.node = &tree_.AccessNode(leaf.id);
-      leaf.route = tree_.ResolveRoute(*leaf.node);
+      leaf.node = &tree_.AccessNode(leaf.id, &leaf.route);
     }
   }
   for (const JoinLeaf& leaf : leaves) {

@@ -116,9 +116,8 @@ std::size_t HsRoundScheduler::Step(ThreadPool* pool, RoundStats* round) {
       const std::size_t leader = requests_[g.begin].second;
       {
         ScopedCostCapture capture(states_[leader].acc);
-        g.accessed = &tree_.AccessNode(g.node);
+        g.accessed = &tree_.AccessNode(g.node, &g.route);
       }
-      g.route = tree_.ResolveRoute(*g.accessed);
       const std::size_t slot = g.route.disk->id();
       for (std::size_t m = g.begin + 1; m < g.end; ++m) {
         DiskStats& s = states_[requests_[m].second].acc->slot(slot);

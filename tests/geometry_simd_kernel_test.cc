@@ -5,12 +5,17 @@
 
 #include "src/geometry/metric.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/geometry/rect.h"
+#include "src/index/knn.h"
 #include "src/util/random.h"
 
 namespace parsim {
@@ -218,6 +223,106 @@ TEST(SimdKernelTest, Sq8ManyUnderMatchesManyPlusFilter) {
                 << " dim=" << dim << " cutoff=" << cutoff << " slot=" << i;
           }
           EXPECT_EQ(0xdeadbeefu, got[n]) << "wrote past the survivor count";
+        }
+      }
+    }
+  }
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// MINDIST from one point to many boxes: the dispatched MinDistMany (the
+// AVX2 kernel on hosts that have it), its scalar version and per-box
+// MinDistComparable must agree bit for bit — the descent's keys, and
+// with them every frontier order and counter, depend on it. Boxes sit in
+// a dimension-major image with a stride wider than the box count (NaN
+// padding, so a read past the count would show), and `out` carries a
+// sentinel past the count.
+TEST(SimdKernelTest, MinDistManyBitIdenticalToPerBoxMinDist) {
+  if (!detail::SimdEnabled()) {
+    std::fprintf(stderr,
+                 "[ simd ] no AVX2 on this host: skipped MinDistMany's "
+                 "vector path; the scalar version is still compared\n");
+  }
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Rng rng(1213);
+  // 1..9 cover every tail length after the 8- and 4-box steps; 31 is a
+  // d=16 directory page, 62 and 93 are two- and three-page supernodes.
+  const std::size_t counts[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 31, 62, 93, 200};
+  for (const MetricKind kind :
+       {MetricKind::kL1, MetricKind::kL2, MetricKind::kLmax}) {
+    const Metric metric(kind);
+    for (const std::size_t dim : {1ul, 2ul, 3ul, 5ul, 8ul, 16ul, 17ul}) {
+      for (const std::size_t count : counts) {
+        for (const double scale : {1.0, 1e6}) {
+          for (const bool signed_zeros : {false, true}) {
+            const std::size_t stride = count + 3;
+            std::vector<float> lo(dim * stride, nan), hi(dim * stride, nan);
+            std::vector<Rect> rects;
+            for (std::size_t j = 0; j < count; ++j) {
+              std::vector<Scalar> l(dim), h(dim);
+              for (std::size_t i = 0; i < dim; ++i) {
+                float a = static_cast<float>((rng.NextDouble() - 0.5) * scale);
+                float b = static_cast<float>((rng.NextDouble() - 0.5) * scale);
+                if (signed_zeros && rng.NextBernoulli(0.4)) {
+                  a = rng.NextBernoulli(0.5) ? -0.0f : 0.0f;
+                  b = rng.NextBernoulli(0.5) ? -0.0f : 0.0f;
+                }
+                if (rng.NextBernoulli(0.1)) b = a;  // degenerate side
+                l[i] = std::min(a, b);
+                h[i] = std::max(a, b);
+                lo[i * stride + j] = l[i];
+                hi[i * stride + j] = h[i];
+              }
+              rects.emplace_back(std::move(l), std::move(h));
+            }
+            // Inside box 0, on a face of the last box, and (mostly)
+            // outside every box.
+            Point inside(dim), face(dim), outside(dim);
+            const Rect& first = rects.front();
+            const Rect& last = rects.back();
+            const std::size_t face_dim = rng.NextBounded(dim);
+            for (std::size_t i = 0; i < dim; ++i) {
+              inside[i] = first.lo(i) + (first.hi(i) - first.lo(i)) / 2.0f;
+              face[i] = i == face_dim ? (rng.NextBernoulli(0.5) ? last.lo(i)
+                                                                : last.hi(i))
+                                      : last.lo(i);
+              outside[i] =
+                  static_cast<float>((rng.NextDouble() - 0.5) * 3.0 * scale);
+              if (signed_zeros && rng.NextBernoulli(0.4)) {
+                outside[i] = rng.NextBernoulli(0.5) ? -0.0f : 0.0f;
+              }
+            }
+            for (const Point* query : {&inside, &face, &outside}) {
+              std::vector<double> dispatched(count + 1, -7.0);
+              std::vector<double> scalar(count + 1, -7.0);
+              metric.MinDistMany(*query, lo.data(), hi.data(), count, stride,
+                                 dispatched.data());
+              detail::MinDistManyScalar(kind, *query, lo.data(), hi.data(),
+                                        count, stride, scalar.data());
+              EXPECT_TRUE(SameBits(-7.0, dispatched[count]))
+                  << "dispatched kernel wrote past the count";
+              EXPECT_TRUE(SameBits(-7.0, scalar[count]))
+                  << "scalar kernel wrote past the count";
+              for (std::size_t j = 0; j < count; ++j) {
+                const double ref = MinDistComparable(rects[j], *query, metric);
+                EXPECT_TRUE(SameBits(ref, dispatched[j]))
+                    << "dispatched kind=" << MetricKindToString(kind)
+                    << " dim=" << dim << " count=" << count
+                    << " scale=" << scale << " box=" << j << ": " << ref
+                    << " vs " << dispatched[j];
+                EXPECT_TRUE(SameBits(ref, scalar[j]))
+                    << "scalar kind=" << MetricKindToString(kind)
+                    << " dim=" << dim << " count=" << count
+                    << " scale=" << scale << " box=" << j << ": " << ref
+                    << " vs " << scalar[j];
+              }
+            }
+            EXPECT_EQ(0.0, MinDistComparable(first, inside, metric))
+                << "the inside query is not inside box 0";
+          }
         }
       }
     }

@@ -1,9 +1,9 @@
 // Parallel bulk load property suite: a tree built with a thread pool —
 // any thread count — must be BIT-IDENTICAL to the serial build. Node
-// layout, levels, page counts, entry order, Rect coordinates, simulated
-// disk accounting and query answers are all compared exactly; duplicate
-// points force sort-key ties so the index tiebreaks are actually load
-// bearing. Runs under the TSAN lane in tools/ci.sh.
+// layout, levels, page counts, entry order, Rect coordinates, directory
+// images, simulated disk accounting and query answers are all compared
+// exactly; duplicate points force sort-key ties so the index tiebreaks
+// are actually load bearing. Runs under the TSAN lane in tools/ci.sh.
 
 #include <algorithm>
 #include <cmath>
@@ -44,7 +44,9 @@ BuiltTree Build(const PointSet& data, BulkLoadOrder order, ThreadPool* pool) {
 
 // Exact structural equality: every node, every entry, every Rect bound
 // compared with operator== on the raw Scalars (identical computations
-// must produce identical bits), plus the disks' write accounting.
+// must produce identical bits), every directory image compared bitwise
+// (the parallel build fills them inside its per-group tasks), plus the
+// disks' write accounting.
 void ExpectTreesIdentical(const BuiltTree& a, const BuiltTree& b) {
   ASSERT_EQ(a.tree->num_nodes(), b.tree->num_nodes());
   ASSERT_EQ(a.tree->root_id(), b.tree->root_id());
@@ -56,6 +58,10 @@ void ExpectTreesIdentical(const BuiltTree& a, const BuiltTree& b) {
     ASSERT_EQ(na.pages, nb.pages) << "node " << id;
     ASSERT_EQ(na.split_history, nb.split_history) << "node " << id;
     ASSERT_EQ(na.entries.size(), nb.entries.size()) << "node " << id;
+    ASSERT_TRUE(na.image == nb.image) << "node " << id;
+    if (!na.IsLeaf()) {
+      ASSERT_EQ(na.image.count(), na.entries.size()) << "node " << id;
+    }
     for (std::size_t e = 0; e < na.entries.size(); ++e) {
       ASSERT_EQ(na.entries[e].child, nb.entries[e].child)
           << "node " << id << " entry " << e;

@@ -6,19 +6,26 @@
 // rests on: blocks are bitwise mirrors of their leaves, kernel sweeps
 // over them are bitwise equal to per-entry distance calls, every query
 // kind returns bit-identical answers to a pre-SoA oracle, and mutations
-// invalidate stale blocks.
+// invalidate stale blocks. The directory side has the same contract:
+// every directory node's image (DirImage) equals a fresh build from its
+// entries after every write and after LoadTree.
 
 #include "src/index/leaf_block.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <memory>
+#include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/index/knn.h"
 #include "src/index/rstar_tree.h"
+#include "src/index/serialize.h"
 #include "src/index/xtree.h"
 #include "src/util/random.h"
 #include "src/workload/generators.h"
@@ -40,6 +47,22 @@ void ExpectBitIdentical(const KnnResult& got, const KnnResult& want) {
   std::sort(got_ids.begin(), got_ids.end());
   std::sort(want_ids.begin(), want_ids.end());
   EXPECT_EQ(got_ids, want_ids);
+}
+
+/// Every directory node in the node table — reachable or dissolved —
+/// holds an image equal to a fresh build from its entries, bit for bit;
+/// leaves hold none.
+void ExpectImagesFresh(const TreeBase& tree) {
+  for (NodeId id = 0; id < tree.num_nodes(); ++id) {
+    const Node& node = tree.PeekNode(id);
+    if (node.IsLeaf()) {
+      EXPECT_EQ(node.image.count(), 0u) << "leaf " << id;
+      continue;
+    }
+    DirImage fresh;
+    fresh.BuildFrom(node.entries, tree.dim());
+    EXPECT_TRUE(node.image == fresh) << "directory node " << id;
+  }
 }
 
 /// Collects every leaf id reachable from the root.
@@ -222,6 +245,7 @@ TEST_P(LeafBlockPropertyTest, InsertAndDeleteInvalidateCachedBlocks) {
         fresh.BuildFrom(leaf, dim, /*quantize=*/true);
         ExpectSameBlock(tree->LeafBlockOf(leaf), fresh);
       }
+      ExpectImagesFresh(*tree);
       ASSERT_FALSE(::testing::Test::HasFailure()) << "after write " << writes;
     };
     const auto write = [&](bool insert, PointId id) {
@@ -279,6 +303,223 @@ TEST_P(LeafBlockPropertyTest, InsertAndDeleteInvalidateCachedBlocks) {
     ASSERT_EQ(nearest.size(), 1u);
     EXPECT_EQ(nearest[0].id, 0u);
   }
+}
+
+/// Counts SplitNode calls by level, so a run can show that it split
+/// directory nodes and not only leaves.
+template <typename Tree>
+class SplitCountingTree : public Tree {
+ public:
+  using Tree::Tree;
+  std::size_t leaf_splits = 0;
+  std::size_t dir_splits = 0;
+
+ protected:
+  NodeId SplitNode(NodeId node_id) override {
+    ++(this->PeekNode(node_id).IsLeaf() ? leaf_splits : dir_splits);
+    return Tree::SplitNode(node_id);
+  }
+};
+
+/// The directory nodes reachable from the root.
+std::vector<NodeId> CollectDirectories(const TreeBase& tree) {
+  std::vector<NodeId> dirs;
+  if (tree.root_id() == kInvalidNodeId) return dirs;
+  std::vector<NodeId> stack{tree.root_id()};
+  while (!stack.empty()) {
+    const Node& node = tree.PeekNode(stack.back());
+    stack.pop_back();
+    if (node.IsLeaf()) continue;
+    dirs.push_back(node.id);
+    for (const NodeEntry& e : node.entries) stack.push_back(e.child);
+  }
+  return dirs;
+}
+
+/// What one RunDirectoryImageWrites run went through.
+struct WriteRunStats {
+  int max_height = 0;
+  std::size_t dir_splits = 0;
+  std::size_t forced_reinserts = 0;
+  std::size_t supernodes = 0;  // at the end of the growth phase
+  std::size_t shrinks = 0;     // writes that lowered the height
+};
+
+/// One seeded write run at d=64, where a directory page holds 7 entries
+/// and a leaf 15, so two thousand inserts reach height 4 and exercise
+/// the directory edits: leaf and directory splits, forced reinserts,
+/// root growth above a directory, X-tree supernodes, CondenseTree's
+/// unhooks and MBR tightening, and root shrinkage back to a leaf and to
+/// an empty tree. After every write each directory image must equal a
+/// fresh build; mid-run, a SaveTree/LoadTree round trip must rebuild
+/// the same images.
+template <typename Tree, typename Options>
+WriteRunStats RunDirectoryImageWrites(const Options& options) {
+  const std::size_t dim = 64;
+  const std::size_t n = 2000;
+  // One dense Gaussian blob, so directory MBRs overlap.
+  const PointSet data = GenerateClusteredGaussian(n, dim, 1, 0.02, 7411);
+  SimulatedDisk disk(0);
+  SplitCountingTree<Tree> tree(dim, &disk, options);
+  WriteRunStats stats;
+
+  std::size_t writes = 0;
+  const auto write = [&](bool insert, PointId id) {
+    ++writes;
+    const std::size_t splits_before = tree.leaf_splits + tree.dir_splits;
+    const int height_before = tree.height();
+    const Status s = insert ? tree.Insert(data[id], id)
+                            : tree.Delete(data[id], id);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    // Without a split, an insert changes one leaf unless a forced
+    // reinsert moved entries out of it into other leaves.
+    const std::set<NodeId> leaves(tree.changed_leaves().begin(),
+                                  tree.changed_leaves().end());
+    if (insert && tree.leaf_splits + tree.dir_splits == splits_before &&
+        leaves.size() > 1) {
+      ++stats.forced_reinserts;
+    }
+    if (tree.height() < height_before) ++stats.shrinks;
+    ExpectImagesFresh(tree);
+    return !::testing::Test::HasFailure();
+  };
+
+  // Grow, deleting a random live point after about every fourth insert.
+  Rng rng(7413);
+  std::vector<PointId> live;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!write(/*insert=*/true, static_cast<PointId>(i))) {
+      ADD_FAILURE() << "after write " << writes;
+      return stats;
+    }
+    live.push_back(static_cast<PointId>(i));
+    stats.max_height = std::max(stats.max_height, tree.height());
+    if (rng.NextBernoulli(0.25)) {
+      const std::size_t victim = rng.NextBounded(live.size());
+      if (!write(/*insert=*/false, live[victim])) {
+        ADD_FAILURE() << "after write " << writes;
+        return stats;
+      }
+      live[victim] = live.back();
+      live.pop_back();
+    }
+  }
+  stats.dir_splits = tree.dir_splits;
+  stats.supernodes = tree.ComputeStats().num_supernodes;
+  EXPECT_TRUE(tree.ValidateInvariants().ok());
+
+  // LoadTree builds the images from the loaded entries: each reachable
+  // directory node's image must equal the source tree's.
+  // One file per test: ctest runs the tests of this binary in parallel.
+  const std::string path =
+      ::testing::TempDir() + "/parsim_dir_images_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".tree";
+  EXPECT_TRUE(SaveTree(tree, path).ok());
+  SimulatedDisk loaded_disk(1);
+  Tree loaded(dim, &loaded_disk, options);
+  EXPECT_TRUE(LoadTree(&loaded, path).ok());
+  std::remove(path.c_str());
+  const std::vector<NodeId> dirs = CollectDirectories(tree);
+  EXPECT_FALSE(dirs.empty());
+  EXPECT_EQ(CollectDirectories(loaded), dirs);
+  for (const NodeId id : dirs) {
+    EXPECT_TRUE(loaded.PeekNode(id).image == tree.PeekNode(id).image)
+        << "directory node " << id;
+  }
+  ExpectImagesFresh(loaded);
+
+  // Condense: delete every live point; the tree shrinks to one leaf and
+  // then to nothing, and a fresh root leaf takes the next insert.
+  rng.Shuffle(&live);
+  for (const PointId id : live) {
+    if (!write(/*insert=*/false, id)) {
+      ADD_FAILURE() << "after write " << writes;
+      return stats;
+    }
+  }
+  EXPECT_EQ(tree.height(), 0);
+  EXPECT_TRUE(write(/*insert=*/true, 0));
+  EXPECT_EQ(tree.height(), 1);
+  EXPECT_TRUE(tree.ValidateInvariants().ok());
+  return stats;
+}
+
+TEST(DirectoryImageTest, XTreeWritesKeepEveryImageExact) {
+  const WriteRunStats stats = RunDirectoryImageWrites<XTree>(XTreeOptions{});
+  EXPECT_GE(stats.max_height, 3) << "no directory root ever split";
+  EXPECT_GT(stats.dir_splits, 0u);
+  EXPECT_GT(stats.forced_reinserts, 0u);
+  EXPECT_GE(stats.shrinks, 2u) << "the root never shrank";
+}
+
+TEST(DirectoryImageTest, XTreeSupernodeWritesKeepEveryImageExact) {
+  // Only overlap-free directory splits are accepted, so every directory
+  // overflow grows the root into a supernode wider than one page.
+  XTreeOptions options;
+  options.max_overlap = 0.0;
+  const WriteRunStats stats = RunDirectoryImageWrites<XTree>(options);
+  EXPECT_GT(stats.supernodes, 0u);
+  EXPECT_GT(stats.forced_reinserts, 0u);
+  EXPECT_GE(stats.shrinks, 2u) << "the root never shrank";
+}
+
+TEST(DirectoryImageTest, RStarTreeWritesKeepEveryImageExact) {
+  const WriteRunStats stats =
+      RunDirectoryImageWrites<RStarTree>(TreeOptions{});
+  EXPECT_GE(stats.max_height, 3) << "no directory root ever split";
+  EXPECT_GT(stats.dir_splits, 0u);
+  EXPECT_GT(stats.forced_reinserts, 0u);
+  EXPECT_GE(stats.shrinks, 2u) << "the root never shrank";
+}
+
+TEST(DirectoryImageTest, RStarTreeWithoutForcedReinsertKeepsEveryImageExact) {
+  // Without forced reinsert an overflowing node splits at once, so a
+  // split's parent may have no other entry change in that write: only
+  // the split registration itself marks its image stale.
+  TreeOptions options;
+  options.forced_reinsert = false;
+  const WriteRunStats stats = RunDirectoryImageWrites<RStarTree>(options);
+  EXPECT_GE(stats.max_height, 3) << "no directory root ever split";
+  EXPECT_GT(stats.dir_splits, 0u);
+  EXPECT_EQ(stats.forced_reinserts, 0u);
+  EXPECT_GE(stats.shrinks, 2u) << "the root never shrank";
+}
+
+/// Exposes MutableNode so a test can corrupt an image in place.
+class ImageEditingTree : public RStarTree {
+ public:
+  using RStarTree::RStarTree;
+  Node& Edit(NodeId id) { return MutableNode(id); }
+};
+
+TEST(DirectoryImageTest, ValidateInvariantsRejectsAStaleImage) {
+  const std::size_t dim = 6;
+  const PointSet data = GenerateUniform(3000, dim, 7417);
+  SimulatedDisk disk(0);
+  ImageEditingTree tree(dim, &disk);
+  ASSERT_TRUE(tree.BulkLoad(data).ok());
+  ASSERT_GE(tree.height(), 2);
+  ASSERT_TRUE(tree.ValidateInvariants().ok());
+  Node& root = tree.Edit(tree.root_id());
+  ASSERT_GE(root.image.count(), 2u);
+
+  // One bound one float step off.
+  Scalar& bound = root.image.bounds[root.image.bounds.size() - 1];
+  const Scalar saved = bound;
+  bound = std::nextafter(bound, 2.0f);
+  const Status stale = tree.ValidateInvariants();
+  EXPECT_EQ(stale.code(), StatusCode::kInternal);
+  EXPECT_NE(stale.message().find("image"), std::string::npos)
+      << stale.message();
+  bound = saved;
+  EXPECT_TRUE(tree.ValidateInvariants().ok());
+
+  // Two children swapped in the image only.
+  std::swap(root.image.children[0], root.image.children[1]);
+  EXPECT_EQ(tree.ValidateInvariants().code(), StatusCode::kInternal);
+  std::swap(root.image.children[0], root.image.children[1]);
+  EXPECT_TRUE(tree.ValidateInvariants().ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(Dims, LeafBlockPropertyTest,

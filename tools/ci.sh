@@ -83,7 +83,9 @@ echo "== [3/4] TSAN build + concurrency tests =="
 # 8-worker determinism); util_parallel_sort_test and
 # index_bulk_load_parallel_test run the deterministic parallel merge
 # sort and the full parallel bulk-load path (key batches, slab tiling,
-# level packing, warm-up fan-out) on 8-worker pools; parallel_join_test
+# level packing with the directory images each group task builds,
+# warm-up fan-out) on 8-worker pools, and the latter compares every
+# node and directory image with the serial build's; parallel_join_test
 # fans the self-join's codebook builds and block-pair row sweeps over
 # pools of several widths and asserts the pair list and every counter
 # are thread-count invariant.
