@@ -65,7 +65,7 @@ std::unique_ptr<ParallelSearchEngine> MakeEngine(const PointSet& data,
   options.coalesced_batch = coalesced;
   options.buffer_pages_per_disk = buffer_pages;
   options.deterministic_batch = buffer_pages > 0;  // reproducible per-query
-  options.parallel_workers = workers;  // > 1: parallel build + warm-up
+  options.parallel_workers = workers;  // > 1: parallel build
   auto engine = std::make_unique<ParallelSearchEngine>(
       data.dim(), std::make_unique<NearOptimalDeclusterer>(data.dim(), disks),
       options);
@@ -258,10 +258,10 @@ int Run(bool smoke) {
   // --- Million-point configuration (the parallel bulk-load unlock) -----
   // d=16 at n >= 1M, the scale the recall/LSH comparisons operate at.
   // Both engines opt into the parallel build (parallel_workers = 8):
-  // Build fans the bulk load and the leaf-block/route warm-up over the
-  // pool, and the coalesced batch must stay bit-identical to per-query
-  // on a tree three orders of magnitude past the smoke sizes. Skipped
-  // in --smoke (seconds-scale lane).
+  // Build fans the bulk load, leaf blocks included, and the leaf-route
+  // fill over the pool, and the coalesced batch must stay bit-identical
+  // to per-query on a tree three orders of magnitude past the smoke
+  // sizes. Skipped in --smoke (seconds-scale lane).
   std::size_t mn = 0;
   double million_build_ms = 0.0;
   double million_makespan_speedup = 0.0;

@@ -4,19 +4,18 @@
 // For every (dim, packing order) configuration the same point set is
 // bulk-loaded twice — serially and over an N-thread pool — and the two
 // trees are compared EXACTLY: node-for-node structure (levels, pages,
-// entry order, every Rect bound), the simulated disks' write ledgers,
-// and the results + page accounting of sample k-NN queries. Any
+// entry order, every Rect bound), every leaf block, the simulated
+// disks' write ledgers, and the results + page accounting of sample
+// k-NN queries. Any
 // mismatch exits 1: the determinism contract (ties broken by point
 // index, packing boundaries pure functions of (n, fill, capacity),
 // batched page-write accounting) is enforced on every run, not just in
 // the unit tests.
 //
-// Reported per configuration: build wall ms and points/sec for both
-// modes and the parallel speedup. Two further sections:
+// Reported per configuration: build wall ms (leaf blocks included, as
+// BulkLoad builds them) and points/sec for both modes and the parallel
+// speedup. One further section:
 //
-//   warm-up   — post-build WarmLeafBlocks() over the pool vs serial,
-//               with and without SQ8 mirrors (the mirror build is
-//               the expensive half of warm-up).
 //   key+sort  — the serial-path win on its own: legacy per-point
 //               HilbertIndex keys + comparator-indirection std::sort vs
 //               the batched IndexOfPoints + (key, index) record sort
@@ -96,6 +95,10 @@ bool TreesIdentical(const BuiltTree& a, const BuiltTree& b,
       std::fprintf(stderr, "IDENTITY VIOLATION: node %u shape differs\n", id);
       return false;
     }
+    if (!(na.block == nb.block)) {
+      std::fprintf(stderr, "IDENTITY VIOLATION: node %u leaf block\n", id);
+      return false;
+    }
     for (std::size_t e = 0; e < na.entries.size(); ++e) {
       if (na.entries[e].child != nb.entries[e].child) {
         std::fprintf(stderr, "IDENTITY VIOLATION: node %u entry %zu child\n",
@@ -150,14 +153,6 @@ struct ConfigRow {
   double parallel_ms = 0.0;
   double speedup = 0.0;
   bool identical = false;
-};
-
-struct WarmRow {
-  std::size_t dim = 0;
-  bool mirrors = false;
-  double serial_ms = 0.0;
-  double parallel_ms = 0.0;
-  double speedup = 0.0;
 };
 
 double PointsPerSec(std::size_t n, double ms) {
@@ -231,7 +226,6 @@ int Run(bool smoke) {
   double headline = 0.0;
 
   std::vector<ConfigRow> rows;
-  std::vector<WarmRow> warm_rows;
   std::printf("\n%4s %8s %14s %14s %10s %10s\n", "dim", "order", "serial pts/s",
               "parallel pts/s", "speedup", "identical");
   for (const std::size_t dim : {std::size_t{8}, std::size_t{16}}) {
@@ -241,8 +235,8 @@ int Run(bool smoke) {
          {BulkLoadOrder::kHilbert, BulkLoadOrder::kStr}) {
       const char* order_name =
           order == BulkLoadOrder::kHilbert ? "hilbert" : "str";
-      BuiltTree serial = Build(data, order, nullptr);
-      BuiltTree parallel = Build(data, order, &pool);
+      const BuiltTree serial = Build(data, order, nullptr);
+      const BuiltTree parallel = Build(data, order, &pool);
       ConfigRow row;
       row.dim = dim;
       row.order = order_name;
@@ -260,43 +254,7 @@ int Run(bool smoke) {
                   PointsPerSec(n, row.parallel_ms), row.speedup,
                   row.identical ? "yes" : "NO");
       rows.push_back(row);
-
-      // Post-build warm-up fan-out, on the parallel tree (Hilbert only;
-      // the warm-up cost does not depend on the packing order). The
-      // SQ8 mirror build is the expensive half, so time it with
-      // mirrors on and off. Toggling quantization invalidates the block
-      // cache, which is what makes re-warming measurable at all.
-      if (order == BulkLoadOrder::kHilbert) {
-        for (const bool mirrors : {true, false}) {
-          WarmRow w;
-          w.dim = dim;
-          w.mirrors = mirrors;
-          parallel.tree->set_quantized_leaf_blocks(mirrors);  // invalidates
-          {
-            Stopwatch watch;
-            parallel.tree->WarmLeafBlocks(nullptr);
-            w.serial_ms = watch.ElapsedMillis();
-          }
-          parallel.tree->set_quantized_leaf_blocks(mirrors);  // invalidate again
-          {
-            Stopwatch watch;
-            parallel.tree->WarmLeafBlocks(&pool);
-            w.parallel_ms = watch.ElapsedMillis();
-          }
-          w.speedup = w.parallel_ms > 0.0 ? w.serial_ms / w.parallel_ms : 0.0;
-          warm_rows.push_back(w);
-        }
-      }
     }
-  }
-
-  std::printf("\nwarm-up (WarmLeafBlocks, serial vs %u threads):\n", threads);
-  std::printf("%4s %8s %12s %12s %10s\n", "dim", "mirrors", "serial ms",
-              "parallel ms", "speedup");
-  for (const WarmRow& w : warm_rows) {
-    std::printf("%4zu %8s %12.2f %12.2f %9.2fx\n", w.dim,
-                w.mirrors ? "sq8" : "off", w.serial_ms, w.parallel_ms,
-                w.speedup);
   }
 
   // Serial-path key+sort improvement: hardware-independent (same thread
@@ -366,15 +324,6 @@ int Run(bool smoke) {
                  PointsPerSec(n, r.serial_ms), PointsPerSec(n, r.parallel_ms),
                  r.speedup, r.identical ? "true" : "false",
                  i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(json, "  ],\n  \"warm_up\": [\n");
-  for (std::size_t i = 0; i < warm_rows.size(); ++i) {
-    const WarmRow& w = warm_rows[i];
-    std::fprintf(json,
-                 "    {\"dim\": %zu, \"mirrors\": %s, \"serial_ms\": %.2f, "
-                 "\"parallel_ms\": %.2f, \"speedup\": %.3f}%s\n",
-                 w.dim, w.mirrors ? "true" : "false", w.serial_ms,
-                 w.parallel_ms, w.speedup, i + 1 < warm_rows.size() ? "," : "");
   }
   std::fprintf(json,
                "  ],\n  \"serial_key_sort\": {\"dim\": %zu, \"legacy_ms\": "

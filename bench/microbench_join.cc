@@ -69,7 +69,6 @@ std::unique_ptr<ParallelSearchEngine> MakeEngine(const PointSet& data,
     std::fprintf(stderr, "engine build failed\n");
     std::exit(1);
   }
-  engine->WarmLeafBlocks();
   return engine;
 }
 

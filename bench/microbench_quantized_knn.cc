@@ -147,7 +147,7 @@ SweepResult RunSweepLayer(std::size_t dim, std::size_t n,
   out.dim = dim;
   for (const NodeId leaf_id : leaves) {
     const Node& leaf = tree.AccessNode(leaf_id);
-    const LeafBlock& block = tree.LeafBlockOf(leaf);
+    const LeafBlock& block = leaf.block;
     Rect mbr = Rect::Empty(dim);
     for (std::size_t i = 0; i < block.count; ++i) {
       mbr.ExtendToInclude(block.row(i));
@@ -178,7 +178,7 @@ SweepResult RunSweepLayer(std::size_t dim, std::size_t n,
                              std::vector<Emit>* collect) {
     for (std::size_t gi = 0; gi < groups.size(); ++gi) {
       const LeafGroup& g = groups[gi];
-      const LeafBlock& block = tree.LeafBlockOf(tree.AccessNode(g.leaf));
+      const LeafBlock& block = tree.AccessNode(g.leaf).block;
       stats.assign(g.members.size(), Counters{});
       SweepLeafBlockMany(
           block, g.qbuf.data(), g.members.size(), metric,
@@ -203,8 +203,8 @@ SweepResult RunSweepLayer(std::size_t dim, std::size_t n,
   std::uint64_t survivors = 0;
   double sink = 0.0;
 
-  // Exact mode: identity reference + timing. Blocks are warmed before
-  // the timed passes so neither mode pays cache builds.
+  // Exact mode: identity reference + timing. The quantize toggle
+  // rebuilds every block, so neither timed mode pays for a build.
   tree.set_quantized_leaf_blocks(false);
   std::vector<Emit> exact_emits;
   sweep_all(&survivors, &sink, nullptr, &exact_emits);

@@ -10,7 +10,7 @@
 // skip the O(n * q) scan.
 //
 // One engine per epsilon in the sweep, all through the production
-// QueryBatch path (coalesced rounds, one thread, prewarmed leaf blocks):
+// QueryBatch path (coalesced rounds, one thread):
 //
 //   exact      — approx tier off. Scored recall must be 1.0: this is
 //                the curve's anchor point, QPS_exact at recall 1.0.
@@ -185,7 +185,6 @@ std::unique_ptr<ParallelSearchEngine> MakeEngine(const PointSet& data,
     std::fprintf(stderr, "engine build failed\n");
     std::exit(1);
   }
-  engine->WarmLeafBlocks();
   return engine;
 }
 

@@ -135,8 +135,6 @@ int Run(bool smoke) {
     std::fprintf(stderr, "engine build failed\n");
     return 1;
   }
-  engine->WarmLeafBlocks();
-
   bool all_ok = true;
 
   // --- Identity: served results == QueryBatch when no deadline fires ---

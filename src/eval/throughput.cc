@@ -16,11 +16,6 @@ ThroughputResult SimulateThroughput(const ParallelSearchEngine& engine,
   const double page_ms =
       engine.options().disk_parameters.PageAccessMs();
 
-  // Prebuild every leaf block (and SQ8 mirror) before the clock starts:
-  // the harness measures steady-state query throughput, not first-touch
-  // construction of derived block state.
-  engine.WarmLeafBlocks(execution_threads);
-
   ThroughputResult out;
   // Execute the batch (on the pool when execution_threads > 1) and time
   // it. QueryBatch reports the worker count it actually ran on — e.g. 1

@@ -131,7 +131,7 @@ class Metric {
   /// workhorse: out[q * count + i] = Comparable(query_q, p_i), where
   /// query_q is `queries + q * dim` and p_i is `points + i * dim`, both
   /// row-major and contiguous (the points side is typically an SoA leaf
-  /// block, src/index/leaf_block.h). One pass evaluates every query of a
+  /// block, LeafBlock in src/index/node.h). One pass evaluates every query of a
   /// batch against one leaf page: the AVX2 path keeps the candidate row
   /// resident in registers across queries for dim <= 16 and otherwise
   /// streams the pair kernel point-major. Every out value is bit-identical

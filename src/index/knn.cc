@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "src/index/hs_search.h"
-#include "src/index/leaf_block.h"
 #include "src/index/leaf_sweep.h"
 #include "src/util/check.h"
 #include "src/util/phase_timer.h"
@@ -202,7 +201,7 @@ KnnResult HsKnn(const TreeBase& tree, PointView query, std::size_t k,
       search.ExpandDirectory(*node, query);
       continue;
     }
-    const LeafBlock& block = tree.LeafBlockOf(*node);
+    const LeafBlock& block = node->block;
     tree.ChargeLeafSweep(
         route, SweepLeafDistances(
                    block, query, metric, [&] { return search.Cutoff(); },
@@ -225,7 +224,7 @@ void RkvVisit(const TreeBase& tree, NodeId node_id, PointView query,
     // TopK::Offer rejects keys >= Threshold() when full, so pruning on
     // the (re-read, tightening) threshold preserves the heap's update
     // sequence exactly.
-    const LeafBlock& block = tree.LeafBlockOf(node);
+    const LeafBlock& block = node.block;
     tree.ChargeLeafSweep(
         route, SweepLeafDistances(
                   block, query, metric, [&] { return best->Threshold(); },
@@ -295,7 +294,7 @@ KnnResult BallQuery(const TreeBase& tree, PointView query, double radius,
       // Constant threshold (the ball radius in the comparable scale):
       // a candidate with lower bound above it fails `<= threshold` for
       // sure, so the emitted set is unchanged.
-      const LeafBlock& block = tree.LeafBlockOf(node);
+      const LeafBlock& block = node.block;
       tree.ChargeLeafSweep(
           route, SweepLeafDistances(
                     block, query, metric, [&] { return threshold; },

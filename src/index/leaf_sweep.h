@@ -36,7 +36,7 @@
 #include "src/geometry/metric.h"
 #include "src/geometry/rect.h"
 #include "src/geometry/sq8.h"
-#include "src/index/leaf_block.h"
+#include "src/index/node.h"
 #include "src/io/counters.h"
 #include "src/util/check.h"
 #include "src/util/phase_timer.h"

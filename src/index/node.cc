@@ -7,6 +7,19 @@
 
 namespace parsim {
 
+namespace {
+
+/// Bitwise vector equality: a -0.0 differs from a +0.0, a NaN equals
+/// itself.
+template <typename T>
+bool SameBits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+}  // namespace
+
 void DirImage::BuildFrom(const std::vector<NodeEntry>& entries,
                          std::size_t dim) {
   const std::size_t n = entries.size();
@@ -26,28 +39,44 @@ void DirImage::BuildFrom(const std::vector<NodeEntry>& entries,
 }
 
 bool operator==(const DirImage& a, const DirImage& b) {
-  if (a.children != b.children || a.bounds.size() != b.bounds.size()) {
-    return false;
+  return a.children == b.children && SameBits(a.bounds, b.bounds);
+}
+
+void LeafBlock::BuildFrom(const std::vector<NodeEntry>& entries,
+                          std::size_t dimension, bool quantize) {
+  count = entries.size();
+  dim = dimension;
+  coords.resize(count * dim);
+  ids.resize(count);
+  Scalar* out = coords.data();
+  for (std::size_t i = 0; i < count; ++i) {
+    const PointView p = entries[i].AsPoint();
+    PARSIM_DCHECK(p.size() == dim);
+    out = std::copy(p.begin(), p.end(), out);
+    ids[i] = entries[i].child;
   }
-  return a.bounds.empty() ||
-         std::memcmp(a.bounds.data(), b.bounds.data(),
-                     a.bounds.size() * sizeof(Scalar)) == 0;
+  has_sq8 = quantize;
+  if (quantize) {
+    sq8.BuildFrom(coords.data(), count, dim);
+  } else {
+    sq8 = Sq8Mirror{};
+  }
+}
+
+bool operator==(const LeafBlock& a, const LeafBlock& b) {
+  const Sq8Mirror& x = a.sq8;
+  const Sq8Mirror& y = b.sq8;
+  return a.count == b.count && a.dim == b.dim && a.ids == b.ids &&
+         SameBits(a.coords, b.coords) && a.has_sq8 == b.has_sq8 &&
+         x.count == y.count && x.dim == y.dim &&
+         std::memcmp(&x.scale, &y.scale, sizeof(x.scale)) == 0 &&
+         x.codes == y.codes && SameBits(x.lo, y.lo) && SameBits(x.err, y.err);
 }
 
 Rect Node::ComputeMbr(std::size_t dim) const {
   Rect mbr = Rect::Empty(dim);
   for (const NodeEntry& e : entries) mbr.ExtendToInclude(e.rect);
   return mbr;
-}
-
-void Node::GatherLeafCoords([[maybe_unused]] std::size_t dim,
-                            Scalar* out) const {
-  PARSIM_DCHECK(IsLeaf());
-  for (const NodeEntry& e : entries) {
-    const PointView p = e.AsPoint();
-    PARSIM_DCHECK(p.size() == dim);
-    out = std::copy(p.begin(), p.end(), out);
-  }
 }
 
 std::size_t LeafCapacityPerPage(std::size_t dim) {

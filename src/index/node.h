@@ -3,6 +3,13 @@
 // Nodes live on a simulated disk: a directory node or leaf normally
 // occupies one 4 KB page; X-tree supernodes span several contiguous
 // pages and charge that many page accesses when read.
+//
+// Every node carries the scan layout of its entries next to them: a
+// directory node its DirImage, a leaf its LeafBlock. Both are pure
+// functions of the entries, rebuilt by whatever writes the entries
+// (BulkLoad, LoadTree, the end of every Insert and Delete), so between
+// writes each equals a fresh build bit for bit (TreeBase::
+// ValidateInvariants checks this) and queries read them without locks.
 
 #ifndef PARSIM_SRC_INDEX_NODE_H_
 #define PARSIM_SRC_INDEX_NODE_H_
@@ -12,6 +19,7 @@
 
 #include "src/geometry/point.h"
 #include "src/geometry/rect.h"
+#include "src/geometry/sq8.h"
 #include "src/io/disk_model.h"
 
 namespace parsim {
@@ -38,10 +46,7 @@ struct NodeEntry {
 /// contiguous row sets instead of two heap-allocated Rect vectors per
 /// child. The entries stay the source of truth (splits, MBR refreshes
 /// and the on-disk format use them); the image is derived from them by
-/// BuildFrom — in BulkLoad, LoadTree, and at the end of every Insert and
-/// Delete for the directory nodes whose entries it changed — so between
-/// writes it equals a fresh build bit for bit (TreeBase::
-/// ValidateInvariants checks this). Leaves keep an empty image.
+/// BuildFrom. Leaves keep an empty image.
 struct DirImage {
   /// children[j] is entries[j].child.
   std::vector<NodeId> children;
@@ -64,6 +69,41 @@ struct DirImage {
   friend bool operator==(const DirImage& a, const DirImage& b);
 };
 
+/// Structure-of-arrays image of a leaf page: the coordinates and ids of
+/// its points in entry order, contiguous, so a page scan is one sweep
+/// the one-to-many and many-to-many distance kernels (Metric::
+/// ComparableMany / ComparableBlock) stream over without a per-query
+/// gather. A leaf entry stores its point as a degenerate Rect (lo ==
+/// hi), which keeps the split and MBR code uniform across levels; the
+/// block is the same points peeled out of those Rects. Directory nodes
+/// keep an empty block.
+struct LeafBlock {
+  std::size_t count = 0;
+  std::size_t dim = 0;
+  /// count * dim scalars, row-major (point i at coords[i * dim]).
+  std::vector<Scalar> coords;
+  /// count point ids, parallel to coords.
+  std::vector<PointId> ids;
+
+  /// SQ8 mirror of `coords` (src/geometry/sq8.h): per-block lattice plus
+  /// uint8 codes, built together with the floats when the tree
+  /// quantizes its leaves. Empty when has_sq8 is false.
+  Sq8Mirror sq8;
+  bool has_sq8 = false;
+
+  PointView row(std::size_t i) const {
+    return {coords.data() + i * dim, dim};
+  }
+
+  /// Rebuilds the block from `entries` (leaf entries of `dim`-d points);
+  /// with `quantize` also builds the SQ8 mirror of the gathered floats.
+  void BuildFrom(const std::vector<NodeEntry>& entries, std::size_t dim,
+                 bool quantize);
+
+  /// Bitwise equality of every field, the SQ8 mirror included.
+  friend bool operator==(const LeafBlock& a, const LeafBlock& b);
+};
+
 /// A tree node. `level` 0 is the leaf level.
 struct Node {
   NodeId id = kInvalidNodeId;
@@ -77,17 +117,13 @@ struct Node {
   std::vector<NodeEntry> entries;
   /// The SoA image of `entries` (directory nodes only; see DirImage).
   DirImage image;
+  /// The SoA block of `entries` (leaves only; see LeafBlock).
+  LeafBlock block;
 
   bool IsLeaf() const { return level == 0; }
 
   /// The MBR of all entries.
   Rect ComputeMbr(std::size_t dim) const;
-
-  /// Copies this leaf's points into `out` (entries.size() * dim scalars,
-  /// row-major): the gather step of the SoA leaf-block build
-  /// (src/index/leaf_block.h), peeling the coordinates out of the AoS
-  /// NodeEntry layout so page scans become one contiguous sweep.
-  void GatherLeafCoords(std::size_t dim, Scalar* out) const;
 };
 
 /// Entries per leaf page: a leaf record is the point plus its id.

@@ -38,6 +38,10 @@ void WriteRect(std::ostream& out, const Rect& rect) {
   for (std::size_t i = 0; i < rect.dim(); ++i) WriteRaw(out, rect.hi(i));
 }
 
+// Fails on a short read and on any bound that is not finite or not
+// ordered: stored points are finite (every write path rejects NaN and
+// ±inf), and a non-finite bound would reach the leaf-block and SQ8
+// builds that LoadTree runs before it validates.
 bool ReadRect(std::istream& in, std::size_t dim, Rect* rect) {
   std::vector<Scalar> lo(dim), hi(dim);
   for (std::size_t i = 0; i < dim; ++i) {
@@ -46,6 +50,7 @@ bool ReadRect(std::istream& in, std::size_t dim, Rect* rect) {
   for (std::size_t i = 0; i < dim; ++i) {
     if (!ReadRaw(in, &hi[i])) return false;
   }
+  if (!AllFinite(lo) || !AllFinite(hi)) return false;
   for (std::size_t i = 0; i < dim; ++i) {
     if (lo[i] > hi[i]) return false;
   }
@@ -202,18 +207,21 @@ Status LoadTree(TreeBase* tree, const std::string& path) {
   }
   // Unreferenced slots (dissolved nodes of the source tree) become empty
   // placeholder leaves so the dense id table stays valid. Directory
-  // images are derived state, not part of the format: build them here.
+  // images and leaf blocks are derived state, not part of the format:
+  // build them here, before validation compares them with their entries.
   for (auto& slot : nodes) {
-    if (slot == nullptr) {
-      slot = std::make_unique<Node>();
-    } else if (!slot->IsLeaf()) {
+    if (slot == nullptr) slot = std::make_unique<Node>();
+    if (slot->IsLeaf()) {
+      slot->block.BuildFrom(slot->entries, static_cast<std::size_t>(dim),
+                            tree->quantized_leaf_blocks());
+    } else {
       slot->image.BuildFrom(slot->entries, static_cast<std::size_t>(dim));
     }
   }
   tree->nodes_ = std::move(nodes);
   tree->root_ = root;
   tree->size_ = static_cast<std::size_t>(size);
-  tree->InvalidateLeafBlocks();
+  tree->ResetWriteState();
   tree->disk_->WritePages(node_count);
   Status valid = tree->ValidateInvariants();
   if (!valid.ok()) {

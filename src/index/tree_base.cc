@@ -104,20 +104,10 @@ const Node& TreeBase::AccessNode(NodeId id, DiskRoute* route_out) const {
   return node;
 }
 
-void TreeBase::WarmLeafBlocks(ThreadPool* pool) const {
-  if (root_ == kInvalidNodeId) return;
-  const auto warm = [this](std::size_t i) {
-    const Node& node = *nodes_[i];
-    // Dissolved leaves (condensed away by deletes) keep their slot but
-    // hold no entries; building their empty block would be harmless,
-    // skipping it is cheaper.
-    if (!node.IsLeaf() || node.entries.empty()) return;
-    (void)leaf_blocks_.Get(node, dim_);
-  };
-  if (pool != nullptr && nodes_.size() > 1) {
-    pool->ParallelFor(0, nodes_.size(), warm);
-  } else {
-    for (std::size_t i = 0; i < nodes_.size(); ++i) warm(i);
+void TreeBase::set_quantized_leaf_blocks(bool on) {
+  quantize_leaves_ = on;
+  for (const auto& node : nodes_) {
+    if (node->IsLeaf()) node->block.BuildFrom(node->entries, dim_, on);
   }
 }
 
@@ -149,10 +139,16 @@ Status TreeBase::Insert(PointView p, PointId id) {
 }
 
 void TreeBase::SyncChangedNodes() {
-  leaf_blocks_.Invalidate(changed_leaves_, nodes_.size());
-  std::sort(changed_dirs_.begin(), changed_dirs_.end());
-  changed_dirs_.erase(std::unique(changed_dirs_.begin(), changed_dirs_.end()),
-                      changed_dirs_.end());
+  const auto sort_unique = [](std::vector<NodeId>* ids) {
+    std::sort(ids->begin(), ids->end());
+    ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
+  };
+  sort_unique(&changed_leaves_);
+  for (const NodeId id : changed_leaves_) {
+    Node& node = *nodes_[id];
+    node.block.BuildFrom(node.entries, dim_, quantize_leaves_);
+  }
+  sort_unique(&changed_dirs_);
   for (const NodeId id : changed_dirs_) {
     Node& node = *nodes_[id];
     node.image.BuildFrom(node.entries, dim_);
@@ -714,7 +710,8 @@ Status TreeBase::BulkLoad(const PointSet& points,
 
   // Pack the leaf level. Group sizes and start offsets are pure
   // functions of (n, fill, capacity) — no parallel state — so the
-  // groups can be filled in any order: each writes only its own node.
+  // groups can be filled in any order: each writes only its own node
+  // and that node's block.
   const auto leaf_fill = std::max<std::size_t>(
       MinEntriesOf(Node{}),  // Node{} is a leaf (level 0)
       static_cast<std::size_t>(options_.bulk_load_fill *
@@ -739,6 +736,7 @@ Status TreeBase::BulkLoad(const PointSet& points,
       e.child = ids != nullptr ? (*ids)[src] : static_cast<PointId>(src);
       leaf.entries.push_back(std::move(e));
     }
+    leaf.block.BuildFrom(leaf.entries, dim_, quantize_leaves_);
   });
   std::vector<NodeId> level_nodes(leaf_sizes.size());
   std::iota(level_nodes.begin(), level_nodes.end(), first_leaf);
@@ -784,7 +782,7 @@ Status TreeBase::BulkLoad(const PointSet& points,
   }
   root_ = level_nodes.front();
   size_ = n;
-  InvalidateLeafBlocks();
+  ResetWriteState();
   return Status::Ok();
 }
 
@@ -951,8 +949,7 @@ std::vector<PointId> TreeBase::RangeQuery(const Rect& query) const {
       // Sweep the SoA block instead of the AoS entries: a leaf entry's
       // rect is the degenerate rect of its point, so Intersects(e.rect)
       // is exactly Contains(point), and the block preserves entry order.
-      const LeafBlock& block = LeafBlockOf(node);
-      ChargeLeafSweep(route, SweepLeafRange(block, query, &out));
+      ChargeLeafSweep(route, SweepLeafRange(node.block, query, &out));
       continue;
     }
     for (const NodeEntry& e : node.entries) {
@@ -1072,6 +1069,11 @@ Status TreeBase::ValidateSubtree(NodeId id, int expected_level, bool is_root,
           return Status::Internal("leaf entry rect is not a point");
         }
       }
+    }
+    LeafBlock fresh;
+    fresh.BuildFrom(node.entries, dim_, quantize_leaves_);
+    if (!(node.block == fresh)) {
+      return Status::Internal("leaf block disagrees with its entries");
     }
     *points_seen += node.entries.size();
     return Status::Ok();

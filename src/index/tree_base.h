@@ -19,7 +19,6 @@
 
 #include "src/geometry/point.h"
 #include "src/geometry/rect.h"
-#include "src/index/leaf_block.h"
 #include "src/index/leaf_sweep.h"
 #include "src/index/node.h"
 #include "src/io/disk.h"
@@ -74,8 +73,8 @@ class TreeBase {
   /// Total data (leaf) pages reachable from the root — the page count a
   /// query would be charged for reading this tree's entire data set.
   /// Cached after the first call; every structural change drops the
-  /// cache (same hooks as the leaf-block cache). Safe under concurrent
-  /// readers: the recompute is idempotent and the slot is atomic.
+  /// cache. Safe under concurrent readers: the recompute is idempotent
+  /// and the slot is atomic.
   std::uint64_t DataPages() const;
 
   std::size_t leaf_capacity_per_page() const { return leaf_capacity_; }
@@ -97,18 +96,18 @@ class TreeBase {
   Status Delete(PointView p, PointId id);
 
   /// Ids of the leaves whose entry lists the last Insert or Delete
-  /// changed: the insertion targets (a fresh root leaf among them), both
-  /// halves of every leaf split, forced-reinsert sources, the delete
-  /// source and a leaf CondenseTree dissolved. Every statement that
-  /// rewrites a leaf's entries records it, so an id may repeat.
-  /// Directory edits (MBR refresh, root growth and shrink, supernode
-  /// growth) change no leaf; they rebuild directory images instead (see
-  /// NoteEntriesChanged). Empty after a failed call; BulkLoad and
-  /// deserialization, which invalidate derived state wholesale, clear it.
-  /// Node ids are never recycled, so every other leaf keeps the entries,
-  /// MBR and disk route it had, and ids at or past the previous
-  /// num_nodes() are new nodes. Derived per-leaf caches (the leaf blocks,
-  /// the engine's route memo) drop just these entries.
+  /// changed, ascending and without repeats: the insertion targets (a
+  /// fresh root leaf among them), both halves of every leaf split,
+  /// forced-reinsert sources, the delete source and a leaf CondenseTree
+  /// dissolved. Directory edits (MBR refresh, root growth and shrink,
+  /// supernode growth) change no leaf; they rebuild directory images
+  /// instead (see NoteEntriesChanged). Empty after a failed call, and
+  /// after BulkLoad and deserialization, which build every node. Node
+  /// ids are never recycled, so every other leaf keeps the entries, MBR
+  /// and disk route it had, and ids at or past the previous num_nodes()
+  /// are new nodes. The write has already rebuilt these leaves' blocks;
+  /// per-leaf state kept outside the tree (the engine's route table)
+  /// recomputes just these entries.
   const std::vector<NodeId>& changed_leaves() const {
     return changed_leaves_;
   }
@@ -176,12 +175,6 @@ class TreeBase {
   /// or books coalesced reads without resolving it again.
   const Node& AccessNode(NodeId id, DiskRoute* route = nullptr) const;
 
-  /// The SoA block of `leaf`, built lazily and cached until the next
-  /// structural change. Safe for concurrent queries; see LeafBlockCache.
-  const LeafBlock& LeafBlockOf(const Node& leaf) const {
-    return leaf_blocks_.Get(leaf, dim_);
-  }
-
   /// Charges one leaf sweep's outcome to the disk that served the leaf's
   /// read (`route`, from AccessNode; the CPU doing the work sits next to
   /// that disk): exact re-ranks meter simulated CPU, and the
@@ -191,25 +184,12 @@ class TreeBase {
   }
 
   /// Whether leaf blocks carry SQ8 mirrors for error-bounded pruned
-  /// sweeps (src/index/leaf_sweep.h). Mutation-side toggle — it
-  /// invalidates the block cache, so it must not race with queries
-  /// (same contract as Insert). Results stay bit-identical either way;
-  /// only sweep cost and the quantized counters change.
-  void set_quantized_leaf_blocks(bool on) {
-    leaf_blocks_.set_quantize(on);
-    InvalidateLeafBlocks();
-  }
-  bool quantized_leaf_blocks() const { return leaf_blocks_.quantize(); }
-
-  /// Prebuilds the SoA block (and, when enabled, the SQ8 mirror) of
-  /// every leaf, over `pool` when given (nullptr runs on the caller).
-  /// Leaf blocks are derived state built lazily on first access, so
-  /// without warming the first query wave silently pays the
-  /// epoch-cache construction; benchmarks and the throughput harness
-  /// call this so they measure steady state. Charges nothing — block
-  /// builds never meter pages or CPU (only AccessNode does) — and is
-  /// safe to omit entirely.
-  void WarmLeafBlocks(ThreadPool* pool = nullptr) const;
+  /// sweeps (src/index/leaf_sweep.h). A write like Insert: it rebuilds
+  /// the block of every leaf in the node table, so it must not race with
+  /// queries. Results stay bit-identical either way; only sweep cost and
+  /// the quantized counters change.
+  void set_quantized_leaf_blocks(bool on);
+  bool quantized_leaf_blocks() const { return quantize_leaves_; }
 
   /// Reads a node without charging (tests / diagnostics only).
   const Node& PeekNode(NodeId id) const;
@@ -228,7 +208,8 @@ class TreeBase {
 
   /// Full structural audit: MBR containment and exactness, level
   /// consistency, fill bounds, reachability, stored-point count, and
-  /// every reachable directory image equal to a fresh build.
+  /// every reachable directory image and leaf block (SQ8 mirror
+  /// included) equal to a fresh build.
   Status ValidateInvariants() const;
 
   virtual std::string name() const = 0;
@@ -283,33 +264,33 @@ class TreeBase {
   NodeId root_ = kInvalidNodeId;
   std::size_t size_ = 0;
   NodeDiskResolver node_disk_resolver_;
-  LeafBlockCache leaf_blocks_;
+  /// Whether leaf blocks carry SQ8 mirrors; see set_quantized_leaf_blocks.
+  bool quantize_leaves_ = false;
 
-  /// Marks every cached leaf block stale and drops the data-page count.
-  /// Wholesale mutations (BulkLoad, deserialization) and the quantize
-  /// toggle call this before returning control to queries.
-  void InvalidateLeafBlocks() {
+  /// Forgets the last write's changed leaves and the data-page count.
+  /// The wholesale writes (BulkLoad, deserialization), which build every
+  /// node themselves, call this before returning control to queries.
+  void ResetWriteState() {
     changed_leaves_.clear();
-    leaf_blocks_.Invalidate(nodes_.size());
     data_pages_cache_.store(0, std::memory_order_relaxed);
   }
 
   /// Brings the derived state of the nodes the running Insert or Delete
-  /// changed up to date: marks stale the blocks of changed_leaves_,
-  /// rebuilds the image of every directory node in changed_dirs_ once,
-  /// and drops the data-page count. Insert and Delete call this before
-  /// returning.
+  /// changed up to date: sorts and deduplicates changed_leaves_ and
+  /// rebuilds each of those leaves' blocks once, rebuilds the image of
+  /// every directory node in changed_dirs_ once, and drops the data-page
+  /// count. Insert and Delete call this before returning.
   void SyncChangedNodes();
 
   /// Records that `id`'s entry list or one of its entry rects changed:
-  /// a leaf's cached block goes stale, a directory node's image is
-  /// rebuilt by SyncChangedNodes. Every statement that writes a node's
-  /// entries calls it.
+  /// SyncChangedNodes rebuilds the node's leaf block or directory image.
+  /// Every statement that writes a node's entries calls it.
   void NoteEntriesChanged(NodeId id) {
     (nodes_[id]->IsLeaf() ? changed_leaves_ : changed_dirs_).push_back(id);
   }
 
-  /// See changed_leaves(); cleared at the start of Insert and Delete.
+  /// See changed_leaves(); cleared at the start of Insert and Delete, an
+  /// id may repeat until SyncChangedNodes.
   std::vector<NodeId> changed_leaves_;
   /// The directory nodes whose entries the running Insert or Delete
   /// changed (an id may repeat); emptied by SyncChangedNodes.

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 
 #include "src/core/near_optimal.h"
 #include "src/index/rstar_tree.h"
 #include "src/index/xtree.h"
 #include "src/parallel/round_scheduler.h"
-#include "src/parallel/route_memo.h"
 #include "src/util/check.h"
 
 namespace parsim {
@@ -116,67 +116,44 @@ const TreeBase& ParallelSearchEngine::tree(DiskId disk) const {
   return *trees_[disk];
 }
 
-DiskId ParallelSearchEngine::DiskOfLeaf(const Node& leaf) const {
-  // A data page is "the bucket" of the paper: it is assigned to a disk
-  // by the region it covers. The page's MBR center stands in for the
-  // bucket coordinates; id-based declusterers (round robin) use the
-  // node id as the item index.
-  PARSIM_DCHECK(leaf.IsLeaf());
+ParallelSearchEngine::LeafRoute ParallelSearchEngine::ComputeLeafRoute(
+    const Node& leaf) const {
+  PARSIM_DCHECK(leaf.IsLeaf() && !leaf.entries.empty());
   const Point center = leaf.ComputeMbr(dim_).Center();
-  return declusterer_->DiskOfPoint(center, leaf.id);
+  LeafRoute route;
+  route.primary = declusterer_->DiskOfPoint(center, leaf.id);
+  if (replicas_ != nullptr) {
+    route.bucket = replicas_->bucketizer().BucketOf(center);
+  }
+  return route;
 }
 
-void ParallelSearchEngine::SyncLeafRoutes() {
+void ParallelSearchEngine::UpdateLeafRoutes(const std::vector<NodeId>& ids,
+                                            ThreadPool* pool) {
   if (options_.architecture != Architecture::kSharedTree) return;
   const TreeBase& tree = *trees_[0];
-  if (tree.num_nodes() > leaf_routes_size_) {
-    // Grow geometrically so a run of splits costs amortized O(1) per new
-    // node. make_unique value-initializes, so new slots start invalid (0).
-    const std::size_t size =
-        std::max(tree.num_nodes(), leaf_routes_size_ + leaf_routes_size_ / 2);
-    auto grown = std::make_unique<std::atomic<std::uint64_t>[]>(size);
-    for (std::size_t i = 0; i < leaf_routes_size_; ++i) {
-      grown[i].store(leaf_routes_[i].load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-    }
-    leaf_routes_ = std::move(grown);
-    leaf_routes_size_ = size;
-  }
-  for (const NodeId id : tree.changed_leaves()) {
-    leaf_routes_[id].store(0, std::memory_order_relaxed);
+  leaf_routes_.resize(tree.num_nodes());
+  const auto update = [&](std::size_t i) {
+    const Node& node = tree.PeekNode(ids[i]);
+    if (!node.IsLeaf() || node.entries.empty()) return;
+    leaf_routes_[node.id] = ComputeLeafRoute(node);
+  };
+  if (pool != nullptr && ids.size() > 1) {
+    pool->ParallelFor(0, ids.size(), update);
+  } else {
+    for (std::size_t i = 0; i < ids.size(); ++i) update(i);
   }
 }
 
 TreeBase::DiskRoute ParallelSearchEngine::RouteLeaf(const Node& leaf) const {
   PARSIM_DCHECK(leaf.IsLeaf());
-  // The declustering color and replica bucket are pure functions of the
-  // leaf's MBR center; the memoized word skips the per-access MBR fold.
-  // Fault checks below stay live — only geometry is cached. Packing
-  // (and its field-width guards) lives in src/parallel/route_memo.h.
-  std::atomic<std::uint64_t>* slot =
-      leaf.id < leaf_routes_size_ ? &leaf_routes_[leaf.id] : nullptr;
-  const std::uint64_t packed =
-      slot != nullptr ? slot->load(std::memory_order_relaxed) : 0;
-  DiskId primary_id;
-  BucketId bucket;
-  if (route_memo::IsValid(packed)) {
-    primary_id = static_cast<DiskId>(route_memo::PrimaryOf(packed));
-    bucket = static_cast<BucketId>(route_memo::BucketOf(packed));
-  } else {
-    const Point center = leaf.ComputeMbr(dim_).Center();
-    primary_id = declusterer_->DiskOfPoint(center, leaf.id);
-    bucket = replicas_ != nullptr ? replicas_->bucketizer().BucketOf(center)
-                                  : BucketId{0};
-    const std::uint64_t word = route_memo::Pack(primary_id, bucket);
-    if (slot != nullptr && word != 0) {
-      slot->store(word, std::memory_order_relaxed);
-    }
-  }
-  SimulatedDisk& primary = disks_.disk(primary_id);
+  PARSIM_CHECK(leaf.id < leaf_routes_.size());
+  const LeafRoute& geometry = leaf_routes_[leaf.id];
+  SimulatedDisk& primary = disks_.disk(geometry.primary);
   if (!primary.is_failed()) return TreeBase::DiskRoute{&primary};
   if (replicas_ != nullptr) {
-    const DiskId replica_id = replicas_->ReplicaFor(bucket, primary_id);
-    SimulatedDisk& replica = disks_.disk(replica_id);
+    SimulatedDisk& replica =
+        disks_.disk(replicas_->ReplicaFor(geometry.bucket, geometry.primary));
     if (!replica.is_failed()) {
       TreeBase::DiskRoute route{&replica};
       route.failover = true;
@@ -269,36 +246,13 @@ Status ParallelSearchEngine::Build(const PointSet& points) {
   build_stats_ += host_.stats();
   disks_.ResetStats();
   host_.ResetStats();
-  SyncLeafRoutes();
-  if (build_pool != nullptr) {
-    // Parallel post-build warm-up: leaf SoA blocks (with SQ8 mirrors
-    // when enabled) and the memoized leaf routes are derived state that
-    // queries otherwise build lazily — fan both out over the build pool
-    // so the first query wave measures steady state. Neither
-    // charges pages or CPU, so build_stats_ (captured above) and every
-    // later query stat are unaffected.
-    for (const auto& t : trees_) t->WarmLeafBlocks(build_pool.get());
-    PrewarmLeafRoutes(build_pool.get());
+  if (options_.architecture == Architecture::kSharedTree) {
+    // Routes charge nothing, so build_stats_ above is unaffected.
+    std::vector<NodeId> every_node(trees_[0]->num_nodes());
+    std::iota(every_node.begin(), every_node.end(), NodeId{0});
+    UpdateLeafRoutes(every_node, build_pool.get());
   }
   return Status::Ok();
-}
-
-void ParallelSearchEngine::PrewarmLeafRoutes(ThreadPool* pool) const {
-  if (options_.architecture != Architecture::kSharedTree || trees_.empty()) {
-    return;
-  }
-  const TreeBase& tree = *trees_[0];
-  const std::size_t n = tree.num_nodes();
-  const auto warm = [&](std::size_t id) {
-    const Node& node = tree.PeekNode(static_cast<NodeId>(id));
-    if (!node.IsLeaf() || node.entries.empty()) return;
-    (void)RouteLeaf(node);
-  };
-  if (pool != nullptr && n > 1) {
-    pool->ParallelFor(0, n, warm);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) warm(i);
-  }
 }
 
 Status ParallelSearchEngine::Insert(PointView p, PointId id) {
@@ -311,7 +265,7 @@ Status ParallelSearchEngine::Insert(PointView p, PointId id) {
   if (options_.architecture == Architecture::kSharedTree) {
     Status s = trees_[0]->Insert(p, id);
     if (!s.ok()) return s;
-    SyncLeafRoutes();
+    UpdateLeafRoutes(trees_[0]->changed_leaves(), nullptr);
   } else if (options_.architecture == Architecture::kFederatedScan) {
     const DiskId disk = declusterer_->DiskOfPoint(p, id);
     PARSIM_CHECK(disk < scan_partitions_.size());
@@ -334,7 +288,7 @@ Status ParallelSearchEngine::Remove(PointView p, PointId id) {
   Status s = Status::Ok();
   if (options_.architecture == Architecture::kSharedTree) {
     s = trees_[0]->Delete(p, id);
-    if (s.ok()) SyncLeafRoutes();
+    if (s.ok()) UpdateLeafRoutes(trees_[0]->changed_leaves(), nullptr);
   } else if (options_.architecture == Architecture::kFederatedScan) {
     const DiskId disk = declusterer_->DiskOfPoint(p, id);
     PARSIM_CHECK(disk < scan_partitions_.size());
@@ -672,10 +626,32 @@ Status ParallelSearchEngine::TryQuery(PointView query, std::size_t k,
   return Status::Ok();
 }
 
-void ParallelSearchEngine::WarmLeafBlocks(unsigned threads) const {
-  std::shared_ptr<ThreadPool> pool;
-  if (threads > 1) pool = EnsurePool(threads);
-  for (const auto& t : trees_) t->WarmLeafBlocks(pool.get());
+void ParallelSearchEngine::WarmLeafBlocks(unsigned /*threads*/) const {}
+
+Status ParallelSearchEngine::ValidateInvariants() const {
+  for (const auto& t : trees_) {
+    Status s = t->ValidateInvariants();
+    if (!s.ok()) return s;
+  }
+  if (options_.architecture != Architecture::kSharedTree ||
+      trees_[0]->root_id() == kInvalidNodeId) {
+    return Status::Ok();
+  }
+  const TreeBase& tree = *trees_[0];
+  std::vector<NodeId> stack = {tree.root_id()};
+  while (!stack.empty()) {
+    const Node& node = tree.PeekNode(stack.back());
+    stack.pop_back();
+    if (!node.IsLeaf()) {
+      for (const NodeEntry& e : node.entries) stack.push_back(e.child);
+      continue;
+    }
+    if (node.id >= leaf_routes_.size() ||
+        !(leaf_routes_[node.id] == ComputeLeafRoute(node))) {
+      return Status::Internal("leaf route disagrees with its MBR");
+    }
+  }
+  return Status::Ok();
 }
 
 std::vector<KnnResult> ParallelSearchEngine::QueryBatch(

@@ -30,7 +30,6 @@
 #ifndef PARSIM_SRC_PARALLEL_ENGINE_H_
 #define PARSIM_SRC_PARALLEL_ENGINE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -253,14 +252,13 @@ class ParallelSearchEngine {
   ///
   /// When options().parallel_workers > 1 and bulk_load is on, the build
   /// itself is parallel: every BulkLoad phase fans out over the shared
-  /// pool (see TreeBase::BulkLoad — the tree and the simulated disk
-  /// counters stay bit-identical to the serial build), and the
-  /// post-build warm-up — leaf SoA blocks with their SQ8 mirrors, plus
-  /// the memoized leaf→disk routes and replica buckets — fans out over
-  /// the same pool so the first query wave starts from steady state.
-  /// Warm-up builds derived state only and charges nothing, and later
-  /// writes keep it: Insert and Remove drop the blocks and routes of
-  /// just the leaves they change.
+  /// pool (see TreeBase::BulkLoad — the tree, its leaf blocks with their
+  /// SQ8 mirrors, and the simulated disk counters stay bit-identical to
+  /// the serial build), and so does the fill of the leaf-route table.
+  /// However the tree was built, the first query finds every leaf's
+  /// block and route ready; neither costs a simulated page or distance.
+  /// Insert and Remove rebuild the blocks and routes of just the leaves
+  /// they change.
   Status Build(const PointSet& points);
 
   /// Inserts a single point dynamically (the engine is "completely
@@ -319,11 +317,10 @@ class ParallelSearchEngine {
                                     unsigned* effective_threads = nullptr,
                                     PhaseBreakdown* phases = nullptr) const;
 
-  /// Prebuilds every leaf's SoA block (and SQ8 mirror, when enabled) on
-  /// all trees, over `threads` pool workers when > 1. Charges nothing.
-  /// Benchmarks and the throughput harness call this so timed runs
-  /// measure steady state rather than first-touch block construction;
-  /// safe to omit otherwise.
+  /// Does nothing. Leaf blocks and routes are built by Build and kept
+  /// exact by every write, so there is nothing left to warm; the
+  /// function stays only for callers written when blocks were built on
+  /// first use.
   void WarmLeafBlocks(unsigned threads = 0) const;
 
   /// All point ids inside `query` (inclusive). The query type the
@@ -384,6 +381,12 @@ class ParallelSearchEngine {
   DiskArray& disks() { return disks_; }
   const DiskArray& disks() const { return disks_; }
 
+  /// Every tree's TreeBase::ValidateInvariants, plus (kSharedTree) the
+  /// route table: each reachable leaf's entry must equal a fresh
+  /// computation from the leaf's MBR. kInternal names the first
+  /// violation.
+  Status ValidateInvariants() const;
+
   /// The sharded page-buffer pool: shard i buffers disk i, the last
   /// shard buffers the query host. nullptr when buffering is off.
   const BufferPool* buffer_pool() const { return buffer_pool_.get(); }
@@ -406,27 +409,36 @@ class ParallelSearchEngine {
   KnnResult RunKnn(const TreeBase& tree, PointView query,
                    std::size_t k) const;
   KnnResult ScanQuery(PointView query, std::size_t k) const;
-  DiskId DiskOfLeaf(const Node& leaf) const;
+
+  /// The geometric half of a shared-tree leaf's disk route. A data page
+  /// is "the bucket" of the paper: it is assigned to a disk by the
+  /// region it covers, so both fields are pure functions of the leaf's
+  /// MBR center (id-based declusterers such as round robin use the node
+  /// id as the item index).
+  struct LeafRoute {
+    DiskId primary = 0;
+    /// The replica bucket (0 when replicas are off).
+    BucketId bucket = 0;
+    friend bool operator==(const LeafRoute&, const LeafRoute&) = default;
+  };
+
+  /// The one place a leaf's route is computed.
+  LeafRoute ComputeLeafRoute(const Node& leaf) const;
 
   /// Shared-tree leaf routing with fault handling: healthy primary, or
   /// its replica (failover) when the primary failed, or the failed
-  /// primary flagged unavailable when no healthy copy exists.
+  /// primary flagged unavailable when no healthy copy exists. Reads the
+  /// leaf's entry of the route table; the fault checks stay live, so
+  /// SetFaultPlan invalidates nothing.
   TreeBase::DiskRoute RouteLeaf(const Node& leaf) const;
 
-  /// Brings the leaf-route memo up to date after Build, Insert or Remove:
-  /// grows it to the shared tree's node count, keeping every existing
-  /// word, and drops the words of TreeBase::changed_leaves() — the only
-  /// leaves whose MBR, and with it the declustering color, may have
-  /// moved. Mutation-side only: must not race with queries (the tree
-  /// family's standing contract).
-  void SyncLeafRoutes();
-
-  /// Fills the leaf-route memo for every leaf of the shared tree, over
-  /// `pool` when given. RouteLeaf's memo fill is idempotent (the packed
-  /// word is a pure function of the leaf MBR) and the slots are relaxed
-  /// atomics, so concurrent fills are safe and value-identical to lazy
-  /// fills. Charges nothing; no-op outside the shared-tree architecture.
-  void PrewarmLeafRoutes(ThreadPool* pool) const;
+  /// Sizes the route table to the shared tree's node table and
+  /// recomputes the entry of every non-empty leaf in `ids`, over `pool`
+  /// when given. Build passes every node id; Insert and Remove pass
+  /// TreeBase::changed_leaves(), the only leaves whose MBR, and with it
+  /// the route, may have moved. A write: must not race with queries.
+  /// No-op outside kSharedTree.
+  void UpdateLeafRoutes(const std::vector<NodeId>& ids, ThreadPool* pool);
 
   /// Federated fault handling (no replicas there): if disk `d` is
   /// failed, records `pages` unavailable on it and returns true (the
@@ -452,18 +464,12 @@ class ParallelSearchEngine {
   /// mechanism, 1.0 (exact) otherwise. See ApproxContext.
   ApproxContext approx_;
   std::unique_ptr<ReplicaPlacement> replicas_;
-  /// Memoized shared-tree leaf routing, one packed word per node id:
-  /// bit 63 = valid, bits 16..47 = replica bucket, bits 0..15 = primary
-  /// disk. The route of a leaf is a pure function of its MBR (center ->
-  /// declustering color), but recomputing the MBR on every node access
-  /// costs a fold over the page's entries — it showed up as ~40% of
-  /// end-to-end batch time before memoization. Queries fill slots
-  /// racing-but-idempotent (every thread computes the same word, relaxed
-  /// atomics keep TSAN happy); fault state stays OUT of the word, so
-  /// SetFaultPlan needs no invalidation. A write drops only the words of
-  /// the leaves it changed (SyncLeafRoutes).
-  mutable std::unique_ptr<std::atomic<std::uint64_t>[]> leaf_routes_;
-  std::size_t leaf_routes_size_ = 0;
+  /// kSharedTree: the route of every non-empty leaf, indexed by node id
+  /// (dissolved leaves keep a stale entry no query reads). Computing a
+  /// route folds the page's entries into its MBR, which per node access
+  /// showed up as ~40% of end-to-end batch time; the table holds it
+  /// from Build on, and UpdateLeafRoutes keeps it exact across writes.
+  std::vector<LeafRoute> leaf_routes_;
   // buffer_pool_ must outlive disks_ and host_ (attached shards), which
   // must outlive the trees (raw pointers inside).
   std::unique_ptr<BufferPool> buffer_pool_;

@@ -397,81 +397,73 @@ std::vector<JoinPair> SimilarityJoin::Run(double epsilon,
   // and the fixed epsilon, so the builds fan out over the pool and the
   // result cannot depend on scheduling.
   std::vector<GroupCodes> codebooks;
-  {
-    bool quantized = false;
+  if (tree_.quantized_leaf_blocks()) {
+    std::size_t total_rows = 0;
     for (const JoinLeaf& leaf : leaves) {
-      if (leaf.node->entries.empty()) continue;
-      quantized = tree_.LeafBlockOf(*leaf.node).has_sq8;
-      break;
+      total_rows += leaf.node->entries.size();
     }
-    if (quantized) {
-      std::size_t total_rows = 0;
-      for (const JoinLeaf& leaf : leaves) {
-        total_rows += leaf.node->entries.size();
+    // ~64 groups at scale keeps lattices near cluster extent while
+    // the floor stops tiny joins from degenerating into per-leaf
+    // codebooks (wide merged runs need wide groups).
+    const std::size_t budget =
+        std::max<std::size_t>(4096, total_rows / 64);
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> group_ranges;
+    {
+      std::uint32_t gbegin = 0;
+      std::size_t in_group = 0;
+      for (std::uint32_t i = 0; i < num_leaves; ++i) {
+        const std::size_t c = leaves[i].node->entries.size();
+        if (in_group > 0 && in_group + c > budget) {
+          group_ranges.emplace_back(gbegin, i);
+          gbegin = i;
+          in_group = 0;
+        }
+        leaves[i].group = static_cast<std::uint32_t>(group_ranges.size());
+        in_group += c;
       }
-      // ~64 groups at scale keeps lattices near cluster extent while
-      // the floor stops tiny joins from degenerating into per-leaf
-      // codebooks (wide merged runs need wide groups).
-      const std::size_t budget =
-          std::max<std::size_t>(4096, total_rows / 64);
-      std::vector<std::pair<std::uint32_t, std::uint32_t>> group_ranges;
-      {
-        std::uint32_t gbegin = 0;
-        std::size_t in_group = 0;
-        for (std::uint32_t i = 0; i < num_leaves; ++i) {
-          const std::size_t c = leaves[i].node->entries.size();
-          if (in_group > 0 && in_group + c > budget) {
-            group_ranges.emplace_back(gbegin, i);
-            gbegin = i;
-            in_group = 0;
-          }
-          leaves[i].group = static_cast<std::uint32_t>(group_ranges.size());
-          in_group += c;
-        }
-        group_ranges.emplace_back(gbegin, static_cast<std::uint32_t>(num_leaves));
+      group_ranges.emplace_back(gbegin, static_cast<std::uint32_t>(num_leaves));
+    }
+    codebooks.resize(group_ranges.size());
+    const auto build_group = [&](std::size_t g) {
+      ScopedPhaseCapture worker_capture(phases);
+      ScopedPhase phase(Phase::kSweepPrep);
+      GroupCodes& pc = codebooks[g];
+      std::size_t total = 0;
+      for (std::uint32_t li = group_ranges[g].first;
+           li < group_ranges[g].second; ++li) {
+        JoinLeaf& leaf = leaves[li];
+        leaf.prow = total;
+        leaf.count = static_cast<std::uint32_t>(leaf.node->entries.size());
+        total += leaf.count;
       }
-      codebooks.resize(group_ranges.size());
-      const auto build_group = [&](std::size_t g) {
-        ScopedPhaseCapture worker_capture(phases);
-        ScopedPhase phase(Phase::kSweepPrep);
-        GroupCodes& pc = codebooks[g];
-        std::size_t total = 0;
-        for (std::uint32_t li = group_ranges[g].first;
-             li < group_ranges[g].second; ++li) {
-          JoinLeaf& leaf = leaves[li];
-          leaf.prow = total;
-          leaf.count = static_cast<std::uint32_t>(leaf.node->entries.size());
-          total += leaf.count;
-        }
-        if (total == 0) return;
-        pc.rows.resize(total * dim);
-        pc.ids.resize(total);
-        for (std::uint32_t li = group_ranges[g].first;
-             li < group_ranges[g].second; ++li) {
-          const JoinLeaf& leaf = leaves[li];
-          if (leaf.count == 0) continue;
-          const LeafBlock& b = tree_.LeafBlockOf(*leaf.node);
-          std::copy(b.coords.begin(), b.coords.end(),
-                    pc.rows.data() + leaf.prow * dim);
-          std::copy(b.ids.begin(), b.ids.end(), pc.ids.data() + leaf.prow);
-        }
-        pc.mirror.BuildFrom(pc.rows.data(), total, dim);
-        pc.qcodes.resize(total * dim);
-        std::vector<Sq8Bound> bounds(total);
-        PrepareSq8QueryMany(pc.mirror, pc.rows.data(), total, metric_.kind(),
-                            pc.qcodes.data(), bounds.data());
-        pc.cutoffs.resize(total);
-        for (std::size_t r = 0; r < total; ++r) {
-          pc.cutoffs[r] = bounds[r].PruneCutoff(eps_cmp);
-        }
-        pc.total = total;
-        pc.ready = true;
-      };
-      if (pool != nullptr && pool->size() > 1) {
-        pool->ParallelFor(0, codebooks.size(), build_group);
-      } else {
-        for (std::size_t g = 0; g < codebooks.size(); ++g) build_group(g);
+      if (total == 0) return;
+      pc.rows.resize(total * dim);
+      pc.ids.resize(total);
+      for (std::uint32_t li = group_ranges[g].first;
+           li < group_ranges[g].second; ++li) {
+        const JoinLeaf& leaf = leaves[li];
+        if (leaf.count == 0) continue;
+        const LeafBlock& b = leaf.node->block;
+        std::copy(b.coords.begin(), b.coords.end(),
+                  pc.rows.data() + leaf.prow * dim);
+        std::copy(b.ids.begin(), b.ids.end(), pc.ids.data() + leaf.prow);
       }
+      pc.mirror.BuildFrom(pc.rows.data(), total, dim);
+      pc.qcodes.resize(total * dim);
+      std::vector<Sq8Bound> bounds(total);
+      PrepareSq8QueryMany(pc.mirror, pc.rows.data(), total, metric_.kind(),
+                          pc.qcodes.data(), bounds.data());
+      pc.cutoffs.resize(total);
+      for (std::size_t r = 0; r < total; ++r) {
+        pc.cutoffs[r] = bounds[r].PruneCutoff(eps_cmp);
+      }
+      pc.total = total;
+      pc.ready = true;
+    };
+    if (pool != nullptr && pool->size() > 1) {
+      pool->ParallelFor(0, codebooks.size(), build_group);
+    } else {
+      for (std::size_t g = 0; g < codebooks.size(); ++g) build_group(g);
     }
   }
 
@@ -502,7 +494,7 @@ std::vector<JoinPair> SimilarityJoin::Run(double epsilon,
     RowOutput& out = rows[i];
     const Node& node_i = *leaves[i].node;
     if (node_i.entries.empty()) return;
-    const LeafBlock& bi = tree_.LeafBlockOf(node_i);
+    const LeafBlock& bi = node_i.block;
     thread_local std::vector<Counters> member_stats;
     // Foreign-group query prep, cached per (owner row, target group):
     // js is sorted and groups are contiguous leaf ranges, so every pair
@@ -588,7 +580,7 @@ std::vector<JoinPair> SimilarityJoin::Run(double epsilon,
         ++t;
         continue;
       }
-      const LeafBlock& bj = tree_.LeafBlockOf(node_j);
+      const LeafBlock& bj = node_j.block;
       // Cross pair: the owner row's points are the "queries" swept
       // against block j — one many-to-many kernel, SQ8 prune and all,
       // with the join's fixed threshold (it never tightens, unlike a

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/index/leaf_block.h"
 #include "src/index/leaf_sweep.h"
 #include "src/util/check.h"
 
@@ -130,8 +129,8 @@ std::size_t HsRoundScheduler::Step(ThreadPool* pool, RoundStats* round) {
 
   // Phase 2 (parallelizable): expand each group into its members'
   // frontiers. Every query sits in exactly one group per round, so
-  // groups touch disjoint states/accumulators; leaf blocks come from
-  // the tree's concurrent-read-safe cache.
+  // groups touch disjoint states/accumulators; leaf blocks are read
+  // from the nodes, which no query writes.
   const auto expand = [&](std::size_t gi) {
     // Pool workers do not inherit the scheduler thread's thread-local
     // phase capture; re-install it so their sweep/descent/frontier time
@@ -142,7 +141,7 @@ std::size_t HsRoundScheduler::Step(ThreadPool* pool, RoundStats* round) {
     const std::size_t members = g.end - g.begin;
     const std::size_t slot = g.route.disk->id();
     if (node.IsLeaf()) {
-      const LeafBlock& block = tree_.LeafBlockOf(node);
+      const LeafBlock& block = node.block;
       // One many-to-many kernel call scores every member query against
       // every point of the page (uint8 q x n reduction first on a
       // quantized block, with per-member bound pruning — see

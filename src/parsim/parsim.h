@@ -40,7 +40,6 @@
 #include "src/hilbert/hilbert.h"
 #include "src/index/hs_search.h"
 #include "src/index/knn.h"
-#include "src/index/leaf_block.h"
 #include "src/index/leaf_sweep.h"
 #include "src/index/rstar_tree.h"
 #include "src/index/serialize.h"
@@ -51,7 +50,6 @@
 #include "src/io/disk_model.h"
 #include "src/parallel/engine.h"
 #include "src/parallel/join.h"
-#include "src/parallel/route_memo.h"
 #include "src/parallel/round_scheduler.h"
 #include "src/service/query_service.h"
 #include "src/util/phase_timer.h"

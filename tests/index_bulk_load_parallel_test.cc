@@ -1,9 +1,10 @@
 // Parallel bulk load property suite: a tree built with a thread pool —
 // any thread count — must be BIT-IDENTICAL to the serial build. Node
 // layout, levels, page counts, entry order, Rect coordinates, directory
-// images, simulated disk accounting and query answers are all compared
-// exactly; duplicate points force sort-key ties so the index tiebreaks
-// are actually load bearing. Runs under the TSAN lane in tools/ci.sh.
+// images, leaf blocks with their SQ8 mirrors, simulated disk accounting
+// and query answers are all compared exactly; duplicate points force
+// sort-key ties so the index tiebreaks are actually load bearing. Runs
+// under the TSAN lane in tools/ci.sh.
 
 #include <algorithm>
 #include <cmath>
@@ -38,15 +39,16 @@ BuiltTree Build(const PointSet& data, BulkLoadOrder order, ThreadPool* pool) {
   TreeOptions options;
   options.bulk_load_order = order;
   out.tree = std::make_unique<RStarTree>(data.dim(), out.disk.get(), options);
+  out.tree->set_quantized_leaf_blocks(true);
   EXPECT_TRUE(out.tree->BulkLoad(data, nullptr, pool).ok());
   return out;
 }
 
 // Exact structural equality: every node, every entry, every Rect bound
 // compared with operator== on the raw Scalars (identical computations
-// must produce identical bits), every directory image compared bitwise
-// (the parallel build fills them inside its per-group tasks), plus the
-// disks' write accounting.
+// must produce identical bits), every directory image and every leaf
+// block with its SQ8 mirror compared bitwise (the parallel build fills
+// them inside its per-group tasks), plus the disks' write accounting.
 void ExpectTreesIdentical(const BuiltTree& a, const BuiltTree& b) {
   ASSERT_EQ(a.tree->num_nodes(), b.tree->num_nodes());
   ASSERT_EQ(a.tree->root_id(), b.tree->root_id());
@@ -59,7 +61,11 @@ void ExpectTreesIdentical(const BuiltTree& a, const BuiltTree& b) {
     ASSERT_EQ(na.split_history, nb.split_history) << "node " << id;
     ASSERT_EQ(na.entries.size(), nb.entries.size()) << "node " << id;
     ASSERT_TRUE(na.image == nb.image) << "node " << id;
-    if (!na.IsLeaf()) {
+    ASSERT_TRUE(na.block == nb.block) << "node " << id;
+    if (na.IsLeaf()) {
+      ASSERT_EQ(na.block.count, na.entries.size()) << "node " << id;
+      ASSERT_TRUE(na.block.has_sq8) << "node " << id;
+    } else {
       ASSERT_EQ(na.image.count(), na.entries.size()) << "node " << id;
     }
     for (std::size_t e = 0; e < na.entries.size(); ++e) {
@@ -233,9 +239,8 @@ TEST(BulkLoadParallelTest, PairSortMatchesComparatorIndirectionSort) {
 }
 
 // End-to-end engine identity: serial engine vs parallel_workers=8, with
-// the quantized-mirror warm-up path on and off. Covers the parallel
-// federated build, the shared-tree build, the warm-up fan-out
-// (WarmLeafBlocks + leaf-route prewarm) and query accounting.
+// quantized mirrors on and off. Covers the shared-tree build, the
+// pooled fill of the leaf-route table and query accounting.
 TEST(BulkLoadParallelTest, EngineResultsAndStatsIdenticalToSerial) {
   const std::size_t dim = 8;
   const PointSet data = GenerateUniform(12000, dim, 101);
@@ -254,6 +259,8 @@ TEST(BulkLoadParallelTest, EngineResultsAndStatsIdenticalToSerial) {
         dim, std::make_unique<NearOptimalDeclusterer>(dim, 8), threaded);
     ASSERT_TRUE(a.Build(data).ok());
     ASSERT_TRUE(b.Build(data).ok());
+    EXPECT_TRUE(a.ValidateInvariants().ok());
+    EXPECT_TRUE(b.ValidateInvariants().ok());
     EXPECT_EQ(a.BuildStats().pages_written, b.BuildStats().pages_written);
 
     for (std::size_t q = 0; q < queries.size(); ++q) {

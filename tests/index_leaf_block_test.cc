@@ -1,16 +1,18 @@
-// SoA leaf blocks vs the AoS entry layout they mirror.
+// SoA leaf blocks and directory images vs the AoS entries they mirror.
 //
-// The refactored query paths (HsKnn, RangeQuery, BallQuery, the batched
-// scheduler) read leaf pages through LeafBlockOf() instead of the
-// per-entry rects, so these properties pin the contract the whole PR
-// rests on: blocks are bitwise mirrors of their leaves, kernel sweeps
-// over them are bitwise equal to per-entry distance calls, every query
-// kind returns bit-identical answers to a pre-SoA oracle, and mutations
-// invalidate stale blocks. The directory side has the same contract:
-// every directory node's image (DirImage) equals a fresh build from its
-// entries after every write and after LoadTree.
+// Every query path (HsKnn, RkvKnn, RangeQuery, BallQuery, the batched
+// scheduler, the join) reads a leaf page through its node's LeafBlock
+// instead of the per-entry rects, so these properties pin the contract
+// that rests on: blocks are bitwise mirrors of their leaves, kernel
+// sweeps over them are bitwise equal to per-entry distance calls, every
+// query kind returns bit-identical answers to a linear-scan oracle, and
+// every write rebuilds the blocks of the leaves it changes. The
+// directory side has the same contract: every directory node's image
+// (DirImage) equals a fresh build from its entries after every write
+// and after LoadTree, and ValidateInvariants rejects a stale block or
+// image.
 
-#include "src/index/leaf_block.h"
+#include "src/index/node.h"
 
 #include <algorithm>
 #include <cmath>
@@ -49,16 +51,21 @@ void ExpectBitIdentical(const KnnResult& got, const KnnResult& want) {
   EXPECT_EQ(got_ids, want_ids);
 }
 
-/// Every directory node in the node table — reachable or dissolved —
-/// holds an image equal to a fresh build from its entries, bit for bit;
-/// leaves hold none.
-void ExpectImagesFresh(const TreeBase& tree) {
+/// Every node in the node table — reachable or dissolved — holds the
+/// derived state of its entries, bit for bit: a leaf its block (SQ8
+/// mirror included when the tree quantizes; a dissolved leaf's block is
+/// empty) and no image, a directory node its image and no block.
+void ExpectDerivedStateFresh(const TreeBase& tree) {
   for (NodeId id = 0; id < tree.num_nodes(); ++id) {
     const Node& node = tree.PeekNode(id);
     if (node.IsLeaf()) {
       EXPECT_EQ(node.image.count(), 0u) << "leaf " << id;
+      LeafBlock fresh;
+      fresh.BuildFrom(node.entries, tree.dim(), tree.quantized_leaf_blocks());
+      EXPECT_TRUE(node.block == fresh) << "leaf " << id;
       continue;
     }
+    EXPECT_TRUE(node.block == LeafBlock{}) << "directory node " << id;
     DirImage fresh;
     fresh.BuildFrom(node.entries, tree.dim());
     EXPECT_TRUE(node.image == fresh) << "directory node " << id;
@@ -94,7 +101,7 @@ TEST_P(LeafBlockPropertyTest, BlocksMirrorLeafEntriesBitwise) {
 
   for (const NodeId leaf_id : CollectLeaves(tree)) {
     const Node& leaf = tree.AccessNode(leaf_id);
-    const LeafBlock& block = tree.LeafBlockOf(leaf);
+    const LeafBlock& block = leaf.block;
     ASSERT_EQ(block.count, leaf.entries.size());
     ASSERT_EQ(block.dim, dim);
     for (std::size_t i = 0; i < block.count; ++i) {
@@ -120,8 +127,7 @@ TEST_P(LeafBlockPropertyTest, KernelSweepMatchesPerEntryDistances) {
        {MetricKind::kL1, MetricKind::kL2, MetricKind::kLmax}) {
     const Metric metric(kind);
     for (const NodeId leaf_id : CollectLeaves(tree)) {
-      const Node& leaf = tree.AccessNode(leaf_id);
-      const LeafBlock& block = tree.LeafBlockOf(leaf);
+      const LeafBlock& block = tree.AccessNode(leaf_id).block;
       std::vector<double> swept(block.count);
       for (std::size_t qi = 0; qi < queries.size(); ++qi) {
         metric.ComparableMany(queries[qi], block.coords.data(), block.count,
@@ -192,27 +198,11 @@ TEST_P(LeafBlockPropertyTest, RangeAndPartialMatchQueriesMatchScan) {
   }
 }
 
-/// A cached block must equal a fresh build of the same leaf field by
-/// field: floats, ids, and the SQ8 lattice and codes.
-void ExpectSameBlock(const LeafBlock& got, const LeafBlock& want) {
-  ASSERT_EQ(got.count, want.count);
-  ASSERT_EQ(got.dim, want.dim);
-  EXPECT_EQ(got.coords, want.coords);
-  EXPECT_EQ(got.ids, want.ids);
-  ASSERT_EQ(got.has_sq8, want.has_sq8);
-  EXPECT_EQ(got.sq8.count, want.sq8.count);
-  EXPECT_EQ(got.sq8.dim, want.sq8.dim);
-  EXPECT_EQ(got.sq8.scale, want.sq8.scale);
-  EXPECT_EQ(got.sq8.lo, want.sq8.lo);
-  EXPECT_EQ(got.sq8.err, want.sq8.err);
-  EXPECT_EQ(got.sq8.codes, want.sq8.codes);
-}
-
-// Insert and Delete mark stale only the blocks of the leaves they change,
-// so a leaf they miss would serve its old block. A seeded run of writes
+// Insert and Delete rebuild only the blocks of the leaves they change,
+// so a leaf they miss would keep its old block. A seeded run of writes
 // grows a root leaf into a two-level tree, condenses it back and empties
-// it; before every write each reachable leaf's block (with its SQ8
-// mirror) is cached, and after it each must equal a fresh build.
+// it; after every write every node's block (with its SQ8 mirror) must
+// equal a fresh build, the dissolved leaves' empty blocks included.
 TEST_P(LeafBlockPropertyTest, InsertAndDeleteInvalidateCachedBlocks) {
   const std::size_t dim = GetParam();
   const std::size_t cap = LeafCapacityPerPage(dim);
@@ -239,13 +229,7 @@ TEST_P(LeafBlockPropertyTest, InsertAndDeleteInvalidateCachedBlocks) {
 
     std::size_t writes = 0;
     const auto check = [&] {
-      for (const NodeId leaf_id : CollectLeaves(*tree)) {
-        const Node& leaf = tree->PeekNode(leaf_id);
-        LeafBlock fresh;
-        fresh.BuildFrom(leaf, dim, /*quantize=*/true);
-        ExpectSameBlock(tree->LeafBlockOf(leaf), fresh);
-      }
-      ExpectImagesFresh(*tree);
+      ExpectDerivedStateFresh(*tree);
       ASSERT_FALSE(::testing::Test::HasFailure()) << "after write " << writes;
     };
     const auto write = [&](bool insert, PointId id) {
@@ -350,9 +334,9 @@ struct WriteRunStats {
 /// the directory edits: leaf and directory splits, forced reinserts,
 /// root growth above a directory, X-tree supernodes, CondenseTree's
 /// unhooks and MBR tightening, and root shrinkage back to a leaf and to
-/// an empty tree. After every write each directory image must equal a
-/// fresh build; mid-run, a SaveTree/LoadTree round trip must rebuild
-/// the same images.
+/// an empty tree. After every write each directory image and leaf block
+/// (SQ8 mirror included) must equal a fresh build; mid-run, a
+/// SaveTree/LoadTree round trip must rebuild the same images and blocks.
 template <typename Tree, typename Options>
 WriteRunStats RunDirectoryImageWrites(const Options& options) {
   const std::size_t dim = 64;
@@ -361,6 +345,7 @@ WriteRunStats RunDirectoryImageWrites(const Options& options) {
   const PointSet data = GenerateClusteredGaussian(n, dim, 1, 0.02, 7411);
   SimulatedDisk disk(0);
   SplitCountingTree<Tree> tree(dim, &disk, options);
+  tree.set_quantized_leaf_blocks(true);
   WriteRunStats stats;
 
   std::size_t writes = 0;
@@ -380,7 +365,7 @@ WriteRunStats RunDirectoryImageWrites(const Options& options) {
       ++stats.forced_reinserts;
     }
     if (tree.height() < height_before) ++stats.shrinks;
-    ExpectImagesFresh(tree);
+    ExpectDerivedStateFresh(tree);
     return !::testing::Test::HasFailure();
   };
 
@@ -408,8 +393,8 @@ WriteRunStats RunDirectoryImageWrites(const Options& options) {
   stats.supernodes = tree.ComputeStats().num_supernodes;
   EXPECT_TRUE(tree.ValidateInvariants().ok());
 
-  // LoadTree builds the images from the loaded entries: each reachable
-  // directory node's image must equal the source tree's.
+  // LoadTree builds the images and blocks from the loaded entries: each
+  // reachable node's must equal the source tree's.
   // One file per test: ctest runs the tests of this binary in parallel.
   const std::string path =
       ::testing::TempDir() + "/parsim_dir_images_" +
@@ -418,6 +403,7 @@ WriteRunStats RunDirectoryImageWrites(const Options& options) {
   EXPECT_TRUE(SaveTree(tree, path).ok());
   SimulatedDisk loaded_disk(1);
   Tree loaded(dim, &loaded_disk, options);
+  loaded.set_quantized_leaf_blocks(true);
   EXPECT_TRUE(LoadTree(&loaded, path).ok());
   std::remove(path.c_str());
   const std::vector<NodeId> dirs = CollectDirectories(tree);
@@ -427,7 +413,13 @@ WriteRunStats RunDirectoryImageWrites(const Options& options) {
     EXPECT_TRUE(loaded.PeekNode(id).image == tree.PeekNode(id).image)
         << "directory node " << id;
   }
-  ExpectImagesFresh(loaded);
+  const std::vector<NodeId> leaves = CollectLeaves(tree);
+  EXPECT_EQ(CollectLeaves(loaded), leaves);
+  for (const NodeId id : leaves) {
+    EXPECT_TRUE(loaded.PeekNode(id).block == tree.PeekNode(id).block)
+        << "leaf " << id;
+  }
+  ExpectDerivedStateFresh(loaded);
 
   // Condense: delete every live point; the tree shrinks to one leaf and
   // then to nothing, and a fresh root leaf takes the next insert.
@@ -486,7 +478,7 @@ TEST(DirectoryImageTest, RStarTreeWithoutForcedReinsertKeepsEveryImageExact) {
   EXPECT_GE(stats.shrinks, 2u) << "the root never shrank";
 }
 
-/// Exposes MutableNode so a test can corrupt an image in place.
+/// Exposes MutableNode so a test can corrupt an image or block in place.
 class ImageEditingTree : public RStarTree {
  public:
   using RStarTree::RStarTree;
@@ -519,6 +511,59 @@ TEST(DirectoryImageTest, ValidateInvariantsRejectsAStaleImage) {
   std::swap(root.image.children[0], root.image.children[1]);
   EXPECT_EQ(tree.ValidateInvariants().code(), StatusCode::kInternal);
   std::swap(root.image.children[0], root.image.children[1]);
+  EXPECT_TRUE(tree.ValidateInvariants().ok());
+}
+
+TEST(LeafBlockTest, ValidateInvariantsRejectsAStaleBlock) {
+  const std::size_t dim = 6;
+  const PointSet data = GenerateUniform(3000, dim, 7419);
+  SimulatedDisk disk(0);
+  ImageEditingTree tree(dim, &disk);
+  tree.set_quantized_leaf_blocks(true);
+  ASSERT_TRUE(tree.BulkLoad(data).ok());
+  ASSERT_TRUE(tree.ValidateInvariants().ok());
+  const std::vector<NodeId> leaves = CollectLeaves(tree);
+  ASSERT_GE(leaves.size(), 2u);
+  LeafBlock& block = tree.Edit(leaves.back()).block;
+  ASSERT_GE(block.count, 2u);
+  ASSERT_TRUE(block.has_sq8);
+
+  // Each corruption must be reported as a stale block, then undone.
+  const auto expect_stale = [&](const char* what) {
+    const Status stale = tree.ValidateInvariants();
+    EXPECT_EQ(stale.code(), StatusCode::kInternal) << what;
+    EXPECT_NE(stale.message().find("block"), std::string::npos)
+        << what << ": " << stale.message();
+  };
+  // One coordinate one float step off.
+  Scalar& coord = block.coords.back();
+  const Scalar saved = coord;
+  coord = std::nextafter(coord, 2.0f);
+  expect_stale("coordinate");
+  coord = saved;
+  EXPECT_TRUE(tree.ValidateInvariants().ok());
+
+  // Two ids swapped in the block only.
+  std::swap(block.ids[0], block.ids[1]);
+  expect_stale("ids");
+  std::swap(block.ids[0], block.ids[1]);
+  EXPECT_TRUE(tree.ValidateInvariants().ok());
+
+  // The SQ8 mirror: one code, then one error bound.
+  block.sq8.codes[0] ^= 1;
+  expect_stale("code");
+  block.sq8.codes[0] ^= 1;
+  const double err = block.sq8.err[0];
+  block.sq8.err[0] = std::nextafter(err, 1.0);
+  expect_stale("error bound");
+  block.sq8.err[0] = err;
+  EXPECT_TRUE(tree.ValidateInvariants().ok());
+
+  // A block built without its mirror.
+  block.BuildFrom(tree.PeekNode(leaves.back()).entries, dim,
+                  /*quantize=*/false);
+  expect_stale("mirror");
+  tree.set_quantized_leaf_blocks(true);
   EXPECT_TRUE(tree.ValidateInvariants().ok());
 }
 

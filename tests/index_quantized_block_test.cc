@@ -8,8 +8,8 @@
 // sequences, and page counts. These properties pin both, across
 // adversarial data placements (huge offsets, tiny ranges, data exactly
 // on the lattice), all three metrics, every query path (k-NN, ball,
-// range, partial match, coalesced batch), and mutation epochs. The
-// engine-level cases also pin the warm-up and phase-profiling paths.
+// range, partial match, coalesced batch), and writes. The engine-level
+// cases also pin what Build leaves behind and the phase-profiling paths.
 
 #include "src/geometry/sq8.h"
 
@@ -18,7 +18,6 @@
 #include <limits>
 #include <random>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -416,56 +415,69 @@ TEST(QuantizedEngineTest, CoalescedBatchMatchesPerQueryOnQuantizedEngine) {
   }
 }
 
-// WarmLeafBlocks builds every block and its SQ8 mirror without charging
-// a single page or distance computation, serial and pooled alike, and
-// changes no answer.
-TEST(QuantizedEngineTest, WarmLeafBlocksChargesNothing) {
+// Build leaves every reachable leaf with its SQ8 mirror, serial and
+// pooled alike, without charging a page or a distance computation beyond
+// BuildStats (which the mirrors do not move either), and answers stay
+// oracle-exact.
+TEST(QuantizedEngineTest, BuildLeavesEveryMirrorAndChargesNothing) {
   const std::size_t dim = 16, k = 5;
   const std::uint32_t disks = 4;
   const PointSet data = GenerateUniform(1500, dim, 4701);
   const PointSet queries = GenerateUniformQueries(4, dim, 4703);
 
-  EngineOptions options;
-  options.architecture = Architecture::kSharedTree;
-  options.bulk_load = true;
-  options.quantized_leaf_blocks = true;
-  ParallelSearchEngine engine(
-      dim, std::make_unique<NearOptimalDeclusterer>(dim, disks), options);
-  ASSERT_TRUE(engine.Build(data).ok());
+  EngineOptions exact_options;
+  exact_options.architecture = Architecture::kSharedTree;
+  exact_options.bulk_load = true;
+  ParallelSearchEngine exact(
+      dim, std::make_unique<NearOptimalDeclusterer>(dim, disks),
+      exact_options);
+  ASSERT_TRUE(exact.Build(data).ok());
 
-  const auto snapshot = [&] {
-    DiskStats total = engine.disks().TotalStats();
-    return std::make_tuple(total.TotalPagesRead(), total.distance_computations,
-                           total.quantized_pruned);
-  };
-  const auto before = snapshot();
-  engine.WarmLeafBlocks(/*threads=*/4);
-  engine.WarmLeafBlocks();  // idempotent
-  EXPECT_EQ(snapshot(), before);
+  for (const unsigned workers : {0u, 4u}) {
+    SCOPED_TRACE("parallel_workers " + std::to_string(workers));
+    EngineOptions options = exact_options;
+    options.quantized_leaf_blocks = true;
+    options.parallel_workers = workers;
+    ParallelSearchEngine engine(
+        dim, std::make_unique<NearOptimalDeclusterer>(dim, disks), options);
+    ASSERT_TRUE(engine.Build(data).ok());
+    EXPECT_TRUE(engine.ValidateInvariants().ok());
 
-  // The tree-level API really materialized the mirrors.
-  const TreeBase& tree = engine.tree();
-  std::vector<NodeId> stack{tree.root_id()};
-  std::size_t leaves = 0;
-  while (!stack.empty()) {
-    const NodeId id = stack.back();
-    stack.pop_back();
-    const Node& node = tree.PeekNode(id);
-    if (!node.IsLeaf()) {
-      for (const NodeEntry& e : node.entries) stack.push_back(e.child);
-      continue;
+    // Nothing is charged after BuildStats was taken, and the mirrors
+    // add nothing to it.
+    const DiskStats charged = engine.disks().TotalStats();
+    EXPECT_TRUE(charged == Counters{});
+    EXPECT_EQ(charged.TotalPagesRead(), 0u);
+    EXPECT_EQ(charged.pages_written, 0u);
+    const DiskStats built = engine.BuildStats();
+    const DiskStats want = exact.BuildStats();
+    EXPECT_TRUE(built == want);
+    EXPECT_EQ(built.TotalPagesRead(), want.TotalPagesRead());
+    EXPECT_EQ(built.pages_written, want.pages_written);
+
+    // Every reachable leaf holds its mirror.
+    const TreeBase& tree = engine.tree();
+    std::vector<NodeId> stack{tree.root_id()};
+    std::size_t leaves = 0;
+    while (!stack.empty()) {
+      const NodeId id = stack.back();
+      stack.pop_back();
+      const Node& node = tree.PeekNode(id);
+      if (!node.IsLeaf()) {
+        for (const NodeEntry& e : node.entries) stack.push_back(e.child);
+        continue;
+      }
+      ++leaves;
+      EXPECT_TRUE(node.block.has_sq8);
+      EXPECT_EQ(node.block.sq8.count, node.block.count);
+      EXPECT_EQ(node.block.count, node.entries.size());
     }
-    ++leaves;
-    const LeafBlock& block = tree.LeafBlockOf(node);
-    EXPECT_TRUE(block.has_sq8);
-    EXPECT_EQ(block.sq8.count, block.count);
-  }
-  EXPECT_GT(leaves, 0u);
-  EXPECT_EQ(snapshot(), before) << "LeafBlockOf after warm must be cached";
+    EXPECT_GT(leaves, 0u);
 
-  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
-    ExpectBitIdentical(engine.Query(queries[qi], k),
-                       BruteForceKnn(data, queries[qi], k, options.metric));
+    for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+      ExpectBitIdentical(engine.Query(queries[qi], k),
+                         BruteForceKnn(data, queries[qi], k, options.metric));
+    }
   }
 }
 
@@ -535,10 +547,10 @@ TEST(QuantizedEngineTest, PhaseProfilerAttributesQueryTime) {
   }
 }
 
-// Mutations invalidate the SQ8 mirror together with the block: after an
-// insert or delete every rebuilt mirror re-encodes the current floats
-// (within its recorded error), and queries stay oracle-exact. Toggling
-// quantization off restores plain blocks.
+// Writes rebuild the SQ8 mirror together with the block: after an
+// insert or delete every mirror encodes the current floats (within its
+// recorded error), and queries stay oracle-exact. Toggling quantization
+// off rebuilds plain blocks.
 TEST_P(QuantizedBlockPropertyTest, MutationEpochsInvalidateMirrors) {
   const std::size_t dim = GetParam();
   PointSet data = GenerateUniform(400, dim, 9501 + dim);
@@ -548,10 +560,8 @@ TEST_P(QuantizedBlockPropertyTest, MutationEpochsInvalidateMirrors) {
   for (std::size_t i = 0; i < data.size(); ++i) {
     ASSERT_TRUE(tree.Insert(data[i], static_cast<PointId>(i)).ok());
   }
-  // Materialize every mirror, then mutate under it.
   for (const NodeId leaf_id : CollectLeaves(tree)) {
-    const LeafBlock& block = tree.LeafBlockOf(tree.AccessNode(leaf_id));
-    ASSERT_TRUE(block.has_sq8);
+    ASSERT_TRUE(tree.PeekNode(leaf_id).block.has_sq8);
   }
 
   const Point probe(std::vector<Scalar>(dim, 0.5f));
@@ -567,9 +577,9 @@ TEST_P(QuantizedBlockPropertyTest, MutationEpochsInvalidateMirrors) {
   ASSERT_EQ(nearest.size(), 1u);
   EXPECT_NE(nearest[0].id, extra_id);
 
-  // Every rebuilt mirror encodes the leaf's current floats within err.
+  // Every mirror encodes the leaf's current floats within err.
   for (const NodeId leaf_id : CollectLeaves(tree)) {
-    const LeafBlock& block = tree.LeafBlockOf(tree.AccessNode(leaf_id));
+    const LeafBlock& block = tree.PeekNode(leaf_id).block;
     ASSERT_TRUE(block.has_sq8);
     ASSERT_EQ(block.sq8.count, block.count);
     for (std::size_t i = 0; i < block.count; ++i) {
@@ -592,7 +602,7 @@ TEST_P(QuantizedBlockPropertyTest, MutationEpochsInvalidateMirrors) {
   tree.set_quantized_leaf_blocks(false);
   EXPECT_FALSE(tree.quantized_leaf_blocks());
   for (const NodeId leaf_id : CollectLeaves(tree)) {
-    EXPECT_FALSE(tree.LeafBlockOf(tree.AccessNode(leaf_id)).has_sq8);
+    EXPECT_FALSE(tree.PeekNode(leaf_id).block.has_sq8);
   }
   for (std::size_t qi = 0; qi < queries.size(); ++qi) {
     ExpectBitIdentical(HsKnn(tree, queries[qi], 8),

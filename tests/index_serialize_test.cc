@@ -3,7 +3,11 @@
 #include "src/index/serialize.h"
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <iterator>
+#include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -190,6 +194,72 @@ TEST_F(SerializeTest, TreeWithDeletionsRoundTrips) {
   ASSERT_TRUE(LoadTree(&restored, path).ok());
   EXPECT_EQ(restored.size(), original.size());
   ASSERT_TRUE(restored.ValidateInvariants().ok());
+}
+
+// LoadTree builds every leaf block, with its SQ8 mirror on a quantized
+// tree, before it validates, so a non-finite coordinate must be rejected
+// while the entry is read: with a Status, leaving the tree empty.
+TEST_F(SerializeTest, NonFiniteCoordinateRejected) {
+  const std::size_t dim = 4;
+  const PointSet data = GenerateUniform(5, dim, 1171);
+  SimulatedDisk disk(0);
+  XTree original(dim, &disk);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    ASSERT_TRUE(original.Insert(data[i], static_cast<PointId>(i)).ok());
+  }
+  ASSERT_EQ(original.height(), 1);
+  const std::string path = Track(TempPath("one_leaf.tree"));
+  ASSERT_TRUE(SaveTree(original, path).ok());
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  // The file holds a 40-byte header (magic, version, dim, size, root,
+  // node count), the root leaf's 24-byte node header (id, level, pages,
+  // split history, entry count), then its entries in insertion order:
+  // lo[dim], hi[dim], child. Patch coordinate 2 of data[0], lo and hi.
+  const std::size_t lo = 40 + 24 + 2 * sizeof(Scalar);
+  const std::size_t hi = lo + dim * sizeof(Scalar);
+  ASSERT_GT(bytes.size(), hi + sizeof(Scalar));
+  Scalar stored = 0;
+  std::memcpy(&stored, bytes.data() + lo, sizeof(Scalar));
+  ASSERT_EQ(stored, data[0][2]);
+  std::memcpy(&stored, bytes.data() + hi, sizeof(Scalar));
+  ASSERT_EQ(stored, data[0][2]);
+
+  for (const Scalar bad : {std::numeric_limits<Scalar>::infinity(),
+                           -std::numeric_limits<Scalar>::infinity(),
+                           std::numeric_limits<Scalar>::quiet_NaN()}) {
+    SCOPED_TRACE(bad);
+    std::string patched = bytes;
+    std::memcpy(patched.data() + lo, &bad, sizeof(Scalar));
+    std::memcpy(patched.data() + hi, &bad, sizeof(Scalar));
+    const std::string bad_path = Track(TempPath("one_leaf_patched.tree"));
+    {
+      std::ofstream out(bad_path, std::ios::binary | std::ios::trunc);
+      out.write(patched.data(), static_cast<std::streamsize>(patched.size()));
+    }
+    for (const bool quantize : {false, true}) {
+      SimulatedDisk loaded_disk(1);
+      XTree loaded(dim, &loaded_disk);
+      loaded.set_quantized_leaf_blocks(quantize);
+      const Status s = LoadTree(&loaded, bad_path);
+      EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+      EXPECT_NE(s.message().find("corrupt node entry"), std::string::npos)
+          << s.message();
+      EXPECT_TRUE(loaded.empty());
+      EXPECT_EQ(loaded.root_id(), kInvalidNodeId);
+      EXPECT_EQ(loaded.num_nodes(), 0u);
+    }
+  }
+
+  // The unpatched file still loads.
+  SimulatedDisk loaded_disk(1);
+  XTree loaded(dim, &loaded_disk);
+  loaded.set_quantized_leaf_blocks(true);
+  ASSERT_TRUE(LoadTree(&loaded, path).ok());
+  EXPECT_EQ(loaded.size(), data.size());
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 #include "src/core/baselines.h"
 #include "src/core/near_optimal.h"
 #include "src/index/knn.h"
-#include "src/parallel/route_memo.h"
 #include "src/service/query_service.h"
 #include "src/util/random.h"
 #include "src/workload/generators.h"
@@ -398,14 +397,13 @@ void ExpectSameStats(const QueryStats& a, const QueryStats& b) {
   EXPECT_EQ(a.phases.ms, b.phases.ms);
 }
 
-// Insert and Remove drop the cached SQ8 blocks and leaf routes of only
-// the leaves they change. Engine `cached` keeps both warm through every
-// write: Build prewarms them over its pool, and a full-space range query
-// after each write refills every leaf. Engine `lazy` builds nothing until
-// the final queries. Same points, same writes (NotFound removes
-// included): a leaf either cache missed would show up in `cached` as a
-// stale route (pages_per_disk, parallel_ms) or a stale mirror (answers,
-// prune counters).
+// Insert and Remove rebuild the SQ8 blocks and leaf routes of only the
+// leaves they change. After every write, ValidateInvariants compares
+// every reachable leaf's block and route with a fresh computation, so a
+// leaf a write missed fails at that write. Engine `pooled` builds its
+// blocks and routes over a pool of 3, engine `serial` on the caller;
+// both take the same points and the same writes (NotFound removes
+// included), and their final answers and stats must agree.
 TEST(EngineTest, WritesKeepCachedBlocksAndRoutesExact) {
   const std::size_t dim = 16;
   const std::size_t n = 1000;
@@ -417,23 +415,24 @@ TEST(EngineTest, WritesKeepCachedBlocksAndRoutesExact) {
   options.bulk_load_fill = 1.0;  // full leaves: the first inserts split
   options.quantized_leaf_blocks = true;
   options.parallel_workers = 3;
-  auto cached = MakeEngine(data, 16, options);
+  auto pooled = MakeEngine(data, 16, options);
   options.parallel_workers = 1;
-  auto lazy = MakeEngine(data, 16, options);
+  auto serial = MakeEngine(data, 16, options);
+  ASSERT_TRUE(pooled->ValidateInvariants().ok());
+  ASSERT_TRUE(serial->ValidateInvariants().ok());
 
-  const Rect everything = Rect::UnitCube(dim);
   std::vector<PointId> live(n);
   for (std::size_t i = 0; i < n; ++i) live[i] = static_cast<PointId>(i);
   auto next = static_cast<PointId>(n);
   Rng rng(377);
-  const std::size_t nodes_before = cached->tree().num_nodes();
+  const std::size_t nodes_before = pooled->tree().num_nodes();
   std::size_t condensations = 0, not_found = 0;
   for (std::size_t step = 0; step < 800; ++step) {
     // Grow, then shrink to about two thirds of the start size; a tenth
     // of the steps remove a record that is not stored.
     const double insert_share = step < 250 ? 0.7 : 0.05;
     const double r = rng.NextDouble();
-    const std::size_t leaves = cached->tree().ComputeStats().num_leaves;
+    const std::size_t leaves = pooled->tree().ComputeStats().num_leaves;
     PointId id;
     bool insert = false;
     if (r < insert_share && next < all.size()) {
@@ -448,78 +447,37 @@ TEST(EngineTest, WritesKeepCachedBlocksAndRoutesExact) {
       live[victim] = live.back();
       live.pop_back();
     }
-    const Status a = insert ? cached->Insert(all[id], id)
-                            : cached->Remove(all[id], id);
-    const Status b = insert ? lazy->Insert(all[id], id)
-                            : lazy->Remove(all[id], id);
+    const Status a = insert ? pooled->Insert(all[id], id)
+                            : pooled->Remove(all[id], id);
+    const Status b = insert ? serial->Insert(all[id], id)
+                            : serial->Remove(all[id], id);
     ASSERT_EQ(a.code(), b.code()) << "step " << step;
     ASSERT_EQ(a.code(), id == next ? StatusCode::kNotFound : StatusCode::kOk);
+    const Status valid = pooled->ValidateInvariants();
+    ASSERT_TRUE(valid.ok()) << "step " << step << ": " << valid.ToString();
+    ASSERT_TRUE(serial->ValidateInvariants().ok()) << "step " << step;
     if (insert) live.push_back(id);
-    if (cached->tree().ComputeStats().num_leaves < leaves) ++condensations;
-    (void)cached->RangeQuery(everything);
-    (void)cached->Query(all[id], 10);
+    if (pooled->tree().ComputeStats().num_leaves < leaves) ++condensations;
   }
   // The seeded run makes 15 nodes, condenses 10 times and misses 71.
-  EXPECT_GE(cached->tree().num_nodes(), nodes_before + 10) << "few splits";
+  EXPECT_GE(pooled->tree().num_nodes(), nodes_before + 10) << "few splits";
   EXPECT_GE(condensations, 5u);
   EXPECT_GE(not_found, 10u);
-  ASSERT_EQ(cached->size(), live.size());
-  ASSERT_TRUE(cached->tree().ValidateInvariants().ok());
+  ASSERT_EQ(pooled->size(), live.size());
 
   QueryStats sa, sb;
-  EXPECT_EQ(cached->RangeQuery(everything, &sa),
-            lazy->RangeQuery(everything, &sb));
+  const Rect everything = Rect::UnitCube(dim);
+  EXPECT_EQ(pooled->RangeQuery(everything, &sa),
+            serial->RangeQuery(everything, &sb));
   ExpectSameStats(sa, sb);
   const PointSet queries = GenerateUniformQueries(16, dim, 379);
   for (std::size_t q = 0; q < queries.size(); ++q) {
     SCOPED_TRACE("query " + std::to_string(q));
-    const KnnResult ra = cached->Query(queries[q], 10, &sa);
-    const KnnResult rb = lazy->Query(queries[q], 10, &sb);
+    const KnnResult ra = pooled->Query(queries[q], 10, &sa);
+    const KnnResult rb = serial->Query(queries[q], 10, &sb);
     ExpectSameAnswer(ra, rb);
     ExpectSameStats(sa, sb);
   }
-}
-
-// Pins the memo-word fix: the packed leaf route guards BOTH fields now.
-// Formerly only the primary disk id was range-checked while the bucket
-// was shifted into bits 16..47 unchecked — a bucket at or above 2^32
-// would spill into the reserved bits (and, at bucket bit 47, clobber
-// the valid flag). Unpackable routes must simply not be cached.
-TEST(RouteMemoTest, RoundTripsMaximalInRangeFields) {
-  const std::uint64_t max_primary = (1ull << route_memo::kPrimaryBits) - 1;
-  const std::uint64_t max_bucket = (1ull << route_memo::kBucketBits) - 1;
-  for (const std::uint64_t primary :
-       std::vector<std::uint64_t>{0, 7, max_primary}) {
-    for (const std::uint64_t bucket :
-         std::vector<std::uint64_t>{0, 123456789, max_bucket}) {
-      const std::uint64_t word = route_memo::Pack(primary, bucket);
-      ASSERT_NE(word, 0u);
-      EXPECT_TRUE(route_memo::IsValid(word));
-      EXPECT_EQ(route_memo::PrimaryOf(word), primary);
-      EXPECT_EQ(route_memo::BucketOf(word), bucket);
-    }
-  }
-}
-
-TEST(RouteMemoTest, WideFieldsAreNotCached) {
-  const std::uint64_t wide_primary = 1ull << route_memo::kPrimaryBits;
-  const std::uint64_t wide_bucket = 1ull << route_memo::kBucketBits;
-  EXPECT_FALSE(route_memo::Fits(wide_primary, 0));
-  EXPECT_FALSE(route_memo::Fits(0, wide_bucket));
-  EXPECT_EQ(route_memo::Pack(wide_primary, 0), 0u);
-  EXPECT_EQ(route_memo::Pack(0, wide_bucket), 0u);
-  // The corruption the guard prevents: the bucket bit that would land on
-  // the valid flag if it were shifted in unchecked.
-  const std::uint64_t flag_clobber_bucket = 1ull << (63 - 16);
-  EXPECT_EQ(route_memo::Pack(0, flag_clobber_bucket), 0u);
-  // An unchecked shift of that bucket lands its top bit on bit 63: the
-  // word reads back "valid" with bucket 0 — a wrong route, silently.
-  const std::uint64_t unchecked =
-      route_memo::kValidBit |
-      (flag_clobber_bucket << route_memo::kPrimaryBits);
-  EXPECT_TRUE(route_memo::IsValid(unchecked));
-  EXPECT_NE(route_memo::BucketOf(unchecked), flag_clobber_bucket)
-      << "unguarded packing would round-trip the bucket wrongly";
 }
 
 }  // namespace

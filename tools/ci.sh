@@ -67,13 +67,14 @@ UBSAN_OPTIONS="print_stacktrace=1" \
 echo "== [3/4] TSAN build + concurrency tests =="
 # io_buffer_pool_test hammers the sharded pool from raw threads;
 # parallel_concurrency_test covers concurrent buffered batches;
-# parallel_batch_coalesced_test runs the coalesced round scheduler (and
-# with it the LeafBlockCache epoch path) on an 8-worker pool;
+# parallel_batch_coalesced_test runs the coalesced round scheduler
+# (pool workers reading the leaf blocks the nodes own) on an 8-worker
+# pool;
 # golden_stats_test pins the buffered deterministic-replay accounting;
 # index_quantized_block_test exercises the SQ8 sweep path (whose
 # per-thread scratch and cached kernel dispatch must stay race-free)
 # alongside the concurrent engines, including a threaded coalesced SQ8
-# batch at d=16, the pooled WarmLeafBlocks prebuild, and the
+# batch at d=16, a pooled engine build, and the
 # phase-profiled coalesced batch (thread-local capture install/remove
 # under a pool); index_approx_knn_test runs the approximate tier's
 # relaxed skips and their per-query counters on a multi-worker
@@ -83,9 +84,11 @@ echo "== [3/4] TSAN build + concurrency tests =="
 # 8-worker determinism); util_parallel_sort_test and
 # index_bulk_load_parallel_test run the deterministic parallel merge
 # sort and the full parallel bulk-load path (key batches, slab tiling,
-# level packing with the directory images each group task builds,
-# warm-up fan-out) on 8-worker pools, and the latter compares every
-# node and directory image with the serial build's; parallel_join_test
+# level packing with the directory images and leaf blocks each group
+# task builds, the pooled leaf-route fill) on 8-worker pools, and the
+# latter is the leaf-block identity check: it compares every node,
+# directory image and leaf block (SQ8 mirror included) with the serial
+# build's; parallel_join_test
 # fans the self-join's codebook builds and block-pair row sweeps over
 # pools of several widths and asserts the pair list and every counter
 # are thread-count invariant.
