@@ -86,8 +86,9 @@ Result<PointSet> ReadPointSet(std::istream& in) {
   if (!ReadRaw(in, &dim) || !ReadRaw(in, &count) || dim == 0) {
     return Status::InvalidArgument("corrupt point-set header");
   }
+  // `count` is untrusted: nothing is reserved from it, so a corrupt
+  // count ends in the short read below, never in a huge allocation.
   PointSet points(static_cast<std::size_t>(dim));
-  points.Reserve(static_cast<std::size_t>(count));
   Point p(static_cast<std::size_t>(dim));
   for (std::uint64_t i = 0; i < count; ++i) {
     in.read(reinterpret_cast<char*>(p.data()),
@@ -185,7 +186,8 @@ Status LoadTree(TreeBase* tree, const std::string& path) {
     if (node->level < 0 || node->pages == 0) {
       return Status::InvalidArgument("corrupt node fields");
     }
-    node->entries.reserve(entries);
+    // `entries` is untrusted: nothing is reserved from it, so a corrupt
+    // count ends in a short read, never in a huge allocation.
     for (std::uint64_t e = 0; e < entries; ++e) {
       NodeEntry entry;
       if (!ReadRect(in, static_cast<std::size_t>(dim), &entry.rect) ||

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -62,13 +63,23 @@ struct JoinParent {
   std::vector<std::uint32_t> leaves;  // indices into the leaf list
 };
 
-/// Per-row-task output, merged serially in row order after the parallel
-/// sweep so every counter and the pair list are thread-count invariant.
-/// `sweep` also counts the row's kernel runs (block_kernel_invocations).
+/// Per-row-task output. The merge adds `sweep` to the accumulator in row
+/// order, so every counter is thread-count invariant; `sweep` also
+/// counts the row's kernel runs (block_kernel_invocations). [a_min,
+/// a_max] spans the smaller ids of the row's pairs (empty when a_min >
+/// a_max): the range the merge buckets cut.
 struct RowOutput {
   Counters sweep;
   std::vector<JoinPair> pairs;
+  PointId a_min = kInvalidPointId;
+  PointId a_max = 0;
 };
+
+/// Pairs per merge bucket on average: the merge cuts the range of the
+/// smaller id into about total / kMergeBucketPairs equal-width buckets,
+/// enough tasks to spread the bucket sorts over the pool while each one
+/// still sorts in cache.
+inline constexpr std::size_t kMergeBucketPairs = 4096;
 
 /// Marks a query view whose rows do NOT live in the swept codebook
 /// (the owner leaf sits in a different group).
@@ -258,6 +269,19 @@ std::vector<JoinPair> SimilarityJoin::Run(double epsilon,
   ScopedPhaseCapture phase_capture(phases);
   const double eps_cmp = metric_.ToComparable(epsilon);
   const std::size_t dim = tree_.dim();
+  // Runs body(0 .. n-1) over the pool and the caller, or in a plain loop
+  // when there is no pool. Every stage's bodies write only their own
+  // slots, so both give the same result; each body installs `phases`
+  // and opens its own phase scope, since a scope around the loop would
+  // book the caller's own iterations twice.
+  const auto pooled_for = [pool](std::size_t n,
+                                 const std::function<void(std::size_t)>& body) {
+    if (pool != nullptr && pool->size() > 1) {
+      pool->ParallelFor(0, n, body);
+    } else {
+      for (std::size_t i = 0; i < n; ++i) body(i);
+    }
+  };
 
   // ---- Stage 1: enumerate the leaves. One descent reads (and charges)
   // every directory page once; leaf ids and MBRs come from their
@@ -320,41 +344,49 @@ std::vector<JoinPair> SimilarityJoin::Run(double epsilon,
   // ---- Stage 2: prune block pairs by MBR MINDIST. Self pairs always
   // survive (MINDIST(i, i) == 0 <= any eps >= 0); cross pairs are
   // tested leaf-against-leaf only when their parents' MBRs pass first.
-  // Row i owns every surviving pair (i, j), j >= i — Özkural &
-  // Aykanat's 1-D owner-computes decomposition: each pair is swept by
-  // exactly one row task.
-  std::vector<std::vector<std::uint32_t>> row_pairs(num_leaves);
-  std::uint64_t swept = 0;
-  {
+  // One task per parent p tests the parents q >= p into its own list;
+  // the lists are appended in parent order and every row is sorted, so
+  // the rows cannot depend on scheduling. Row i owns every surviving
+  // pair (i, j), j >= i — Özkural & Aykanat's 1-D owner-computes
+  // decomposition: each pair is swept by exactly one row task.
+  const std::size_t num_parents = parents.size();
+  std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>> survivors(
+      num_parents);
+  pooled_for(num_parents, [&](std::size_t p) {
+    ScopedPhaseCapture worker_capture(phases);
     ScopedPhase phase(Phase::kDescent);
-    for (std::uint32_t i = 0; i < num_leaves; ++i) {
-      row_pairs[i].push_back(i);
-      ++swept;
-    }
-    const std::size_t num_parents = parents.size();
-    for (std::size_t p = 0; p < num_parents; ++p) {
-      for (std::size_t q = p; q < num_parents; ++q) {
-        if (MinDistComparable(parents[p].mbr, parents[q].mbr, metric_) >
-            eps_cmp) {
-          continue;
-        }
-        for (const std::uint32_t li : parents[p].leaves) {
-          for (const std::uint32_t lj : parents[q].leaves) {
-            if (p == q && lj <= li) continue;  // each unordered pair once
-            if (MinDistComparable(leaves[li].mbr, leaves[lj].mbr, metric_) >
-                eps_cmp) {
-              continue;
-            }
-            row_pairs[std::min(li, lj)].push_back(std::max(li, lj));
-            ++swept;
+    for (std::size_t q = p; q < num_parents; ++q) {
+      if (MinDistComparable(parents[p].mbr, parents[q].mbr, metric_) >
+          eps_cmp) {
+        continue;
+      }
+      for (const std::uint32_t li : parents[p].leaves) {
+        for (const std::uint32_t lj : parents[q].leaves) {
+          if (p == q && lj <= li) continue;  // each unordered pair once
+          if (MinDistComparable(leaves[li].mbr, leaves[lj].mbr, metric_) >
+              eps_cmp) {
+            continue;
           }
+          survivors[p].emplace_back(std::min(li, lj), std::max(li, lj));
         }
       }
     }
-    for (std::vector<std::uint32_t>& row : row_pairs) {
-      std::sort(row.begin(), row.end());
+  });
+  std::vector<std::vector<std::uint32_t>> row_pairs(num_leaves);
+  std::uint64_t swept = num_leaves;
+  {
+    ScopedPhase phase(Phase::kDescent);
+    for (std::uint32_t i = 0; i < num_leaves; ++i) row_pairs[i].push_back(i);
+    for (const auto& list : survivors) {
+      for (const auto& [lo, hi] : list) row_pairs[lo].push_back(hi);
+      swept += list.size();
     }
   }
+  pooled_for(num_leaves, [&](std::size_t i) {
+    ScopedPhaseCapture worker_capture(phases);
+    ScopedPhase phase(Phase::kDescent);
+    std::sort(row_pairs[i].begin(), row_pairs[i].end());
+  });
   stats->block_pairs_swept = swept;
   stats->block_pairs_pruned = stats->block_pairs_considered - swept;
 
@@ -460,11 +492,7 @@ std::vector<JoinPair> SimilarityJoin::Run(double epsilon,
       pc.total = total;
       pc.ready = true;
     };
-    if (pool != nullptr && pool->size() > 1) {
-      pool->ParallelFor(0, codebooks.size(), build_group);
-    } else {
-      for (std::size_t g = 0; g < codebooks.size(); ++g) build_group(g);
-    }
+    pooled_for(codebooks.size(), build_group);
   }
 
   // ---- Stage 4: sweep the rows over the pool. Rows are handed out
@@ -602,30 +630,65 @@ std::vector<JoinPair> SimilarityJoin::Run(double epsilon,
       ++out.sweep.block_kernel_invocations;
       ++t;
     }
+    for (const JoinPair& pair : out.pairs) {
+      out.a_min = std::min(out.a_min, pair.a);
+      out.a_max = std::max(out.a_max, pair.a);
+    }
   };
-  if (pool != nullptr && pool->size() > 1) {
-    pool->ParallelFor(0, num_leaves, run_row);
-  } else {
-    for (std::size_t slot = 0; slot < num_leaves; ++slot) run_row(slot);
-  }
+  pooled_for(num_leaves, run_row);
 
-  // ---- Merge: serial, in row order. Sweep CPU and counters are
-  // charged to the disk owning the row's leaf (owner-computes: the
-  // compute sits next to the data it swept), one block-kernel
-  // invocation per swept pair.
-  std::vector<JoinPair> pairs;
-  {
-    std::size_t total = 0;
-    for (const RowOutput& out : rows) total += out.pairs.size();
-    pairs.reserve(total);
-  }
+  // ---- Merge, in row order. Sweep CPU and counters are charged to the
+  // disk owning the row's leaf (owner-computes: the compute sits next to
+  // the data it swept), one block-kernel invocation per swept pair. The
+  // pairs are counted, then scattered in row order, into equal-width
+  // buckets of the smaller id `a` (power-of-two width, about
+  // total / kMergeBucketPairs of them), and each bucket is sorted as its
+  // own task. Every unordered pair is emitted exactly once, so
+  // JoinPair's operator< is a total order on the list: the sorted
+  // buckets in bucket order are THE sorted list at any thread count.
+  std::size_t total = 0;
+  PointId a_min = kInvalidPointId;
+  PointId a_max = 0;
   for (std::size_t i = 0; i < num_leaves; ++i) {
     const RowOutput& out = rows[i];
     acc->slot(leaves[i].route.disk->id()) += out.sweep;
-    pairs.insert(pairs.end(), out.pairs.begin(), out.pairs.end());
+    total += out.pairs.size();
+    a_min = std::min(a_min, out.a_min);
+    a_max = std::max(a_max, out.a_max);
   }
-  std::sort(pairs.begin(), pairs.end());
-  stats->pairs_emitted = pairs.size();
+  stats->pairs_emitted = total;
+  if (total == 0) return {};
+  const std::uint64_t span = a_max - a_min;
+  const std::uint64_t target =
+      std::max<std::size_t>(1, total / kMergeBucketPairs);
+  unsigned shift = 0;
+  while ((span >> shift) + 1 > target) ++shift;
+  const std::size_t num_buckets = static_cast<std::size_t>(span >> shift) + 1;
+  const auto bucket_of = [a_min, shift](const JoinPair& pair) {
+    return static_cast<std::size_t>((std::uint64_t{pair.a} - a_min) >> shift);
+  };
+  std::vector<std::size_t> start(num_buckets + 1, 0);
+  std::vector<JoinPair> pairs;
+  {
+    ScopedPhase phase(Phase::kMerge);
+    pairs.resize(total);
+    for (const RowOutput& out : rows) {
+      for (const JoinPair& pair : out.pairs) ++start[bucket_of(pair) + 1];
+    }
+    for (std::size_t b = 0; b < num_buckets; ++b) start[b + 1] += start[b];
+    std::vector<std::size_t> fill(start.begin(), start.end() - 1);
+    for (const RowOutput& out : rows) {
+      for (const JoinPair& pair : out.pairs) {
+        pairs[fill[bucket_of(pair)]++] = pair;
+      }
+    }
+  }
+  pooled_for(num_buckets, [&](std::size_t b) {
+    ScopedPhaseCapture worker_capture(phases);
+    ScopedPhase phase(Phase::kMerge);
+    std::sort(pairs.begin() + static_cast<std::ptrdiff_t>(start[b]),
+              pairs.begin() + static_cast<std::ptrdiff_t>(start[b + 1]));
+  });
   return pairs;
 }
 

@@ -15,6 +15,9 @@
 //      at most ToComparable(epsilon). A parent-level prefilter runs
 //      first — parent MBRs contain their children's, so a pruned parent
 //      pair losslessly prunes all its leaf pairs without testing them.
+//      One pool task per level-1 parent p tests the parents q >= p into
+//      its own survivor list; the lists are appended in parent order
+//      and each block row is sorted, rows spread over the pool.
 //   3. Fetch: each distinct leaf involved in any surviving pair is read
 //      ONCE, in ascending node-id order (the leader pays the faulted /
 //      buffered read, as in the coalesced batch scheduler); every
@@ -40,6 +43,12 @@
 //      a per-row MINDIST test against the run's merged MBR skips rows
 //      whose base bound already clears the threshold. Non-quantized
 //      trees take the exact block sweeps (SweepLeafBlockSelf / Many).
+//
+// Merge: counters are summed in row order; the pairs are counted and
+// scattered in row order into equal-width buckets of the smaller id,
+// and each bucket is sorted as its own pool task. Every unordered pair
+// is emitted once, so the sort order is total and the buckets in bucket
+// order are the one sorted list.
 //
 // Determinism: the emitted pair list is sorted by (a, b) and every
 // counter is a sum of per-row integer contributions merged in row order,
@@ -81,7 +90,8 @@ struct JoinPair {
 /// Per-join knobs (the engine's EngineOptions supplies everything else:
 /// metric, quantization, buffering, faults).
 struct JoinOptions {
-  /// Worker threads for the sweep stage; 0 = the engine's
+  /// Worker threads for the pooled stages (block-pair prune, codebook
+  /// builds, row sweep, bucket sorts); 0 = the engine's
   /// parallel_workers, 1 = serial. Results and stats are identical at
   /// any value.
   unsigned threads = 0;

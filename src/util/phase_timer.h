@@ -32,10 +32,12 @@
 
 namespace parsim {
 
-/// The phases a k-NN query's wall clock is attributed to.
+/// The phases a k-NN query's (or a self-join's) wall clock is attributed
+/// to.
 enum class Phase : unsigned {
   /// Interior-node expansion: MINDIST evaluation and frontier pushes of
-  /// child nodes (including the cutoff-skip test).
+  /// child nodes (including the cutoff-skip test). A self-join books its
+  /// directory enumeration and block-pair MINDIST prune here.
   kDescent = 0,
   /// Frontier maintenance: heap pops and result emission between node
   /// fetches.
@@ -56,9 +58,12 @@ enum class Phase : unsigned {
   /// Exact re-rank of bound survivors, including emit handling (the
   /// exact sweep of an unquantized block lands here entirely).
   kSweepRerank,
+  /// A self-join's merge of its per-row pair lists into the sorted
+  /// output: the bucket count and scatter, and the per-bucket sorts.
+  kMerge,
 };
 
-inline constexpr std::size_t kNumPhases = 7;
+inline constexpr std::size_t kNumPhases = 8;
 
 inline const char* PhaseName(Phase phase) {
   switch (phase) {
@@ -76,6 +81,8 @@ inline const char* PhaseName(Phase phase) {
       return "sweep_full";
     case Phase::kSweepRerank:
       return "sweep_rerank";
+    case Phase::kMerge:
+      return "merge";
   }
   return "unknown";
 }

@@ -2,6 +2,7 @@
 
 #include "src/index/serialize.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -31,6 +32,22 @@ class SerializeTest : public ::testing::Test {
 
   std::string Track(std::string path) {
     created_.push_back(path);
+    return path;
+  }
+
+  static std::string ReadBytes(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  }
+
+  // Writes `bytes` with `value` stored over the 8 bytes at `offset` to
+  // a new tracked file and returns its path.
+  std::string WritePatched(std::string bytes, std::size_t offset,
+                           std::uint64_t value, const char* name) {
+    std::memcpy(bytes.data() + offset, &value, sizeof(value));
+    const std::string path = Track(TempPath(name));
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     return path;
   }
 
@@ -260,6 +277,66 @@ TEST_F(SerializeTest, NonFiniteCoordinateRejected) {
   loaded.set_quantized_leaf_blocks(true);
   ASSERT_TRUE(LoadTree(&loaded, path).ok());
   EXPECT_EQ(loaded.size(), data.size());
+}
+
+// Counts read from a file are untrusted: a count far past the bytes that
+// follow must end in the short read with a Status, never in a
+// reservation that throws or asks for terabytes.
+TEST_F(SerializeTest, HugeEntryCountRejected) {
+  const std::size_t dim = 4;
+  const PointSet data = GenerateUniform(5, dim, 1173);
+  SimulatedDisk disk(0);
+  XTree original(dim, &disk);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    ASSERT_TRUE(original.Insert(data[i], static_cast<PointId>(i)).ok());
+  }
+  ASSERT_EQ(original.height(), 1);
+  const std::string path = Track(TempPath("one_leaf_count.tree"));
+  ASSERT_TRUE(SaveTree(original, path).ok());
+  const std::string bytes = ReadBytes(path);
+  // The root leaf's entry count follows the 40-byte file header and the
+  // leaf's id, level, pages and split history (4 bytes each).
+  const std::size_t at = 40 + 16;
+  ASSERT_GT(bytes.size(), at + sizeof(std::uint64_t));
+  std::uint64_t stored = 0;
+  std::memcpy(&stored, bytes.data() + at, sizeof(stored));
+  ASSERT_EQ(stored, data.size());
+
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 62, std::uint64_t{1} << 40}) {
+    SCOPED_TRACE(count);
+    const std::string bad_path =
+        WritePatched(bytes, at, count, "one_leaf_count_patched.tree");
+    SimulatedDisk loaded_disk(1);
+    XTree loaded(dim, &loaded_disk);
+    const Status s = LoadTree(&loaded, bad_path);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+    EXPECT_NE(s.message().find("corrupt node entry"), std::string::npos)
+        << s.message();
+    EXPECT_TRUE(loaded.empty());
+    EXPECT_EQ(loaded.root_id(), kInvalidNodeId);
+    EXPECT_EQ(loaded.num_nodes(), 0u);
+  }
+}
+
+TEST_F(SerializeTest, HugePointCountRejected) {
+  const PointSet original = GenerateUniform(5, 3, 1175);
+  const std::string path = Track(TempPath("count.bin"));
+  ASSERT_TRUE(SavePointSet(original, path).ok());
+  const std::string bytes = ReadBytes(path);
+  // Magic (8 bytes), version (4) and dim (8), then the point count.
+  const std::size_t at = 8 + 4 + 8;
+  std::uint64_t stored = 0;
+  std::memcpy(&stored, bytes.data() + at, sizeof(stored));
+  ASSERT_EQ(stored, original.size());
+
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 62, std::uint64_t{1} << 40}) {
+    SCOPED_TRACE(count);
+    const Result<PointSet> loaded =
+        LoadPointSet(WritePatched(bytes, at, count, "count_patched.bin"));
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 }  // namespace

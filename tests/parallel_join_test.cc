@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -223,6 +224,120 @@ TEST(SimilarityJoinTest, DeterministicAcrossThreadCounts) {
       const JoinResult result = engine->SelfJoin(eps, options);
       ExpectSamePairs(reference.pairs, result.pairs);
       ExpectSameStats(reference.stats, result.stats);
+    }
+  }
+}
+
+// Level-1 directory nodes of `tree`: the join's block-pair prune runs
+// one task per such parent.
+std::size_t LevelOneParents(const TreeBase& tree) {
+  std::size_t parents = 0;
+  std::vector<NodeId> stack = {tree.root_id()};
+  while (!stack.empty()) {
+    const Node& node = tree.PeekNode(stack.back());
+    stack.pop_back();
+    if (node.level == 1) {
+      ++parents;
+    } else if (!node.IsLeaf()) {
+      for (const NodeEntry& e : node.entries) stack.push_back(e.child);
+    }
+  }
+  return parents;
+}
+
+// The pooled stages fan out only when they have more tasks than lanes:
+// this join has at least 2 x (threads + 1) level-1 parents for every
+// pool width below (one prune task each) and enough pairs for several
+// merge buckets (one sort task each). Its pair list must equal the
+// oracle's, and its pair list and every counter the serial run's, at
+// every width. Widths run in ascending order, so each one grows the
+// engine's shared pool to exactly that many workers.
+TEST(SimilarityJoinTest, PooledStagesMatchSerialAndOracleAtScale) {
+  const PointSet data = GenerateClusteredGaussian(6000, 32, 12, 0.03, 6101);
+  const double eps = 0.18;
+  const std::vector<JoinPair> oracle = BruteForceSelfJoin(data, eps);
+  ASSERT_GE(oracle.size(), 16384u);
+  for (const SweepMode mode : {SweepMode::kExact, SweepMode::kQuantized}) {
+    SCOPED_TRACE(ModeName(mode));
+    const auto engine = MakeEngine(data, 8, mode);
+    ASSERT_GE(LevelOneParents(engine->tree()), 2u * (8 + 1));
+    JoinOptions serial_options;
+    serial_options.threads = 1;
+    const JoinResult serial = engine->SelfJoin(eps, serial_options);
+    ExpectSamePairs(oracle, serial.pairs);
+    ExpectJoinInvariants(serial.stats);
+    ExpectPageConservation(serial.stats);
+    EXPECT_GT(serial.stats.block_pairs_pruned, 0u);
+    for (const unsigned threads : {2u, 3u, 8u}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      JoinOptions options;
+      options.threads = threads;
+      const JoinResult result = engine->SelfJoin(eps, options);
+      ExpectSamePairs(oracle, result.pairs);
+      ExpectSameStats(serial.stats, result.stats);
+    }
+  }
+}
+
+// The merge buckets pairs by their smaller id, so an engine filled by
+// Insert with sparse ids reaching both ends of the PointId range (0 and
+// kInvalidPointId - 1; kInvalidPointId itself is reserved) must still
+// return the oracle's pairs, relabelled, at every pool width.
+TEST(SimilarityJoinTest, SparseIdsSpanningThePointIdRange) {
+  const std::size_t dim = 8;
+  PointSet data = GenerateClusteredGaussian(4000, dim, 8, 0.03, 6301);
+  // Two copies of point 0 pair with it and with each other at distance
+  // 0, so the smallest id (on point 0) and the two largest (on the
+  // copies) all land in pairs.
+  data.Add(data[0]);
+  data.Add(data[0]);
+  const std::size_t n = data.size();
+  std::vector<PointId> ids(n);
+  ids[0] = 0;
+  ids[n - 2] = kInvalidPointId - 2;
+  ids[n - 1] = kInvalidPointId - 1;
+  std::set<PointId> used(ids.begin(), ids.end());
+  Rng rng(6303);
+  for (std::size_t i = 1; i + 2 < n; ++i) {
+    do {
+      ids[i] = static_cast<PointId>(rng.NextBounded(kInvalidPointId));
+    } while (!used.insert(ids[i]).second);
+  }
+  const double eps = 0.07;
+  std::vector<JoinPair> expected;
+  for (const JoinPair& p : BruteForceSelfJoin(data, eps)) {
+    expected.push_back(JoinPair{std::min(ids[p.a], ids[p.b]),
+                                std::max(ids[p.a], ids[p.b]), p.distance});
+  }
+  std::sort(expected.begin(), expected.end());
+  ASSERT_GE(expected.size(), 16384u);
+  ASSERT_EQ(expected.front().a, 0u);
+  ASSERT_EQ(expected.back().a, kInvalidPointId - 2);
+  ASSERT_EQ(expected.back().b, kInvalidPointId - 1);
+
+  for (const SweepMode mode : {SweepMode::kExact, SweepMode::kQuantized}) {
+    SCOPED_TRACE(ModeName(mode));
+    EngineOptions options;
+    options.architecture = Architecture::kSharedTree;
+    options.quantized_leaf_blocks = mode == SweepMode::kQuantized;
+    ParallelSearchEngine engine(
+        dim, std::make_unique<NearOptimalDeclusterer>(dim, 8), options);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(engine.Insert(data[i], ids[i]).ok());
+    }
+    JoinStats serial_stats;
+    for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      JoinOptions join_options;
+      join_options.threads = threads;
+      const JoinResult result = engine.SelfJoin(eps, join_options);
+      ExpectSamePairs(expected, result.pairs);
+      ExpectJoinInvariants(result.stats);
+      if (threads == 1) {
+        serial_stats = result.stats;
+      } else {
+        ExpectSameStats(serial_stats, result.stats);
+      }
     }
   }
 }

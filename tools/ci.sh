@@ -89,9 +89,10 @@ echo "== [3/4] TSAN build + concurrency tests =="
 # latter is the leaf-block identity check: it compares every node,
 # directory image and leaf block (SQ8 mirror included) with the serial
 # build's; parallel_join_test
-# fans the self-join's codebook builds and block-pair row sweeps over
-# pools of several widths and asserts the pair list and every counter
-# are thread-count invariant.
+# fans the self-join's pooled block-pair prune (one task per level-1
+# parent) and row sorts, codebook builds, block-pair row sweeps and
+# merge bucket sorts over pools of 2, 3 and 8 workers and asserts the
+# pair list and every counter are thread-count invariant.
 TSAN_TESTS=(util_thread_pool_test util_parallel_sort_test
             io_buffer_pool_test
             parallel_concurrency_test parallel_threads_test
