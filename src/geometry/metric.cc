@@ -90,254 +90,317 @@ std::uint32_t Sq8MadScalar(const std::uint8_t* a, const std::uint8_t* b,
 
 namespace {
 
+using enum MetricKind;
+
 // ---------------------------------------------------------------------
-// Portable fallback kernels: 4-way unrolled with independent
-// accumulators so the compiler can auto-vectorize / software-pipeline.
+// Every kernel shape below is written once, as a template over the
+// metric: the metrics differ only in the step that folds one
+// dimension's difference into an accumulator and in how two
+// accumulators merge.
 // ---------------------------------------------------------------------
 
-double SquaredL2Unrolled(const float* a, const float* b, std::size_t n) {
+/// One dimension's float step: acc + d * d (L2), acc + |d| (L1) or
+/// max(acc, |d|) (Lmax), with d the coordinate difference. The AVX2
+/// kernels pass kFused: their L2 step is one fused multiply-add, written
+/// as std::fma so its rounding does not depend on whether the compiler
+/// contracts `acc + d * d`. The portable kernels never fuse.
+template <MetricKind K, bool kFused = false>
+inline double FloatStep(double acc, double d) {
+  if constexpr (K == kL2) {
+    if constexpr (kFused) {
+      return std::fma(d, d, acc);
+    } else {
+      return acc + d * d;
+    }
+  } else if constexpr (K == kL1) {
+    return acc + std::abs(d);
+  } else {
+    return std::max(acc, std::abs(d));
+  }
+}
+
+/// One dimension's SQ8 step over two codes: squared difference summed
+/// (L2), absolute difference summed (L1) or maxed (Lmax).
+template <MetricKind K>
+inline std::uint32_t Sq8Step(std::uint32_t acc, std::uint8_t x,
+                             std::uint8_t y) {
+  if constexpr (K == kL2) {
+    const std::int32_t d =
+        static_cast<std::int32_t>(x) - static_cast<std::int32_t>(y);
+    return acc + static_cast<std::uint32_t>(d * d);
+  } else {
+    const auto ad = static_cast<std::uint32_t>(x > y ? x - y : y - x);
+    if constexpr (K == kL1) {
+      return acc + ad;
+    } else {
+      return std::max(acc, ad);
+    }
+  }
+}
+
+/// Merges two partial accumulators: a sum, or a max for Lmax.
+template <MetricKind K, typename T>
+inline T Merge(T a, T b) {
+  if constexpr (K == kLmax) {
+    return std::max(a, b);
+  } else {
+    return a + b;
+  }
+}
+
+// ---------------------------------------------------------------------
+// Portable kernels: 4-way unrolled with independent accumulators so the
+// compiler can software-pipeline; merged as (s0 . s1) . (s2 . s3), then
+// the tail folds in dimension order.
+// ---------------------------------------------------------------------
+
+template <MetricKind K>
+double PairUnrolled(const float* a, const float* b, std::size_t n) {
+  const auto diff = [a, b](std::size_t i) {
+    return static_cast<double>(a[i]) - static_cast<double>(b[i]);
+  };
   double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const double d0 = static_cast<double>(a[i]) - static_cast<double>(b[i]);
-    const double d1 =
-        static_cast<double>(a[i + 1]) - static_cast<double>(b[i + 1]);
-    const double d2 =
-        static_cast<double>(a[i + 2]) - static_cast<double>(b[i + 2]);
-    const double d3 =
-        static_cast<double>(a[i + 3]) - static_cast<double>(b[i + 3]);
-    s0 += d0 * d0;
-    s1 += d1 * d1;
-    s2 += d2 * d2;
-    s3 += d3 * d3;
+    s0 = FloatStep<K>(s0, diff(i));
+    s1 = FloatStep<K>(s1, diff(i + 1));
+    s2 = FloatStep<K>(s2, diff(i + 2));
+    s3 = FloatStep<K>(s3, diff(i + 3));
   }
-  double sum = (s0 + s1) + (s2 + s3);
-  for (; i < n; ++i) {
-    const double d = static_cast<double>(a[i]) - static_cast<double>(b[i]);
-    sum += d * d;
-  }
-  return sum;
+  double acc = Merge<K>(Merge<K>(s0, s1), Merge<K>(s2, s3));
+  for (; i < n; ++i) acc = FloatStep<K>(acc, diff(i));
+  return acc;
 }
 
-double L1Unrolled(const float* a, const float* b, std::size_t n) {
-  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    s0 += std::abs(static_cast<double>(a[i]) - static_cast<double>(b[i]));
-    s1 += std::abs(static_cast<double>(a[i + 1]) -
-                   static_cast<double>(b[i + 1]));
-    s2 += std::abs(static_cast<double>(a[i + 2]) -
-                   static_cast<double>(b[i + 2]));
-    s3 += std::abs(static_cast<double>(a[i + 3]) -
-                   static_cast<double>(b[i + 3]));
-  }
-  double sum = (s0 + s1) + (s2 + s3);
-  for (; i < n; ++i) {
-    sum += std::abs(static_cast<double>(a[i]) - static_cast<double>(b[i]));
-  }
-  return sum;
-}
-
-double LmaxUnrolled(const float* a, const float* b, std::size_t n) {
-  double m0 = 0.0, m1 = 0.0, m2 = 0.0, m3 = 0.0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    m0 = std::max(m0, std::abs(static_cast<double>(a[i]) -
-                               static_cast<double>(b[i])));
-    m1 = std::max(m1, std::abs(static_cast<double>(a[i + 1]) -
-                               static_cast<double>(b[i + 1])));
-    m2 = std::max(m2, std::abs(static_cast<double>(a[i + 2]) -
-                               static_cast<double>(b[i + 2])));
-    m3 = std::max(m3, std::abs(static_cast<double>(a[i + 3]) -
-                               static_cast<double>(b[i + 3])));
-  }
-  double best = std::max(std::max(m0, m1), std::max(m2, m3));
-  for (; i < n; ++i) {
-    best = std::max(best, std::abs(static_cast<double>(a[i]) -
-                                   static_cast<double>(b[i])));
-  }
-  return best;
-}
-
-// ---------------------------------------------------------------------
 // SQ8 code reductions (uint8 rows -> uint32), the quantized sweep's
 // pair primitives: SAD for L1, SSD for L2, MAD for Lmax. All integer,
 // so every variant — unrolled, AVX2, many, block — returns identical
 // values by construction.
+template <MetricKind K>
+std::uint32_t Sq8PairUnrolled(const std::uint8_t* a, const std::uint8_t* b,
+                              std::size_t n) {
+  std::uint32_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    s0 = Sq8Step<K>(s0, a[i], b[i]);
+    s1 = Sq8Step<K>(s1, a[i + 1], b[i + 1]);
+    s2 = Sq8Step<K>(s2, a[i + 2], b[i + 2]);
+    s3 = Sq8Step<K>(s3, a[i + 3], b[i + 3]);
+  }
+  std::uint32_t acc = Merge<K>(Merge<K>(s0, s1), Merge<K>(s2, s3));
+  for (; i < n; ++i) acc = Sq8Step<K>(acc, a[i], b[i]);
+  return acc;
+}
+
+/// Many-to-many block kernel: Q queries against one contiguous block of
+/// candidate rows (an SoA leaf block), out[q * count + i], streamed
+/// point-major so each candidate row is loaded once per sweep.
+template <MetricKind K>
+void BlockUnrolled(const float* queries, std::size_t num_queries,
+                   const float* points, std::size_t count, std::size_t dim,
+                   double* out) {
+  for (std::size_t i = 0; i < count; ++i) {
+    const float* p = points + i * dim;
+    for (std::size_t q = 0; q < num_queries; ++q) {
+      out[q * count + i] = PairUnrolled<K>(queries + q * dim, p, dim);
+    }
+  }
+}
+
+/// One query's codes against a contiguous block of code rows.
+template <MetricKind K>
+void Sq8ManyUnrolled(const std::uint8_t* query, const std::uint8_t* codes,
+                     std::size_t count, std::size_t dim, std::uint32_t* out) {
+  for (std::size_t i = 0; i < count; ++i) {
+    out[i] = Sq8PairUnrolled<K>(query, codes + i * dim, dim);
+  }
+}
+
+/// Fused one-to-many reduction + cutoff filter: writes the indices of
+/// rows whose reduction is <= cutoff, returns how many survived.
+template <MetricKind K>
+std::size_t Sq8ManyUnderUnrolled(const std::uint8_t* query,
+                                 const std::uint8_t* codes, std::size_t count,
+                                 std::size_t dim, std::uint32_t cutoff,
+                                 std::uint32_t* out_idx) {
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    if (Sq8PairUnrolled<K>(query, codes + i * dim, dim) <= cutoff) {
+      out_idx[n++] = static_cast<std::uint32_t>(i);
+    }
+  }
+  return n;
+}
+
+// ---------------------------------------------------------------------
+// Point-to-many-boxes MINDIST over a dimension-major box image (a
+// directory node's DirImage): box j's bounds in dimension i are
+// lo[i * stride + j] and hi[i * stride + j]. Each box replays the
+// per-dimension sequence of MinDistComparable (src/index/knn.cc):
+//   gap = std::max(std::max(lo - q, q - hi), 0.0), accumulated in
+//   dimension order by sum += gap * gap (L2), sum += gap (L1) or
+//   best = std::max(best, gap) (Lmax),
+// so every value is bit-identical to it. std::max(a, b) returns
+// (a < b) ? b : a, which is exactly _mm256_max_pd(b, a) (MAXPD returns
+// its second operand when the two compare equal, as for -0.0 vs +0.0);
+// the AVX2 variant writes every max with swapped operands, and it is
+// compiled without FMA so gap * gap + sum never fuses.
 // ---------------------------------------------------------------------
 
-std::uint32_t Sq8SadUnrolled(const std::uint8_t* a, const std::uint8_t* b,
-                             std::size_t n) {
-  std::uint32_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  std::size_t i = 0;
-  const auto ad = [](std::uint8_t x, std::uint8_t y) {
-    return static_cast<std::uint32_t>(x > y ? x - y : y - x);
-  };
-  for (; i + 4 <= n; i += 4) {
-    s0 += ad(a[i], b[i]);
-    s1 += ad(a[i + 1], b[i + 1]);
-    s2 += ad(a[i + 2], b[i + 2]);
-    s3 += ad(a[i + 3], b[i + 3]);
+/// Dimension-outer scalar loop: each box still accumulates its own
+/// dimensions in order, and out[] doubles as the accumulator row.
+template <MetricKind K>
+void MinDistManyUnrolled(const float* query, const float* lo, const float* hi,
+                         std::size_t count, std::size_t stride,
+                         std::size_t dim, double* out) {
+  std::fill(out, out + count, 0.0);
+  for (std::size_t i = 0; i < dim; ++i) {
+    const double q = static_cast<double>(query[i]);
+    const float* lo_row = lo + i * stride;
+    const float* hi_row = hi + i * stride;
+    for (std::size_t j = 0; j < count; ++j) {
+      const double below = static_cast<double>(lo_row[j]) - q;
+      const double above = q - static_cast<double>(hi_row[j]);
+      const double gap = std::max(std::max(below, above), 0.0);
+      if constexpr (K == kL2) {
+        out[j] += gap * gap;
+      } else if constexpr (K == kL1) {
+        out[j] += gap;
+      } else {
+        out[j] = std::max(out[j], gap);
+      }
+    }
   }
-  std::uint32_t sum = (s0 + s1) + (s2 + s3);
-  for (; i < n; ++i) sum += ad(a[i], b[i]);
-  return sum;
-}
-
-std::uint32_t Sq8SsdUnrolled(const std::uint8_t* a, const std::uint8_t* b,
-                             std::size_t n) {
-  std::uint32_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  std::size_t i = 0;
-  const auto sq = [](std::uint8_t x, std::uint8_t y) {
-    const std::int32_t d =
-        static_cast<std::int32_t>(x) - static_cast<std::int32_t>(y);
-    return static_cast<std::uint32_t>(d * d);
-  };
-  for (; i + 4 <= n; i += 4) {
-    s0 += sq(a[i], b[i]);
-    s1 += sq(a[i + 1], b[i + 1]);
-    s2 += sq(a[i + 2], b[i + 2]);
-    s3 += sq(a[i + 3], b[i + 3]);
-  }
-  std::uint32_t sum = (s0 + s1) + (s2 + s3);
-  for (; i < n; ++i) sum += sq(a[i], b[i]);
-  return sum;
-}
-
-std::uint32_t Sq8MadUnrolled(const std::uint8_t* a, const std::uint8_t* b,
-                             std::size_t n) {
-  std::uint32_t m0 = 0, m1 = 0, m2 = 0, m3 = 0;
-  std::size_t i = 0;
-  const auto ad = [](std::uint8_t x, std::uint8_t y) {
-    return static_cast<std::uint32_t>(x > y ? x - y : y - x);
-  };
-  for (; i + 4 <= n; i += 4) {
-    m0 = std::max(m0, ad(a[i], b[i]));
-    m1 = std::max(m1, ad(a[i + 1], b[i + 1]));
-    m2 = std::max(m2, ad(a[i + 2], b[i + 2]));
-    m3 = std::max(m3, ad(a[i + 3], b[i + 3]));
-  }
-  std::uint32_t best = std::max(std::max(m0, m1), std::max(m2, m3));
-  for (; i < n; ++i) best = std::max(best, ad(a[i], b[i]));
-  return best;
 }
 
 #ifdef PARSIM_METRIC_X86
 
 // ---------------------------------------------------------------------
-// AVX2+FMA kernels. Coordinates are float but all arithmetic is carried
-// out on doubles (floats widened in registers), matching the precision
-// contract of the scalar kernels. Compiled with per-function target
-// attributes so the binary still runs on pre-AVX2 hosts; PickKernels()
-// only selects these after a cpuid check.
+// AVX2+FMA float kernels. Coordinates are float but all arithmetic is
+// carried out on doubles (floats widened in registers), matching the
+// precision contract of the portable kernels. Compiled with per-function
+// target attributes so the binary still runs on pre-AVX2 hosts;
+// PickKernels() only selects these after a cpuid check.
 // ---------------------------------------------------------------------
 
-__attribute__((target("avx2,fma"))) inline double HorizontalSum(__m256d v) {
-  __m128d lo = _mm256_castpd256_pd128(v);
-  const __m128d hi = _mm256_extractf128_pd(v, 1);
-  lo = _mm_add_pd(lo, hi);
-  const __m128d swapped = _mm_unpackhi_pd(lo, lo);
-  return _mm_cvtsd_f64(_mm_add_sd(lo, swapped));
+/// FloatStep on four lanes: fmadd (L2), add of |d| (L1), max of |d|
+/// (Lmax).
+template <MetricKind K>
+__attribute__((target("avx2,fma"))) inline __m256d VecStep(__m256d acc,
+                                                           __m256d d) {
+  if constexpr (K == kL2) {
+    return _mm256_fmadd_pd(d, d, acc);
+  } else {
+    const __m256d abs_d = _mm256_and_pd(
+        _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL)), d);
+    if constexpr (K == kL1) {
+      return _mm256_add_pd(acc, abs_d);
+    } else {
+      return _mm256_max_pd(acc, abs_d);
+    }
+  }
 }
 
-__attribute__((target("avx2,fma"))) inline double HorizontalMax(__m256d v) {
-  __m128d lo = _mm256_castpd256_pd128(v);
-  const __m128d hi = _mm256_extractf128_pd(v, 1);
-  lo = _mm_max_pd(lo, hi);
-  const __m128d swapped = _mm_unpackhi_pd(lo, lo);
-  return _mm_cvtsd_f64(_mm_max_sd(lo, swapped));
+/// Merges the two accumulator vectors and folds their four lanes into
+/// one double, in a fixed order the scalar tail then continues from.
+template <MetricKind K>
+__attribute__((target("avx2,fma"))) inline double FoldLanes(__m256d acc0,
+                                                            __m256d acc1) {
+  if constexpr (K == kLmax) {
+    const __m256d v = _mm256_max_pd(acc0, acc1);
+    const __m128d lo =
+        _mm_max_pd(_mm256_castpd256_pd128(v), _mm256_extractf128_pd(v, 1));
+    return _mm_cvtsd_f64(_mm_max_sd(lo, _mm_unpackhi_pd(lo, lo)));
+  } else {
+    const __m256d v = _mm256_add_pd(acc0, acc1);
+    const __m128d lo =
+        _mm_add_pd(_mm256_castpd256_pd128(v), _mm256_extractf128_pd(v, 1));
+    return _mm_cvtsd_f64(_mm_add_sd(lo, _mm_unpackhi_pd(lo, lo)));
+  }
 }
 
-__attribute__((target("avx2,fma"))) double SquaredL2Avx2(const float* a,
-                                                         const float* b,
-                                                         std::size_t n) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256d a0 = _mm256_cvtps_pd(_mm_loadu_ps(a + i));
-    const __m256d b0 = _mm256_cvtps_pd(_mm_loadu_ps(b + i));
-    const __m256d d0 = _mm256_sub_pd(a0, b0);
-    acc0 = _mm256_fmadd_pd(d0, d0, acc0);
-    const __m256d a1 = _mm256_cvtps_pd(_mm_loadu_ps(a + i + 4));
-    const __m256d b1 = _mm256_cvtps_pd(_mm_loadu_ps(b + i + 4));
-    const __m256d d1 = _mm256_sub_pd(a1, b1);
-    acc1 = _mm256_fmadd_pd(d1, d1, acc1);
-  }
-  if (i + 4 <= n) {
-    const __m256d a0 = _mm256_cvtps_pd(_mm_loadu_ps(a + i));
-    const __m256d b0 = _mm256_cvtps_pd(_mm_loadu_ps(b + i));
-    const __m256d d0 = _mm256_sub_pd(a0, b0);
-    acc0 = _mm256_fmadd_pd(d0, d0, acc0);
-    i += 4;
-  }
-  double sum = HorizontalSum(_mm256_add_pd(acc0, acc1));
-  for (; i < n; ++i) {
-    const double d = static_cast<double>(a[i]) - static_cast<double>(b[i]);
-    sum += d * d;
-  }
-  return sum;
+/// Four floats widened to doubles.
+__attribute__((target("avx2"))) inline __m256d Widen4(const float* p) {
+  return _mm256_cvtps_pd(_mm_loadu_ps(p));
 }
 
-__attribute__((target("avx2,fma"))) double L1Avx2(const float* a,
-                                                  const float* b,
-                                                  std::size_t n) {
-  const __m256d abs_mask =
-      _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL));
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256d d0 = _mm256_sub_pd(_mm256_cvtps_pd(_mm_loadu_ps(a + i)),
-                                     _mm256_cvtps_pd(_mm_loadu_ps(b + i)));
-    acc0 = _mm256_add_pd(acc0, _mm256_and_pd(abs_mask, d0));
-    const __m256d d1 =
-        _mm256_sub_pd(_mm256_cvtps_pd(_mm_loadu_ps(a + i + 4)),
-                      _mm256_cvtps_pd(_mm_loadu_ps(b + i + 4)));
-    acc1 = _mm256_add_pd(acc1, _mm256_and_pd(abs_mask, d1));
-  }
-  if (i + 4 <= n) {
-    const __m256d d0 = _mm256_sub_pd(_mm256_cvtps_pd(_mm_loadu_ps(a + i)),
-                                     _mm256_cvtps_pd(_mm_loadu_ps(b + i)));
-    acc0 = _mm256_add_pd(acc0, _mm256_and_pd(abs_mask, d0));
-    i += 4;
-  }
-  double sum = HorizontalSum(_mm256_add_pd(acc0, acc1));
-  for (; i < n; ++i) {
-    sum += std::abs(static_cast<double>(a[i]) - static_cast<double>(b[i]));
-  }
-  return sum;
-}
-
-__attribute__((target("avx2,fma"))) double LmaxAvx2(const float* a,
+/// Eight dimensions per iteration on two accumulator chains, then four,
+/// then the fused scalar tail.
+template <MetricKind K>
+__attribute__((target("avx2,fma"))) double PairAvx2(const float* a,
                                                     const float* b,
                                                     std::size_t n) {
-  const __m256d abs_mask =
-      _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL));
   __m256d acc0 = _mm256_setzero_pd();
   __m256d acc1 = _mm256_setzero_pd();
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    const __m256d d0 = _mm256_sub_pd(_mm256_cvtps_pd(_mm_loadu_ps(a + i)),
-                                     _mm256_cvtps_pd(_mm_loadu_ps(b + i)));
-    acc0 = _mm256_max_pd(acc0, _mm256_and_pd(abs_mask, d0));
-    const __m256d d1 =
-        _mm256_sub_pd(_mm256_cvtps_pd(_mm_loadu_ps(a + i + 4)),
-                      _mm256_cvtps_pd(_mm_loadu_ps(b + i + 4)));
-    acc1 = _mm256_max_pd(acc1, _mm256_and_pd(abs_mask, d1));
+    acc0 = VecStep<K>(acc0, _mm256_sub_pd(Widen4(a + i), Widen4(b + i)));
+    acc1 = VecStep<K>(acc1,
+                      _mm256_sub_pd(Widen4(a + i + 4), Widen4(b + i + 4)));
   }
   if (i + 4 <= n) {
-    const __m256d d0 = _mm256_sub_pd(_mm256_cvtps_pd(_mm_loadu_ps(a + i)),
-                                     _mm256_cvtps_pd(_mm_loadu_ps(b + i)));
-    acc0 = _mm256_max_pd(acc0, _mm256_and_pd(abs_mask, d0));
+    acc0 = VecStep<K>(acc0, _mm256_sub_pd(Widen4(a + i), Widen4(b + i)));
     i += 4;
   }
-  double best = HorizontalMax(_mm256_max_pd(acc0, acc1));
+  double acc = FoldLanes<K>(acc0, acc1);
   for (; i < n; ++i) {
-    best = std::max(best, std::abs(static_cast<double>(a[i]) -
-                                   static_cast<double>(b[i])));
+    acc = FloatStep<K, true>(
+        acc, static_cast<double>(a[i]) - static_cast<double>(b[i]));
   }
-  return best;
+  return acc;
+}
+
+/// Rows of dim <= 16 fit the four-register hoist of BlockAvx2.
+inline constexpr std::size_t kBlockHoistDim = 16;
+
+/// The block kernel hoists each candidate row into registers for
+/// dim <= 16 (one to four widened vectors) and replays PairAvx2's exact
+/// op sequence per query, so every value stays bit-identical to the
+/// one-to-one kernel; wider rows stream PairAvx2 point-major.
+template <MetricKind K>
+__attribute__((target("avx2,fma"))) void BlockAvx2(
+    const float* queries, std::size_t num_queries, const float* points,
+    std::size_t count, std::size_t dim, double* out) {
+  if (dim > kBlockHoistDim) {
+    for (std::size_t i = 0; i < count; ++i) {
+      const float* p = points + i * dim;
+      for (std::size_t q = 0; q < num_queries; ++q) {
+        out[q * count + i] = PairAvx2<K>(queries + q * dim, p, dim);
+      }
+    }
+    return;
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    const float* p = points + i * dim;
+    __m256d prow[kBlockHoistDim / 4] = {_mm256_setzero_pd(),
+                                        _mm256_setzero_pd(),
+                                        _mm256_setzero_pd(),
+                                        _mm256_setzero_pd()};
+    for (std::size_t c = 0; c * 4 + 4 <= dim; ++c) {
+      prow[c] = Widen4(p + c * 4);
+    }
+    for (std::size_t q = 0; q < num_queries; ++q) {
+      const float* a = queries + q * dim;
+      __m256d acc0 = _mm256_setzero_pd();
+      __m256d acc1 = _mm256_setzero_pd();
+      std::size_t j = 0;
+      for (; j + 8 <= dim; j += 8) {
+        acc0 = VecStep<K>(acc0, _mm256_sub_pd(Widen4(a + j), prow[j / 4]));
+        acc1 = VecStep<K>(acc1,
+                          _mm256_sub_pd(Widen4(a + j + 4), prow[j / 4 + 1]));
+      }
+      if (j + 4 <= dim) {
+        acc0 = VecStep<K>(acc0, _mm256_sub_pd(Widen4(a + j), prow[j / 4]));
+        j += 4;
+      }
+      double acc = FoldLanes<K>(acc0, acc1);
+      for (; j < dim; ++j) {
+        acc = FloatStep<K, true>(
+            acc, static_cast<double>(a[j]) - static_cast<double>(p[j]));
+      }
+      out[q * count + i] = acc;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -456,6 +519,19 @@ __attribute__((target("avx2"))) std::uint32_t Sq8MadAvx2(const std::uint8_t* a,
                               a[i] > b[i] ? a[i] - b[i] : b[i] - a[i]));
   }
   return best;
+}
+
+/// The AVX2 SQ8 pair kernel of metric K.
+template <MetricKind K>
+__attribute__((target("avx2"))) inline std::uint32_t Sq8PairAvx2(
+    const std::uint8_t* a, const std::uint8_t* b, std::size_t n) {
+  if constexpr (K == kL1) {
+    return Sq8SadAvx2(a, b, n);
+  } else if constexpr (K == kL2) {
+    return Sq8SsdAvx2(a, b, n);
+  } else {
+    return Sq8MadAvx2(a, b, n);
+  }
 }
 
 /// One-to-many SQ8 reductions: the query row is widened into registers
@@ -706,33 +782,24 @@ __attribute__((target("avx2"))) void Sq8MadManyAvx2(
   }
 }
 
-__attribute__((target("avx2"))) std::size_t Sq8SadManyUnderAvx2(
+/// The fused filter: the pair kernel per row and a compare, except for
+/// SSD at d = 16 and d = 8, whose reduction trees (the same as
+/// Sq8SsdManyAvx2's) compare the row sums against the cutoff
+/// in-register and store only surviving row indices: at join-style
+/// survivor rates (~1%) the store side is a rare branch instead of a
+/// full uint32 stream plus a second filter pass. Reductions are at most
+/// dim * 255^2 < 2^31, so the signed packed compare is exact once the
+/// cutoff saturates at INT32_MAX (any larger cutoff keeps every row
+/// anyway).
+template <MetricKind K>
+__attribute__((target("avx2"))) std::size_t Sq8ManyUnderAvx2(
     const std::uint8_t* query, const std::uint8_t* codes, std::size_t count,
     std::size_t dim, std::uint32_t cutoff, std::uint32_t* out_idx) {
   std::size_t n = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (Sq8SadAvx2(query, codes + i * dim, dim) <= cutoff) {
-      out_idx[n++] = static_cast<std::uint32_t>(i);
-    }
-  }
-  return n;
-}
-
-__attribute__((target("avx2"))) std::size_t Sq8SsdManyUnderAvx2(
-    const std::uint8_t* query, const std::uint8_t* codes, std::size_t count,
-    std::size_t dim, std::uint32_t cutoff, std::uint32_t* out_idx) {
-  std::size_t n = 0;
-  if (dim == 16 || dim == 8) {
-    // Same reduction trees as Sq8SsdManyAvx2, but the four row sums are
-    // compared against the cutoff in-register and only surviving row
-    // indices are stored: at join-style survivor rates (~1%) the store
-    // side is a rare branch instead of a full uint32 stream plus a
-    // second filter pass. Reductions are at most dim * 255^2 < 2^31, so
-    // the signed packed compare is exact once the cutoff saturates at
-    // INT32_MAX (any larger cutoff keeps every row anyway).
-    const __m128i cut = _mm_set1_epi32(static_cast<int>(
-        cutoff > 0x7fffffffu ? 0x7fffffffu : cutoff));
-    std::size_t i = 0;
+  std::size_t i = 0;
+  if constexpr (K == kL2) {
+    const int cut32 =
+        static_cast<int>(cutoff > 0x7fffffffu ? 0x7fffffffu : cutoff);
     if (dim == 16) {
       // Eight rows per iteration: each 32-byte load covers two rows
       // (in-lane byte unpacks widen them against the twice-broadcast
@@ -748,8 +815,7 @@ __attribute__((target("avx2"))) std::size_t Sq8SsdManyUnderAvx2(
           _mm_loadu_si128(reinterpret_cast<const __m128i*>(query)));
       const __m256i q0 = _mm256_unpacklo_epi8(qq, zero);
       const __m256i q1 = _mm256_unpackhi_epi8(qq, zero);
-      const __m256i cut8 = _mm256_set1_epi32(static_cast<int>(
-          cutoff > 0x7fffffffu ? 0x7fffffffu : cutoff));
+      const __m256i cut8 = _mm256_set1_epi32(cut32);
       static constexpr int kPerm[8] = {0, 4, 1, 5, 2, 6, 3, 7};
       for (; i + 8 <= count; i += 8) {
         const std::uint8_t* p = codes + i * 16;
@@ -779,7 +845,8 @@ __attribute__((target("avx2"))) std::size_t Sq8SsdManyUnderAvx2(
           }
         }
       }
-    } else {
+    } else if (dim == 8) {
+      const __m128i cut = _mm_set1_epi32(cut32);
       const __m256i q2 = _mm256_broadcastsi128_si256(_mm_cvtepu8_epi16(
           _mm_loadl_epi64(reinterpret_cast<const __m128i*>(query))));
       for (; i + 4 <= count; i += 4) {
@@ -806,293 +873,17 @@ __attribute__((target("avx2"))) std::size_t Sq8SsdManyUnderAvx2(
         }
       }
     }
-    for (; i < count; ++i) {
-      if (Sq8SsdAvx2(query, codes + i * dim, dim) <= cutoff) {
-        out_idx[n++] = static_cast<std::uint32_t>(i);
-      }
-    }
-    return n;
   }
-  for (std::size_t i = 0; i < count; ++i) {
-    if (Sq8SsdAvx2(query, codes + i * dim, dim) <= cutoff) {
+  for (; i < count; ++i) {
+    if (Sq8PairAvx2<K>(query, codes + i * dim, dim) <= cutoff) {
       out_idx[n++] = static_cast<std::uint32_t>(i);
     }
   }
   return n;
 }
-
-__attribute__((target("avx2"))) std::size_t Sq8MadManyUnderAvx2(
-    const std::uint8_t* query, const std::uint8_t* codes, std::size_t count,
-    std::size_t dim, std::uint32_t cutoff, std::uint32_t* out_idx) {
-  std::size_t n = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (Sq8MadAvx2(query, codes + i * dim, dim) <= cutoff) {
-      out_idx[n++] = static_cast<std::uint32_t>(i);
-    }
-  }
-  return n;
-}
-
-#endif  // PARSIM_METRIC_X86
-
-using PairKernel = double (*)(const float*, const float*, std::size_t);
-
-// ---------------------------------------------------------------------
-// Many-to-many block kernels: Q queries against one contiguous block of
-// candidate rows (an SoA leaf block), out[q * count + i]. The scalar
-// fallbacks stream the pair kernel point-major so each candidate row is
-// loaded once per sweep; the AVX2 variants additionally hoist the
-// candidate row into registers for dim <= 16 (one to four widened
-// vectors) and replay the pair kernel's exact op sequence per query, so
-// every value stays bit-identical to the one-to-one kernel.
-// ---------------------------------------------------------------------
-
-using BlockKernel = void (*)(const float*, std::size_t, const float*,
-                             std::size_t, std::size_t, double*);
-
-void SquaredL2BlockUnrolled(const float* queries, std::size_t num_queries,
-                            const float* points, std::size_t count,
-                            std::size_t dim, double* out) {
-  for (std::size_t i = 0; i < count; ++i) {
-    const float* p = points + i * dim;
-    for (std::size_t q = 0; q < num_queries; ++q) {
-      out[q * count + i] = SquaredL2Unrolled(queries + q * dim, p, dim);
-    }
-  }
-}
-
-void L1BlockUnrolled(const float* queries, std::size_t num_queries,
-                     const float* points, std::size_t count, std::size_t dim,
-                     double* out) {
-  for (std::size_t i = 0; i < count; ++i) {
-    const float* p = points + i * dim;
-    for (std::size_t q = 0; q < num_queries; ++q) {
-      out[q * count + i] = L1Unrolled(queries + q * dim, p, dim);
-    }
-  }
-}
-
-void LmaxBlockUnrolled(const float* queries, std::size_t num_queries,
-                       const float* points, std::size_t count, std::size_t dim,
-                       double* out) {
-  for (std::size_t i = 0; i < count; ++i) {
-    const float* p = points + i * dim;
-    for (std::size_t q = 0; q < num_queries; ++q) {
-      out[q * count + i] = LmaxUnrolled(queries + q * dim, p, dim);
-    }
-  }
-}
-
-#ifdef PARSIM_METRIC_X86
-
-/// How many widened 4-lane vectors a row of `dim` floats occupies; rows
-/// of dim <= 16 fit in the four-register hoist of the block kernels.
-inline constexpr std::size_t kBlockHoistDim = 16;
-
-__attribute__((target("avx2,fma"))) void SquaredL2BlockAvx2(
-    const float* queries, std::size_t num_queries, const float* points,
-    std::size_t count, std::size_t dim, double* out) {
-  if (dim > kBlockHoistDim) {
-    for (std::size_t i = 0; i < count; ++i) {
-      const float* p = points + i * dim;
-      for (std::size_t q = 0; q < num_queries; ++q) {
-        out[q * count + i] = SquaredL2Avx2(queries + q * dim, p, dim);
-      }
-    }
-    return;
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    const float* p = points + i * dim;
-    __m256d prow[kBlockHoistDim / 4] = {_mm256_setzero_pd(),
-                                        _mm256_setzero_pd(),
-                                        _mm256_setzero_pd(),
-                                        _mm256_setzero_pd()};
-    for (std::size_t c = 0; c * 4 + 4 <= dim; ++c) {
-      prow[c] = _mm256_cvtps_pd(_mm_loadu_ps(p + c * 4));
-    }
-    for (std::size_t q = 0; q < num_queries; ++q) {
-      const float* a = queries + q * dim;
-      __m256d acc0 = _mm256_setzero_pd();
-      __m256d acc1 = _mm256_setzero_pd();
-      std::size_t j = 0;
-      for (; j + 8 <= dim; j += 8) {
-        const __m256d a0 = _mm256_cvtps_pd(_mm_loadu_ps(a + j));
-        const __m256d d0 = _mm256_sub_pd(a0, prow[j / 4]);
-        acc0 = _mm256_fmadd_pd(d0, d0, acc0);
-        const __m256d a1 = _mm256_cvtps_pd(_mm_loadu_ps(a + j + 4));
-        const __m256d d1 = _mm256_sub_pd(a1, prow[j / 4 + 1]);
-        acc1 = _mm256_fmadd_pd(d1, d1, acc1);
-      }
-      if (j + 4 <= dim) {
-        const __m256d a0 = _mm256_cvtps_pd(_mm_loadu_ps(a + j));
-        const __m256d d0 = _mm256_sub_pd(a0, prow[j / 4]);
-        acc0 = _mm256_fmadd_pd(d0, d0, acc0);
-        j += 4;
-      }
-      double sum = HorizontalSum(_mm256_add_pd(acc0, acc1));
-      for (; j < dim; ++j) {
-        const double d = static_cast<double>(a[j]) - static_cast<double>(p[j]);
-        sum += d * d;
-      }
-      out[q * count + i] = sum;
-    }
-  }
-}
-
-__attribute__((target("avx2,fma"))) void L1BlockAvx2(
-    const float* queries, std::size_t num_queries, const float* points,
-    std::size_t count, std::size_t dim, double* out) {
-  if (dim > kBlockHoistDim) {
-    for (std::size_t i = 0; i < count; ++i) {
-      const float* p = points + i * dim;
-      for (std::size_t q = 0; q < num_queries; ++q) {
-        out[q * count + i] = L1Avx2(queries + q * dim, p, dim);
-      }
-    }
-    return;
-  }
-  const __m256d abs_mask =
-      _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL));
-  for (std::size_t i = 0; i < count; ++i) {
-    const float* p = points + i * dim;
-    __m256d prow[kBlockHoistDim / 4] = {_mm256_setzero_pd(),
-                                        _mm256_setzero_pd(),
-                                        _mm256_setzero_pd(),
-                                        _mm256_setzero_pd()};
-    for (std::size_t c = 0; c * 4 + 4 <= dim; ++c) {
-      prow[c] = _mm256_cvtps_pd(_mm_loadu_ps(p + c * 4));
-    }
-    for (std::size_t q = 0; q < num_queries; ++q) {
-      const float* a = queries + q * dim;
-      __m256d acc0 = _mm256_setzero_pd();
-      __m256d acc1 = _mm256_setzero_pd();
-      std::size_t j = 0;
-      for (; j + 8 <= dim; j += 8) {
-        const __m256d d0 = _mm256_sub_pd(_mm256_cvtps_pd(_mm_loadu_ps(a + j)),
-                                         prow[j / 4]);
-        acc0 = _mm256_add_pd(acc0, _mm256_and_pd(abs_mask, d0));
-        const __m256d d1 = _mm256_sub_pd(
-            _mm256_cvtps_pd(_mm_loadu_ps(a + j + 4)), prow[j / 4 + 1]);
-        acc1 = _mm256_add_pd(acc1, _mm256_and_pd(abs_mask, d1));
-      }
-      if (j + 4 <= dim) {
-        const __m256d d0 = _mm256_sub_pd(_mm256_cvtps_pd(_mm_loadu_ps(a + j)),
-                                         prow[j / 4]);
-        acc0 = _mm256_add_pd(acc0, _mm256_and_pd(abs_mask, d0));
-        j += 4;
-      }
-      double sum = HorizontalSum(_mm256_add_pd(acc0, acc1));
-      for (; j < dim; ++j) {
-        sum += std::abs(static_cast<double>(a[j]) - static_cast<double>(p[j]));
-      }
-      out[q * count + i] = sum;
-    }
-  }
-}
-
-__attribute__((target("avx2,fma"))) void LmaxBlockAvx2(
-    const float* queries, std::size_t num_queries, const float* points,
-    std::size_t count, std::size_t dim, double* out) {
-  if (dim > kBlockHoistDim) {
-    for (std::size_t i = 0; i < count; ++i) {
-      const float* p = points + i * dim;
-      for (std::size_t q = 0; q < num_queries; ++q) {
-        out[q * count + i] = LmaxAvx2(queries + q * dim, p, dim);
-      }
-    }
-    return;
-  }
-  const __m256d abs_mask =
-      _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL));
-  for (std::size_t i = 0; i < count; ++i) {
-    const float* p = points + i * dim;
-    __m256d prow[kBlockHoistDim / 4] = {_mm256_setzero_pd(),
-                                        _mm256_setzero_pd(),
-                                        _mm256_setzero_pd(),
-                                        _mm256_setzero_pd()};
-    for (std::size_t c = 0; c * 4 + 4 <= dim; ++c) {
-      prow[c] = _mm256_cvtps_pd(_mm_loadu_ps(p + c * 4));
-    }
-    for (std::size_t q = 0; q < num_queries; ++q) {
-      const float* a = queries + q * dim;
-      __m256d acc0 = _mm256_setzero_pd();
-      __m256d acc1 = _mm256_setzero_pd();
-      std::size_t j = 0;
-      for (; j + 8 <= dim; j += 8) {
-        const __m256d d0 = _mm256_sub_pd(_mm256_cvtps_pd(_mm_loadu_ps(a + j)),
-                                         prow[j / 4]);
-        acc0 = _mm256_max_pd(acc0, _mm256_and_pd(abs_mask, d0));
-        const __m256d d1 = _mm256_sub_pd(
-            _mm256_cvtps_pd(_mm_loadu_ps(a + j + 4)), prow[j / 4 + 1]);
-        acc1 = _mm256_max_pd(acc1, _mm256_and_pd(abs_mask, d1));
-      }
-      if (j + 4 <= dim) {
-        const __m256d d0 = _mm256_sub_pd(_mm256_cvtps_pd(_mm_loadu_ps(a + j)),
-                                         prow[j / 4]);
-        acc0 = _mm256_max_pd(acc0, _mm256_and_pd(abs_mask, d0));
-        j += 4;
-      }
-      double best = HorizontalMax(_mm256_max_pd(acc0, acc1));
-      for (; j < dim; ++j) {
-        best = std::max(best, std::abs(static_cast<double>(a[j]) -
-                                       static_cast<double>(p[j])));
-      }
-      out[q * count + i] = best;
-    }
-  }
-}
-
-#endif  // PARSIM_METRIC_X86
-
-// ---------------------------------------------------------------------
-// Point-to-many-boxes MINDIST over a dimension-major box image (a
-// directory node's DirImage): box j's bounds in dimension i are
-// lo[i * stride + j] and hi[i * stride + j]. Each box replays the
-// per-dimension sequence of MinDistComparable (src/index/knn.cc):
-//   gap = std::max(std::max(lo - q, q - hi), 0.0), accumulated in
-//   dimension order by sum += gap * gap (L2), sum += gap (L1) or
-//   best = std::max(best, gap) (Lmax),
-// so every value is bit-identical to it. std::max(a, b) returns
-// (a < b) ? b : a, which is exactly _mm256_max_pd(b, a) (MAXPD returns
-// its second operand when the two compare equal, as for -0.0 vs +0.0);
-// the AVX2 variant writes every max with swapped operands, and it is
-// compiled without FMA so gap * gap + sum never fuses.
-// ---------------------------------------------------------------------
-
-using MinDistManyKernel = void (*)(const float*, const float*, const float*,
-                                   std::size_t, std::size_t, std::size_t,
-                                   double*);
-
-/// Dimension-outer scalar loop: each box still accumulates its own
-/// dimensions in order, and out[] doubles as the accumulator row.
-template <MetricKind kKind>
-void MinDistManyUnrolled(const float* query, const float* lo, const float* hi,
-                         std::size_t count, std::size_t stride,
-                         std::size_t dim, double* out) {
-  std::fill(out, out + count, 0.0);
-  for (std::size_t i = 0; i < dim; ++i) {
-    const double q = static_cast<double>(query[i]);
-    const float* lo_row = lo + i * stride;
-    const float* hi_row = hi + i * stride;
-    for (std::size_t j = 0; j < count; ++j) {
-      const double below = static_cast<double>(lo_row[j]) - q;
-      const double above = q - static_cast<double>(hi_row[j]);
-      const double gap = std::max(std::max(below, above), 0.0);
-      if constexpr (kKind == MetricKind::kL2) {
-        out[j] += gap * gap;
-      } else if constexpr (kKind == MetricKind::kL1) {
-        out[j] += gap;
-      } else {
-        out[j] = std::max(out[j], gap);
-      }
-    }
-  }
-}
-
-#ifdef PARSIM_METRIC_X86
 
 /// One dimension's step for four boxes: acc op gap(q, lo, hi).
-template <MetricKind kKind>
+template <MetricKind K>
 __attribute__((target("avx2"))) inline __m256d MinDistStep(__m256d acc,
                                                             __m256d q,
                                                             __m128 lo,
@@ -1101,9 +892,9 @@ __attribute__((target("avx2"))) inline __m256d MinDistStep(__m256d acc,
   const __m256d above = _mm256_sub_pd(q, _mm256_cvtps_pd(hi));
   const __m256d gap = _mm256_max_pd(_mm256_setzero_pd(),
                                     _mm256_max_pd(above, below));
-  if constexpr (kKind == MetricKind::kL2) {
+  if constexpr (K == kL2) {
     return _mm256_add_pd(acc, _mm256_mul_pd(gap, gap));
-  } else if constexpr (kKind == MetricKind::kL1) {
+  } else if constexpr (K == kL1) {
     return _mm256_add_pd(acc, gap);
   } else {
     return _mm256_max_pd(gap, acc);
@@ -1113,7 +904,7 @@ __attribute__((target("avx2"))) inline __m256d MinDistStep(__m256d acc,
 /// Eight boxes per iteration (two independent accumulator chains), then
 /// four, then the last one to three through masked loads and stores, so
 /// nothing reads or writes past the image.
-template <MetricKind kKind>
+template <MetricKind K>
 __attribute__((target("avx2"))) void MinDistManyAvx2(
     const float* query, const float* lo, const float* hi, std::size_t count,
     std::size_t stride, std::size_t dim, double* out) {
@@ -1125,8 +916,8 @@ __attribute__((target("avx2"))) void MinDistManyAvx2(
       const __m256d q = _mm256_set1_pd(static_cast<double>(query[i]));
       const float* l = lo + i * stride + j;
       const float* h = hi + i * stride + j;
-      acc0 = MinDistStep<kKind>(acc0, q, _mm_loadu_ps(l), _mm_loadu_ps(h));
-      acc1 = MinDistStep<kKind>(acc1, q, _mm_loadu_ps(l + 4),
+      acc0 = MinDistStep<K>(acc0, q, _mm_loadu_ps(l), _mm_loadu_ps(h));
+      acc1 = MinDistStep<K>(acc1, q, _mm_loadu_ps(l + 4),
                                 _mm_loadu_ps(h + 4));
     }
     _mm256_storeu_pd(out + j, acc0);
@@ -1136,7 +927,7 @@ __attribute__((target("avx2"))) void MinDistManyAvx2(
     __m256d acc = _mm256_setzero_pd();
     for (std::size_t i = 0; i < dim; ++i) {
       const __m256d q = _mm256_set1_pd(static_cast<double>(query[i]));
-      acc = MinDistStep<kKind>(acc, q, _mm_loadu_ps(lo + i * stride + j),
+      acc = MinDistStep<K>(acc, q, _mm_loadu_ps(lo + i * stride + j),
                                _mm_loadu_ps(hi + i * stride + j));
     }
     _mm256_storeu_pd(out + j, acc);
@@ -1149,7 +940,7 @@ __attribute__((target("avx2"))) void MinDistManyAvx2(
     __m256d acc = _mm256_setzero_pd();
     for (std::size_t i = 0; i < dim; ++i) {
       const __m256d q = _mm256_set1_pd(static_cast<double>(query[i]));
-      acc = MinDistStep<kKind>(acc, q,
+      acc = MinDistStep<K>(acc, q,
                                _mm_maskload_ps(lo + i * stride + j, mask),
                                _mm_maskload_ps(hi + i * stride + j, mask));
     }
@@ -1159,103 +950,37 @@ __attribute__((target("avx2"))) void MinDistManyAvx2(
 
 #endif  // PARSIM_METRIC_X86
 
-/// One query's codes against a contiguous block of code rows.
-using Sq8ManyKernel = void (*)(const std::uint8_t*, const std::uint8_t*,
-                               std::size_t, std::size_t, std::uint32_t*);
+// ---------------------------------------------------------------------
+// The kernel table: one row per metric, indexed by MetricKind.
+// ---------------------------------------------------------------------
 
-void Sq8SadManyUnrolled(const std::uint8_t* query, const std::uint8_t* codes,
-                        std::size_t count, std::size_t dim,
-                        std::uint32_t* out) {
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i] = Sq8SadUnrolled(query, codes + i * dim, dim);
-  }
+static_assert(static_cast<int>(kL1) == 0 && static_cast<int>(kL2) == 1 &&
+              static_cast<int>(kLmax) == 2);
+
+template <MetricKind K>
+constexpr detail::KernelRow kPortableRow = {
+    PairUnrolled<K>, BlockUnrolled<K>, MinDistManyUnrolled<K>,
+    Sq8ManyUnrolled<K>, Sq8ManyUnderUnrolled<K>};
+
+constexpr detail::KernelRow kPortableRows[] = {
+    kPortableRow<kL1>, kPortableRow<kL2>, kPortableRow<kLmax>};
+
+#ifdef PARSIM_METRIC_X86
+/// The one-to-many SQ8 kernels stay per metric; the rest are templates.
+template <MetricKind K>
+constexpr detail::KernelRow Avx2Row(decltype(detail::KernelRow::sq8_many)
+                                        sq8_many) {
+  return {PairAvx2<K>, BlockAvx2<K>, MinDistManyAvx2<K>, sq8_many,
+          Sq8ManyUnderAvx2<K>};
 }
 
-void Sq8SsdManyUnrolled(const std::uint8_t* query, const std::uint8_t* codes,
-                        std::size_t count, std::size_t dim,
-                        std::uint32_t* out) {
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i] = Sq8SsdUnrolled(query, codes + i * dim, dim);
-  }
-}
-
-void Sq8MadManyUnrolled(const std::uint8_t* query, const std::uint8_t* codes,
-                        std::size_t count, std::size_t dim,
-                        std::uint32_t* out) {
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i] = Sq8MadUnrolled(query, codes + i * dim, dim);
-  }
-}
-
-/// Fused one-to-many reduction + cutoff filter: writes the indices of
-/// rows whose reduction is <= cutoff, returns how many survived.
-using Sq8ManyUnderKernel = std::size_t (*)(const std::uint8_t*,
-                                           const std::uint8_t*, std::size_t,
-                                           std::size_t, std::uint32_t,
-                                           std::uint32_t*);
-
-std::size_t Sq8SadManyUnderUnrolled(const std::uint8_t* query,
-                                    const std::uint8_t* codes,
-                                    std::size_t count, std::size_t dim,
-                                    std::uint32_t cutoff,
-                                    std::uint32_t* out_idx) {
-  std::size_t n = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (Sq8SadUnrolled(query, codes + i * dim, dim) <= cutoff) {
-      out_idx[n++] = static_cast<std::uint32_t>(i);
-    }
-  }
-  return n;
-}
-
-std::size_t Sq8SsdManyUnderUnrolled(const std::uint8_t* query,
-                                    const std::uint8_t* codes,
-                                    std::size_t count, std::size_t dim,
-                                    std::uint32_t cutoff,
-                                    std::uint32_t* out_idx) {
-  std::size_t n = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (Sq8SsdUnrolled(query, codes + i * dim, dim) <= cutoff) {
-      out_idx[n++] = static_cast<std::uint32_t>(i);
-    }
-  }
-  return n;
-}
-
-std::size_t Sq8MadManyUnderUnrolled(const std::uint8_t* query,
-                                    const std::uint8_t* codes,
-                                    std::size_t count, std::size_t dim,
-                                    std::uint32_t cutoff,
-                                    std::uint32_t* out_idx) {
-  std::size_t n = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (Sq8MadUnrolled(query, codes + i * dim, dim) <= cutoff) {
-      out_idx[n++] = static_cast<std::uint32_t>(i);
-    }
-  }
-  return n;
-}
+constexpr detail::KernelRow kAvx2Rows[] = {Avx2Row<kL1>(Sq8SadManyAvx2),
+                                           Avx2Row<kL2>(Sq8SsdManyAvx2),
+                                           Avx2Row<kLmax>(Sq8MadManyAvx2)};
+#endif
 
 struct KernelTable {
-  PairKernel squared_l2;
-  PairKernel l1;
-  PairKernel lmax;
-  BlockKernel squared_l2_block;
-  BlockKernel l1_block;
-  BlockKernel lmax_block;
-  /// SQ8 reductions dispatch as one-to-many kernels (the pair kernels
-  /// are their building blocks, called directly for odd dims).
-  Sq8ManyKernel sq8_sad_many;
-  Sq8ManyKernel sq8_ssd_many;
-  Sq8ManyKernel sq8_mad_many;
-  /// Fused reduction + fixed-cutoff filters (the join's sweep shape).
-  Sq8ManyUnderKernel sq8_sad_many_under;
-  Sq8ManyUnderKernel sq8_ssd_many_under;
-  Sq8ManyUnderKernel sq8_mad_many_under;
-  /// Point-to-boxes MINDIST over a directory image.
-  MinDistManyKernel min_dist_l2_many;
-  MinDistManyKernel min_dist_l1_many;
-  MinDistManyKernel min_dist_lmax_many;
+  const detail::KernelRow* rows;
   bool simd;
 };
 
@@ -1264,31 +989,19 @@ KernelTable PickKernels() {
   // The SQ8 and MINDIST kernels only need avx2, but they dispatch
   // together with the float kernels: one cpuid decision, one table.
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    return {SquaredL2Avx2,        L1Avx2,              LmaxAvx2,
-            SquaredL2BlockAvx2,   L1BlockAvx2,         LmaxBlockAvx2,
-            Sq8SadManyAvx2,       Sq8SsdManyAvx2,      Sq8MadManyAvx2,
-            Sq8SadManyUnderAvx2,  Sq8SsdManyUnderAvx2, Sq8MadManyUnderAvx2,
-            MinDistManyAvx2<MetricKind::kL2>,
-            MinDistManyAvx2<MetricKind::kL1>,
-            MinDistManyAvx2<MetricKind::kLmax>,
-            /*simd=*/true};
+    return {kAvx2Rows, /*simd=*/true};
   }
 #endif
-  return {SquaredL2Unrolled,       L1Unrolled,           LmaxUnrolled,
-          SquaredL2BlockUnrolled,  L1BlockUnrolled,      LmaxBlockUnrolled,
-          Sq8SadManyUnrolled,      Sq8SsdManyUnrolled,   Sq8MadManyUnrolled,
-          Sq8SadManyUnderUnrolled, Sq8SsdManyUnderUnrolled,
-          Sq8MadManyUnderUnrolled,
-          MinDistManyUnrolled<MetricKind::kL2>,
-          MinDistManyUnrolled<MetricKind::kL1>,
-          MinDistManyUnrolled<MetricKind::kLmax>,
-          /*simd=*/false};
+  return {kPortableRows, /*simd=*/false};
 }
-
 
 const KernelTable& Kernels() {
   static const KernelTable table = PickKernels();
   return table;
+}
+
+const detail::KernelRow& Row(MetricKind kind) {
+  return Kernels().rows[static_cast<std::size_t>(kind)];
 }
 
 }  // namespace
@@ -1297,81 +1010,48 @@ namespace detail {
 
 bool SimdEnabled() { return Kernels().simd; }
 
-void MinDistManyScalar(MetricKind kind, PointView query, const Scalar* lo,
-                       const Scalar* hi, std::size_t count,
-                       std::size_t stride, double* out) {
-  MinDistManyKernel kernel;
-  switch (kind) {
-    case MetricKind::kL1:
-      kernel = MinDistManyUnrolled<MetricKind::kL1>;
-      break;
-    case MetricKind::kL2:
-      kernel = MinDistManyUnrolled<MetricKind::kL2>;
-      break;
-    case MetricKind::kLmax:
-      kernel = MinDistManyUnrolled<MetricKind::kLmax>;
-      break;
-    default:
-      PARSIM_UNREACHABLE();
-  }
-  kernel(query.data(), lo, hi, count, stride, query.size(), out);
+const KernelRow& KernelRowFor(MetricKind kind, bool portable) {
+  return portable ? kPortableRows[static_cast<std::size_t>(kind)]
+                  : Row(kind);
 }
 
 }  // namespace detail
 
 double SquaredL2(PointView a, PointView b) {
   PARSIM_DCHECK(a.size() == b.size());
-  return Kernels().squared_l2(a.data(), b.data(), a.size());
+  return Row(kL2).pair(a.data(), b.data(), a.size());
 }
 
 double L2(PointView a, PointView b) { return std::sqrt(SquaredL2(a, b)); }
 
 double L1(PointView a, PointView b) {
   PARSIM_DCHECK(a.size() == b.size());
-  return Kernels().l1(a.data(), b.data(), a.size());
+  return Row(kL1).pair(a.data(), b.data(), a.size());
 }
 
 double Lmax(PointView a, PointView b) {
   PARSIM_DCHECK(a.size() == b.size());
-  return Kernels().lmax(a.data(), b.data(), a.size());
+  return Row(kLmax).pair(a.data(), b.data(), a.size());
 }
 
 double Metric::Distance(PointView a, PointView b) const {
-  switch (kind_) {
-    case MetricKind::kL1:
-      return L1(a, b);
-    case MetricKind::kL2:
-      return L2(a, b);
-    case MetricKind::kLmax:
-      return Lmax(a, b);
-  }
-  PARSIM_UNREACHABLE();
+  return FromComparable(Comparable(a, b));
 }
 
 double Metric::Comparable(PointView a, PointView b) const {
-  if (kind_ == MetricKind::kL2) return SquaredL2(a, b);
-  return Distance(a, b);
+  PARSIM_DCHECK(a.size() == b.size());
+  return Row(kind_).pair(a.data(), b.data(), a.size());
 }
 
-ComparableFn Metric::comparable_fn() const {
-  switch (kind_) {
-    case MetricKind::kL1:
-      return Kernels().l1;
-    case MetricKind::kL2:
-      return Kernels().squared_l2;
-    case MetricKind::kLmax:
-      return Kernels().lmax;
-  }
-  PARSIM_UNREACHABLE();
-}
+ComparableFn Metric::comparable_fn() const { return Row(kind_).pair; }
 
 double Metric::ToComparable(double distance) const {
-  if (kind_ == MetricKind::kL2) return distance * distance;
+  if (kind_ == kL2) return distance * distance;
   return distance;
 }
 
 double Metric::FromComparable(double comparable) const {
-  if (kind_ == MetricKind::kL2) return std::sqrt(comparable);
+  if (kind_ == kL2) return std::sqrt(comparable);
   return comparable;
 }
 
@@ -1379,23 +1059,9 @@ void Metric::ComparableMany(PointView query, const Scalar* points,
                             std::size_t count, std::size_t dim,
                             double* out) const {
   PARSIM_DCHECK(query.size() == dim);
-  const float* q = query.data();
-  PairKernel kernel;
-  switch (kind_) {
-    case MetricKind::kL1:
-      kernel = Kernels().l1;
-      break;
-    case MetricKind::kL2:
-      kernel = Kernels().squared_l2;
-      break;
-    case MetricKind::kLmax:
-      kernel = Kernels().lmax;
-      break;
-    default:
-      PARSIM_UNREACHABLE();
-  }
+  const ComparableFn kernel = Row(kind_).pair;
   for (std::size_t i = 0; i < count; ++i) {
-    out[i] = kernel(q, points + i * dim, dim);
+    out[i] = kernel(query.data(), points + i * dim, dim);
   }
 }
 
@@ -1411,21 +1077,7 @@ void Metric::ComparableBlock(const Scalar* queries, std::size_t num_queries,
     ComparableMany(PointView{queries, dim}, points, count, dim, out);
     return;
   }
-  BlockKernel kernel;
-  switch (kind_) {
-    case MetricKind::kL1:
-      kernel = Kernels().l1_block;
-      break;
-    case MetricKind::kL2:
-      kernel = Kernels().squared_l2_block;
-      break;
-    case MetricKind::kLmax:
-      kernel = Kernels().lmax_block;
-      break;
-    default:
-      PARSIM_UNREACHABLE();
-  }
-  kernel(queries, num_queries, points, count, dim, out);
+  Row(kind_).block(queries, num_queries, points, count, dim, out);
 }
 
 void Metric::ComparableBlockSelf(const Scalar* points, std::size_t count,
@@ -1441,66 +1093,25 @@ void Metric::ComparableBlockSelf(const Scalar* points, std::size_t count,
   }
 }
 
-namespace {
-
-Sq8ManyKernel Sq8ManyKernelFor(MetricKind kind) {
-  switch (kind) {
-    case MetricKind::kL1:
-      return Kernels().sq8_sad_many;
-    case MetricKind::kL2:
-      return Kernels().sq8_ssd_many;
-    case MetricKind::kLmax:
-      return Kernels().sq8_mad_many;
-  }
-  PARSIM_UNREACHABLE();
-}
-
-MinDistManyKernel MinDistManyKernelFor(MetricKind kind) {
-  switch (kind) {
-    case MetricKind::kL1:
-      return Kernels().min_dist_l1_many;
-    case MetricKind::kL2:
-      return Kernels().min_dist_l2_many;
-    case MetricKind::kLmax:
-      return Kernels().min_dist_lmax_many;
-  }
-  PARSIM_UNREACHABLE();
-}
-
-Sq8ManyUnderKernel Sq8ManyUnderKernelFor(MetricKind kind) {
-  switch (kind) {
-    case MetricKind::kL1:
-      return Kernels().sq8_sad_many_under;
-    case MetricKind::kL2:
-      return Kernels().sq8_ssd_many_under;
-    case MetricKind::kLmax:
-      return Kernels().sq8_mad_many_under;
-  }
-  PARSIM_UNREACHABLE();
-}
-
-}  // namespace
-
 void Metric::MinDistMany(PointView query, const Scalar* lo, const Scalar* hi,
                          std::size_t count, std::size_t stride,
                          double* out) const {
   PARSIM_DCHECK(stride >= count);
-  MinDistManyKernelFor(kind_)(query.data(), lo, hi, count, stride,
-                              query.size(), out);
+  Row(kind_).min_dist_many(query.data(), lo, hi, count, stride, query.size(),
+                           out);
 }
 
 void Metric::Sq8Many(const std::uint8_t* query, const std::uint8_t* codes,
                      std::size_t count, std::size_t dim,
                      std::uint32_t* out) const {
-  Sq8ManyKernelFor(kind_)(query, codes, count, dim, out);
+  Row(kind_).sq8_many(query, codes, count, dim, out);
 }
 
 std::size_t Metric::Sq8ManyUnder(const std::uint8_t* query,
                                  const std::uint8_t* codes, std::size_t count,
                                  std::size_t dim, std::uint32_t cutoff,
                                  std::uint32_t* out_idx) const {
-  return Sq8ManyUnderKernelFor(kind_)(query, codes, count, dim, cutoff,
-                                      out_idx);
+  return Row(kind_).sq8_many_under(query, codes, count, dim, cutoff, out_idx);
 }
 
 void Metric::Sq8Block(const std::uint8_t* queries, std::size_t num_queries,
@@ -1511,7 +1122,7 @@ void Metric::Sq8Block(const std::uint8_t* queries, std::size_t num_queries,
   // 4x smaller than the float SoA rows) stay hot in L1 across queries —
   // a whole 64-query group's rows fit the cache the float path
   // overflows.
-  const Sq8ManyKernel kernel = Sq8ManyKernelFor(kind_);
+  const auto kernel = Row(kind_).sq8_many;
   for (std::size_t q = 0; q < num_queries; ++q) {
     kernel(queries + q * dim, codes, count, dim, out + q * count);
   }
@@ -1524,7 +1135,7 @@ void Metric::Sq8BlockSelf(const std::uint8_t* queries,
   // against code rows i+1..count-1 only, one many-kernel launch per row.
   // Integer reductions are evaluation-order independent, so every filled
   // entry matches the corresponding Sq8Block value exactly.
-  const Sq8ManyKernel kernel = Sq8ManyKernelFor(kind_);
+  const auto kernel = Row(kind_).sq8_many;
   for (std::size_t i = 0; i + 1 < count; ++i) {
     kernel(queries + i * dim, codes + (i + 1) * dim, count - i - 1, dim,
            out + i * count + i + 1);

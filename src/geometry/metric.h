@@ -4,12 +4,25 @@
 // vectors (Section 1 of the paper); the default metric is Euclidean (L2),
 // with L1 and Lmax provided for applications that need them.
 //
-// The point-to-point kernels are runtime-dispatched: on x86-64 hosts with
-// AVX2+FMA they run a vectorized path (floats widened to doubles in
-// registers, so results keep double-precision accumulation); elsewhere an
-// unrolled scalar path runs. Dispatch is resolved once per process, so
-// every call site — one-to-one and one-to-many — computes bit-identical
-// values for the same operand pair.
+// The metrics differ only in how they fold per-dimension differences
+// (summed squares, summed magnitudes, the largest magnitude), so
+// metric.cc writes each kernel shape once, as a template over
+// MetricKind: the pair, block and MINDIST kernels, the portable SQ8
+// kernels and the fused SQ8 filter. The kernel table is one row per
+// metric (detail::KernelRow), indexed by kind. What stays per metric is
+// only where the instructions differ: the AVX2 SQ8 pair kernels and the
+// d = 8/16/32 paths of the one-to-many SQ8 kernels (psadbw for L1, madd
+// for L2, max_epu8 for Lmax), and the SSD filter's d = 8/16 path.
+//
+// Dispatch: on x86-64 hosts with AVX2+FMA the AVX2 row runs (floats
+// widened to doubles in registers, so results keep double-precision
+// accumulation); elsewhere the portable, unrolled row runs. Dispatch is
+// resolved once per process, so every call site — one-to-one and
+// one-to-many — computes bit-identical values for the same operand pair.
+// The AVX2 L2 pair and block kernels end in a fused multiply-add tail
+// (std::fma) and the portable ones in a separate multiply and add; the
+// MINDIST kernels never fuse. geometry_simd_kernel_test pins both rows
+// bit for bit.
 
 #ifndef PARSIM_SRC_GEOMETRY_METRIC_H_
 #define PARSIM_SRC_GEOMETRY_METRIC_H_
@@ -43,6 +56,10 @@ double L1(PointView a, PointView b);
 /// Chebyshev / maximum distance.
 double Lmax(PointView a, PointView b);
 
+/// The dispatched pair kernel underlying Metric::Comparable(): two
+/// row-major float rows of the same length -> comparable-space value.
+using ComparableFn = double (*)(const Scalar*, const Scalar*, std::size_t);
+
 namespace detail {
 
 /// True when the process dispatched to the AVX2 kernels.
@@ -67,17 +84,33 @@ std::uint32_t Sq8SsdScalar(const std::uint8_t* a, const std::uint8_t* b,
 std::uint32_t Sq8MadScalar(const std::uint8_t* a, const std::uint8_t* b,
                            std::size_t n);
 
-/// Portable version of Metric::MinDistMany for `kind`, the reference the
-/// dispatched kernel is tested against.
-void MinDistManyScalar(MetricKind kind, PointView query, const Scalar* lo,
-                       const Scalar* hi, std::size_t count,
-                       std::size_t stride, double* out);
+/// One metric's row of the kernel table: the kernels behind Metric's
+/// Comparable (`pair`), ComparableBlock, MinDistMany, Sq8Many and
+/// Sq8ManyUnder, with the same arguments (MinDistMany's query as a
+/// pointer plus `dim`). Exposed so tests can pin both tables bit for
+/// bit on any host; production code calls Metric.
+struct KernelRow {
+  ComparableFn pair;
+  void (*block)(const Scalar* queries, std::size_t num_queries,
+                const Scalar* points, std::size_t count, std::size_t dim,
+                double* out);
+  void (*min_dist_many)(const Scalar* query, const Scalar* lo,
+                        const Scalar* hi, std::size_t count,
+                        std::size_t stride, std::size_t dim, double* out);
+  void (*sq8_many)(const std::uint8_t* query, const std::uint8_t* codes,
+                   std::size_t count, std::size_t dim, std::uint32_t* out);
+  std::size_t (*sq8_many_under)(const std::uint8_t* query,
+                                const std::uint8_t* codes, std::size_t count,
+                                std::size_t dim, std::uint32_t cutoff,
+                                std::uint32_t* out_idx);
+};
+
+/// `kind`'s row of the table this process dispatched to, or of the
+/// portable table when `portable` is set (the same row on hosts without
+/// AVX2).
+const KernelRow& KernelRowFor(MetricKind kind, bool portable);
 
 }  // namespace detail
-
-/// The dispatched pair kernel underlying Comparable(): two row-major
-/// float rows of the same length -> comparable-space value.
-using ComparableFn = double (*)(const Scalar*, const Scalar*, std::size_t);
 
 /// A metric as a small value object, so indexes and search algorithms can
 /// be parameterized without virtual dispatch on the innermost loop.
@@ -89,7 +122,7 @@ class Metric {
 
   /// The raw dispatched kernel behind Comparable(), for hot loops that
   /// evaluate scattered single pairs (e.g. re-ranking quantized-sweep
-  /// survivors): hoisting the pointer skips the per-call dispatch switch
+  /// survivors): hoisting the pointer skips the per-call row lookup
   /// while producing bit-identical values to Comparable().
   ComparableFn comparable_fn() const;
 

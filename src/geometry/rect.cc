@@ -151,25 +151,6 @@ double Rect::SquaredMinDist(PointView p) const {
   return sum;
 }
 
-double Rect::SquaredMinDist(const Rect& other) const {
-  PARSIM_DCHECK(other.dim() == dim());
-  double sum = 0.0;
-  for (std::size_t i = 0; i < lo_.size(); ++i) {
-    // Branch-free per-dimension slab gap, mirroring the point overload:
-    // at most one of {other.lo - hi, lo - other.hi} is positive (the
-    // intervals are disjoint in this dimension with `other` above or
-    // below); when the intervals overlap both are <= 0 and the max
-    // clamps to 0.
-    const double below =
-        static_cast<double>(lo_[i]) - static_cast<double>(other.hi_[i]);
-    const double above =
-        static_cast<double>(other.lo_[i]) - static_cast<double>(hi_[i]);
-    const double diff = std::max(std::max(below, above), 0.0);
-    sum += diff * diff;
-  }
-  return sum;
-}
-
 double Rect::SquaredMinMaxDist(PointView p) const {
   PARSIM_DCHECK(p.size() == dim());
   PARSIM_DCHECK(!IsEmpty());

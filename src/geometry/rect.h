@@ -75,14 +75,6 @@ class Rect {
   /// scale to match Metric::Comparable for L2.
   double SquaredMinDist(PointView p) const;
 
-  /// Rect-to-rect MINDIST: squared L2 distance between the closest pair
-  /// of points of the two rectangles; 0 when they intersect. Lower bound
-  /// for the distance between any object of this rectangle and any
-  /// object of `other` — the block-pair pruning predicate of the
-  /// all-pairs similarity join. Squared scale, matching the point
-  /// overload and Metric::Comparable for L2.
-  double SquaredMinDist(const Rect& other) const;
-
   /// MINMAXDIST: the minimum over dimensions of the maximal distance to
   /// the nearer face; an upper bound for the distance from `p` to the
   /// nearest object inside a *non-empty* rectangle (Roussopoulos et al.).

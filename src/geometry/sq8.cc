@@ -346,6 +346,26 @@ Sq8Bound PrepareDegenerate(const Sq8Mirror& mirror, const Scalar* query,
   return bound;
 }
 
+/// The query-preparation kernel of one metric, indexed by MetricKind.
+using PrepareManyFn = void (*)(const Sq8Mirror&, const Scalar*, std::size_t,
+                               std::uint8_t*, Sq8Bound*);
+
+constexpr PrepareManyFn kPrepareScalar[] = {
+    PrepareManyScalar<MetricKind::kL1>, PrepareManyScalar<MetricKind::kL2>,
+    PrepareManyScalar<MetricKind::kLmax>};
+
+/// The AVX2 row where the metric kernels dispatched to AVX2 (one cpuid
+/// decision per process), else the scalar row.
+const PrepareManyFn* PickPrepareRow() {
+#ifdef PARSIM_SQ8_X86
+  static constexpr PrepareManyFn kPrepareAvx2[] = {
+      PrepareManyAvx2<MetricKind::kL1>, PrepareManyAvx2<MetricKind::kL2>,
+      PrepareManyAvx2<MetricKind::kLmax>};
+  if (detail::SimdEnabled()) return kPrepareAvx2;
+#endif
+  return kPrepareScalar;
+}
+
 }  // namespace
 
 void Sq8Mirror::BuildFrom(const Scalar* points, std::size_t n,
@@ -411,41 +431,9 @@ void PrepareSq8QueryMany(const Sq8Mirror& mirror, const Scalar* queries,
     }
     return;
   }
-#ifdef PARSIM_SQ8_X86
-  static const bool kSimd = detail::SimdEnabled();
-  if (kSimd) {
-    switch (kind) {
-      case MetricKind::kL1:
-        PrepareManyAvx2<MetricKind::kL1>(mirror, queries, members, codes_out,
-                                         bounds_out);
-        return;
-      case MetricKind::kL2:
-        PrepareManyAvx2<MetricKind::kL2>(mirror, queries, members, codes_out,
-                                         bounds_out);
-        return;
-      case MetricKind::kLmax:
-        PrepareManyAvx2<MetricKind::kLmax>(mirror, queries, members,
+  static const PrepareManyFn* const kPrepare = PickPrepareRow();
+  kPrepare[static_cast<std::size_t>(kind)](mirror, queries, members,
                                            codes_out, bounds_out);
-        return;
-    }
-    PARSIM_UNREACHABLE();
-  }
-#endif
-  switch (kind) {
-    case MetricKind::kL1:
-      PrepareManyScalar<MetricKind::kL1>(mirror, queries, members, codes_out,
-                                         bounds_out);
-      return;
-    case MetricKind::kL2:
-      PrepareManyScalar<MetricKind::kL2>(mirror, queries, members, codes_out,
-                                         bounds_out);
-      return;
-    case MetricKind::kLmax:
-      PrepareManyScalar<MetricKind::kLmax>(mirror, queries, members,
-                                           codes_out, bounds_out);
-      return;
-  }
-  PARSIM_UNREACHABLE();
 }
 
 Sq8Bound PrepareSq8Query(const Sq8Mirror& mirror, PointView query,

@@ -11,134 +11,85 @@
 
 namespace parsim {
 
-double MinDistComparable(const Rect& rect, PointView query,
-                         const Metric& metric) {
-  PARSIM_DCHECK(rect.dim() == query.size());
-  switch (metric.kind()) {
+namespace {
+
+/// One dimension's MINDIST step: the gap squared and summed (L2),
+/// summed (L1) or maxed (Lmax).
+template <MetricKind K>
+inline double GapStep(double acc, double gap) {
+  if constexpr (K == MetricKind::kL2) {
+    return acc + gap * gap;
+  } else if constexpr (K == MetricKind::kL1) {
+    return acc + gap;
+  } else {
+    return std::max(acc, gap);
+  }
+}
+
+/// MINDIST between the boxes [a_lo, a_hi] and [b_lo, b_hi] (a point is
+/// the box b_lo == b_hi) in the comparable scale. Each dimension's gap is
+/// max(max(a_lo - b_hi, b_lo - a_hi), 0): at most one of the two
+/// differences is positive, so the max is exactly the value a branchy
+/// form selects, without its data-dependent branches. Gaps fold in
+/// dimension order, and the fold stops once the running value exceeds
+/// `cutoff`: the value only grows, so a partial value above the cutoff
+/// decides what the full one would. Metric::MinDistMany replays this
+/// sequence for many boxes, bit for bit.
+template <MetricKind K>
+double FoldGaps(const Scalar* a_lo, const Scalar* a_hi, const Scalar* b_lo,
+                const Scalar* b_hi, std::size_t dim, double cutoff) {
+  double acc = 0.0;
+  for (std::size_t i = 0; i < dim; ++i) {
+    const double below =
+        static_cast<double>(a_lo[i]) - static_cast<double>(b_hi[i]);
+    const double above =
+        static_cast<double>(b_lo[i]) - static_cast<double>(a_hi[i]);
+    acc = GapStep<K>(acc, std::max(std::max(below, above), 0.0));
+    if (acc > cutoff) break;
+  }
+  return acc;
+}
+
+double FoldGaps(MetricKind kind, PointView a_lo, PointView a_hi,
+                PointView b_lo, PointView b_hi, double cutoff) {
+  PARSIM_DCHECK(a_lo.size() == b_lo.size());
+  const std::size_t dim = a_lo.size();
+  switch (kind) {
+    case MetricKind::kL1:
+      return FoldGaps<MetricKind::kL1>(a_lo.data(), a_hi.data(), b_lo.data(),
+                                       b_hi.data(), dim, cutoff);
     case MetricKind::kL2:
-      return rect.SquaredMinDist(query);
-    case MetricKind::kL1: {
-      // Branch-free per-dimension gap (see Rect::SquaredMinDist): the
-      // max of {lo - q, q - hi, 0} is the exact value the branchy form
-      // selects, accumulated in the same order. The branchy original
-      // added 0.0 for interior dimensions only implicitly (no add);
-      // adding an explicit +0.0 leaves a finite double sum unchanged.
-      double sum = 0.0;
-      for (std::size_t i = 0; i < query.size(); ++i) {
-        const double below = static_cast<double>(rect.lo(i)) -
-                             static_cast<double>(query[i]);
-        const double above = static_cast<double>(query[i]) -
-                             static_cast<double>(rect.hi(i));
-        sum += std::max(std::max(below, above), 0.0);
-      }
-      return sum;
-    }
-    case MetricKind::kLmax: {
-      double best = 0.0;
-      for (std::size_t i = 0; i < query.size(); ++i) {
-        const double below = static_cast<double>(rect.lo(i)) -
-                             static_cast<double>(query[i]);
-        const double above = static_cast<double>(query[i]) -
-                             static_cast<double>(rect.hi(i));
-        best = std::max(best, std::max(std::max(below, above), 0.0));
-      }
-      return best;
-    }
+      return FoldGaps<MetricKind::kL2>(a_lo.data(), a_hi.data(), b_lo.data(),
+                                       b_hi.data(), dim, cutoff);
+    case MetricKind::kLmax:
+      return FoldGaps<MetricKind::kLmax>(a_lo.data(), a_hi.data(),
+                                         b_lo.data(), b_hi.data(), dim,
+                                         cutoff);
   }
   PARSIM_UNREACHABLE();
 }
 
+constexpr double kNoCutoff = std::numeric_limits<double>::infinity();
+
+}  // namespace
+
+double MinDistComparable(const Rect& rect, PointView query,
+                         const Metric& metric) {
+  return FoldGaps(metric.kind(), rect.lo(), rect.hi(), query, query,
+                  kNoCutoff);
+}
+
 double MinDistComparable(const Rect& a, const Rect& b, const Metric& metric) {
-  PARSIM_DCHECK(a.dim() == b.dim());
-  switch (metric.kind()) {
-    case MetricKind::kL2:
-      return a.SquaredMinDist(b);
-    case MetricKind::kL1: {
-      // Per-dimension slab gap between the two intervals (see
-      // Rect::SquaredMinDist(const Rect&)), accumulated per metric:
-      // summed for L1, maxed for Lmax.
-      double sum = 0.0;
-      for (std::size_t i = 0; i < a.dim(); ++i) {
-        const double below =
-            static_cast<double>(a.lo(i)) - static_cast<double>(b.hi(i));
-        const double above =
-            static_cast<double>(b.lo(i)) - static_cast<double>(a.hi(i));
-        sum += std::max(std::max(below, above), 0.0);
-      }
-      return sum;
-    }
-    case MetricKind::kLmax: {
-      double best = 0.0;
-      for (std::size_t i = 0; i < a.dim(); ++i) {
-        const double below =
-            static_cast<double>(a.lo(i)) - static_cast<double>(b.hi(i));
-        const double above =
-            static_cast<double>(b.lo(i)) - static_cast<double>(a.hi(i));
-        best = std::max(best, std::max(std::max(below, above), 0.0));
-      }
-      return best;
-    }
-  }
-  PARSIM_UNREACHABLE();
+  return FoldGaps(metric.kind(), a.lo(), a.hi(), b.lo(), b.hi(), kNoCutoff);
 }
 
 bool MinDistExceeds(const Rect& rect, PointView query, const Metric& metric,
                     double cutoff, double* out) {
-  PARSIM_DCHECK(rect.dim() == query.size());
-  // Each branch replays the corresponding full-MINDIST loop operation
-  // for operation (L2: Rect::SquaredMinDist; L1/Lmax: MinDistComparable
-  // above), adding only a compare against `cutoff`. The running value is
-  // a nondecreasing accumulation of nonnegative per-dimension terms, so
-  // partial > cutoff implies final > cutoff; and when the loop finishes,
-  // the value is bit-identical to the unbounded computation.
-  switch (metric.kind()) {
-    case MetricKind::kL2: {
-      // Branch-free per-dimension gaps (see Rect::SquaredMinDist) with
-      // the early exit kept: the running value is nondecreasing, so
-      // exiting on a partial value decides exactly what the final value
-      // would, and a completed loop leaves `sum` bit-identical to the
-      // unbounded computation.
-      double sum = 0.0;
-      for (std::size_t i = 0; i < query.size(); ++i) {
-        const double below = static_cast<double>(rect.lo(i)) -
-                             static_cast<double>(query[i]);
-        const double above = static_cast<double>(query[i]) -
-                             static_cast<double>(rect.hi(i));
-        const double diff = std::max(std::max(below, above), 0.0);
-        sum += diff * diff;
-        if (sum > cutoff) return true;
-      }
-      *out = sum;
-      return false;
-    }
-    case MetricKind::kL1: {
-      double sum = 0.0;
-      for (std::size_t i = 0; i < query.size(); ++i) {
-        const double below = static_cast<double>(rect.lo(i)) -
-                             static_cast<double>(query[i]);
-        const double above = static_cast<double>(query[i]) -
-                             static_cast<double>(rect.hi(i));
-        sum += std::max(std::max(below, above), 0.0);
-        if (sum > cutoff) return true;
-      }
-      *out = sum;
-      return false;
-    }
-    case MetricKind::kLmax: {
-      double best = 0.0;
-      for (std::size_t i = 0; i < query.size(); ++i) {
-        const double below = static_cast<double>(rect.lo(i)) -
-                             static_cast<double>(query[i]);
-        const double above = static_cast<double>(query[i]) -
-                             static_cast<double>(rect.hi(i));
-        best = std::max(best, std::max(std::max(below, above), 0.0));
-        if (best > cutoff) return true;
-      }
-      *out = best;
-      return false;
-    }
-  }
-  PARSIM_UNREACHABLE();
+  const double value =
+      FoldGaps(metric.kind(), rect.lo(), rect.hi(), query, query, cutoff);
+  if (value > cutoff) return true;
+  *out = value;
+  return false;
 }
 
 namespace {

@@ -4,8 +4,9 @@
 // queries (k-NN and ball; the single-query SweepLeafDistances is its
 // one-member case, so HsKnn, RkvKnn, BallQuery and the round scheduler
 // share one implementation), SweepLeafRange for containment queries,
-// and SweepLeafBlockSelf for the self-join. Each holds the
-// quantized/exact decision once: on a plain block the sweep is the
+// and SweepLeafBlockSelf for the exact self-join (a quantized join
+// sweeps its own group codebooks, src/parallel/join.cc). The first two
+// hold the quantized/exact decision once: on a plain block the sweep is the
 // familiar ComparableBlock / Contains pass; on a quantized block
 // (LeafBlock::has_sq8) it first runs one full-width integer SQ8
 // reduction over the uint8 mirror, prunes every candidate whose
@@ -310,98 +311,36 @@ Counters SweepLeafDistances(const LeafBlock& block, PointView query,
   return sweep;
 }
 
-/// Symmetric self-sweep of one leaf block for the all-pairs similarity
-/// join: every unordered pair (i, j), i < j, of the block's own points,
-/// computed ONCE via the triangle kernels (Metric::ComparableBlockSelf /
-/// Sq8BlockSelf) — the diagonal's self-pairs are skipped entirely.
-/// `threshold` is the join's FIXED comparable-space cutoff
-/// (ToComparable(epsilon)); unlike the k-NN sweeps it never tightens, so
-/// no emit-loop re-read is needed. `emit(i, j, comparable)` receives
-/// pairs in lexicographic block order with the exact float comparable
-/// distance: on the exact path every pair, on the quantized path every
-/// bound survivor (the caller applies the final comparable <= threshold
-/// test either way). Pruning uses the same Sq8Bound contract as the
-/// query sweeps — each block row is prepared as a query against its own
-/// block's mirror — so a pruned pair provably exceeds the threshold and
-/// the emitted pair set matches the exact path's.
+/// Symmetric self-sweep of one exact leaf block for the all-pairs
+/// similarity join: every unordered pair (i, j), i < j, of the block's
+/// own points, computed ONCE via the triangle kernel
+/// (Metric::ComparableBlockSelf) — the diagonal's self-pairs are skipped
+/// entirely. `emit(i, j, comparable)` receives every pair in
+/// lexicographic block order with its exact comparable distance; the
+/// caller applies its fixed threshold. A quantized join sends every pair
+/// through its group codebooks instead (src/parallel/join.cc), so an SQ8
+/// block here is a caller bug.
 template <typename EmitFn>
 Counters SweepLeafBlockSelf(const LeafBlock& block, const Metric& metric,
-                            double threshold, EmitFn&& emit) {
+                            EmitFn&& emit) {
+  PARSIM_CHECK(!block.has_sq8);
   Counters sweep;
   const std::size_t n = block.count;
   if (n < 2) return sweep;
   const std::size_t dim = block.dim;
   detail::LeafSweepScratch& scratch = detail::SweepScratch();
-  const std::uint64_t total_pairs =
-      static_cast<std::uint64_t>(n) * (n - 1) / 2;
-  if (!block.has_sq8) {
-    ScopedPhase phase(Phase::kSweepRerank);
-    detail::GrowTo(scratch.dists, n * n);
-    metric.ComparableBlockSelf(block.coords.data(), n, dim,
-                               scratch.dists.data());
-    for (std::size_t i = 0; i + 1 < n; ++i) {
-      const double* row = scratch.dists.data() + i * n;
-      for (std::size_t j = i + 1; j < n; ++j) {
-        emit(i, j, row[j]);
-      }
-    }
-    sweep.distance_computations = total_pairs;
-    sweep.leaf_bytes_scanned = n * dim * sizeof(Scalar);
-    return sweep;
-  }
-  {
-    // Every row doubles as a query against its own block's mirror: the
-    // prepared codes/bounds are exactly what a ball query from that
-    // point would use, so the per-pair lower bounds inherit the query
-    // sweeps' lossless-pruning proof unchanged.
-    ScopedPhase phase(Phase::kSweepPrep);
-    detail::GrowTo(scratch.qcodes, n * dim);
-    detail::GrowTo(scratch.bounds, n);
-    PrepareSq8QueryMany(block.sq8, block.coords.data(), n, metric.kind(),
-                        scratch.qcodes.data(), scratch.bounds.data());
-  }
-  {
-    // Reductions for the whole strict upper triangle in one symmetric
-    // kernel call. Block rows sit inside their own lattice range, so the
-    // per-row base term is 0 and the base prune below fires only on
-    // degenerate lattices — computing the triangle before the base
-    // checks wastes nothing in practice.
-    ScopedPhase phase(Phase::kSweepFull);
-    detail::GrowTo(scratch.reductions, n * n);
-    metric.Sq8BlockSelf(scratch.qcodes.data(), block.sq8.codes.data(), n, dim,
-                        scratch.reductions.data());
-  }
-  const ComparableFn exact = metric.comparable_fn();
-  detail::GrowTo(scratch.survivors, n);
+  ScopedPhase phase(Phase::kSweepRerank);
+  detail::GrowTo(scratch.dists, n * n);
+  metric.ComparableBlockSelf(block.coords.data(), n, dim,
+                             scratch.dists.data());
   for (std::size_t i = 0; i + 1 < n; ++i) {
-    const std::size_t tail = n - i - 1;
-    const double dcut = scratch.bounds[i].PruneCutoff(threshold);
-    if (dcut < 0.0) {
-      sweep.base_pruned += tail;
-      continue;
-    }
-    const std::uint32_t* row = scratch.reductions.data() + i * n + i + 1;
-    std::size_t nsurv;
-    {
-      ScopedPhase phase(Phase::kSweepFull);
-      nsurv = detail::CollectSurvivors(row, tail, detail::IntCutoff(dcut),
-                                       scratch.survivors.data());
-    }
-    sweep.sq8_pruned += tail - nsurv;
-    // The fixed threshold never tightens, so survivors go straight to
-    // the exact re-rank — no cutoff re-check loop.
-    ScopedPhase phase(Phase::kSweepRerank);
-    const Scalar* qrow = block.row(i).data();
-    for (std::size_t s = 0; s < nsurv; ++s) {
-      const std::size_t j = i + 1 + scratch.survivors[s];
-      ++sweep.reranked;
-      emit(i, j, exact(qrow, block.row(j).data(), dim));
+    const double* row = scratch.dists.data() + i * n;
+    for (std::size_t j = i + 1; j < n; ++j) {
+      emit(i, j, row[j]);
     }
   }
-  sweep.quantized_pruned = sweep.base_pruned + sweep.sq8_pruned;
-  sweep.distance_computations = sweep.reranked;
-  sweep.leaf_bytes_scanned =
-      total_pairs * dim + sweep.reranked * dim * sizeof(Scalar);
+  sweep.distance_computations = static_cast<std::uint64_t>(n) * (n - 1) / 2;
+  sweep.leaf_bytes_scanned = n * dim * sizeof(Scalar);
   return sweep;
 }
 

@@ -21,9 +21,6 @@ TreeBase::TreeBase(std::size_t dim, SimulatedDisk* disk, TreeOptions options)
       dir_capacity_(DirCapacityPerPage(dim)) {
   PARSIM_CHECK(dim >= 1);
   PARSIM_CHECK(disk != nullptr);
-  PARSIM_CHECK(options_.min_fill > 0.0 && options_.min_fill <= 0.5);
-  PARSIM_CHECK(options_.reinsert_fraction > 0.0 &&
-               options_.reinsert_fraction < 1.0);
   PARSIM_CHECK(options_.bulk_load_fill > 0.0 && options_.bulk_load_fill <= 1.0);
 }
 
@@ -39,8 +36,8 @@ std::size_t TreeBase::CapacityOf(const Node& node) const {
 
 std::size_t TreeBase::MinEntriesOf(const Node& node) const {
   const std::size_t per_page = node.IsLeaf() ? leaf_capacity_ : dir_capacity_;
-  const auto m = static_cast<std::size_t>(
-      options_.min_fill * static_cast<double>(per_page));
+  const auto m =
+      static_cast<std::size_t>(kMinFill * static_cast<double>(per_page));
   return std::max<std::size_t>(1, m);
 }
 
@@ -311,7 +308,7 @@ void TreeBase::ForcedReinsert(NodeId node_id, const std::vector<NodeId>& path,
   const Rect mbr = node.ComputeMbr(dim_);
   const Point center = mbr.Center();
   // Sort entries by distance of their rect center to the node center,
-  // descending; the farthest `reinsert_fraction` leave the node. The
+  // descending; the farthest kReinsertFraction leave the node. The
   // entry centers are gathered into one contiguous buffer so a single
   // one-to-many kernel call computes every distance ((a-b)^2 == (b-a)^2
   // bitwise, so swapping operands relative to the old per-pair loop
@@ -331,7 +328,7 @@ void TreeBase::ForcedReinsert(NodeId node_id, const std::vector<NodeId>& path,
   std::sort(order.begin(), order.end(),
             [&](std::size_t a, std::size_t b) { return dist[a] > dist[b]; });
   const auto k = std::max<std::size_t>(
-      1, static_cast<std::size_t>(options_.reinsert_fraction *
+      1, static_cast<std::size_t>(kReinsertFraction *
                                   static_cast<double>(node.entries.size())));
   std::vector<NodeEntry> removed;
   removed.reserve(k);
@@ -376,8 +373,7 @@ TreeBase::SplitResult TreeBase::ComputeRStarSplit(const Node& node) const {
   const std::size_t total = node.entries.size();
   PARSIM_CHECK(total >= 2);
   const auto m = std::max<std::size_t>(
-      1, static_cast<std::size_t>(options_.min_fill *
-                                  static_cast<double>(total)));
+      1, static_cast<std::size_t>(kMinFill * static_cast<double>(total)));
   PARSIM_CHECK(m <= total - m);
 
   // For one sorted order, evaluate all legal distributions and

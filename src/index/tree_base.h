@@ -38,10 +38,6 @@ enum class BulkLoadOrder {
 
 /// Tuning parameters shared by the tree family.
 struct TreeOptions {
-  /// Minimum node fill as a fraction of capacity (R*: 40%).
-  double min_fill = 0.4;
-  /// Fraction of entries removed by forced reinsert (R*: 30%).
-  double reinsert_fraction = 0.3;
   /// Enable R* forced reinsert on first overflow per level.
   bool forced_reinsert = true;
   /// Leaf fill fraction used by BulkLoad.
@@ -228,9 +224,14 @@ class TreeBase {
   /// in place (X-tree supernode extension).
   virtual NodeId SplitNode(NodeId node_id) = 0;
 
+  /// R*'s minimum node fill, as a fraction of capacity.
+  static constexpr double kMinFill = 0.4;
+  /// R*'s forced-reinsert share of an overflowing node's entries.
+  static constexpr double kReinsertFraction = 0.3;
+
   /// Capacity of `node` in entries (pages * per-page capacity).
   std::size_t CapacityOf(const Node& node) const;
-  /// Minimum entries required in `node` (min_fill of one page).
+  /// Minimum entries required in `node` (kMinFill of one page).
   std::size_t MinEntriesOf(const Node& node) const;
   bool Overflowing(const Node& node) const;
 

@@ -23,8 +23,7 @@ XTree::SplitResult XTree::ComputeOverlapMinimalSplit(const Node& node) const {
   const std::size_t total = node.entries.size();
   PARSIM_CHECK(total >= 2);
   const auto m = std::max<std::size_t>(
-      1, static_cast<std::size_t>(options_.min_fill *
-                                  static_cast<double>(total)));
+      1, static_cast<std::size_t>(kMinFill * static_cast<double>(total)));
 
   SplitResult best;
   double best_overlap = std::numeric_limits<double>::infinity();

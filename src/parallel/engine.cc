@@ -12,6 +12,14 @@
 
 namespace parsim {
 
+namespace {
+
+/// Timed-out read attempts charged (at disk_parameters.failover_timeout_ms
+/// each) against a failed primary before a read fails over to its replica.
+constexpr std::uint32_t kMaxReadRetries = 1;
+
+}  // namespace
+
 ParallelSearchEngine::ParallelSearchEngine(
     std::size_t dim, std::unique_ptr<Declusterer> declusterer,
     EngineOptions options)
@@ -157,7 +165,7 @@ TreeBase::DiskRoute ParallelSearchEngine::RouteLeaf(const Node& leaf) const {
     if (!replica.is_failed()) {
       TreeBase::DiskRoute route{&replica};
       route.failover = true;
-      route.retry_attempts = options_.max_read_retries;
+      route.retry_attempts = kMaxReadRetries;
       return route;
     }
   }

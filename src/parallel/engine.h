@@ -159,10 +159,6 @@ struct EngineOptions {
   /// federated architectures physically partition the data, so a failed
   /// disk there is reported as unavailable instead.
   bool enable_replicas = false;
-  /// Bounded-retry policy: timed-out read attempts charged (at
-  /// disk_parameters.failover_timeout_ms each) against a failed primary
-  /// before the read fails over to the replica.
-  std::uint32_t max_read_retries = 1;
   /// Give every leaf block an SQ8 mirror (uint8 scalar quantization; see
   /// src/geometry/sq8.h) and sweep it first: candidates whose provable
   /// comparable-space lower bound cannot beat the current k-th best (or

@@ -589,8 +589,7 @@ std::vector<JoinPair> SimilarityJoin::Run(double epsilon,
       }
       if (j == i) {
         out.sweep += SweepLeafBlockSelf(
-            bi, metric_, eps_cmp,
-            [&](std::size_t li, std::size_t lj, double cmp) {
+            bi, metric_, [&](std::size_t li, std::size_t lj, double cmp) {
               if (cmp <= eps_cmp) {
                 PointId a = bi.ids[li];
                 PointId b = bi.ids[lj];
@@ -610,9 +609,11 @@ std::vector<JoinPair> SimilarityJoin::Run(double epsilon,
       }
       const LeafBlock& bj = node_j.block;
       // Cross pair: the owner row's points are the "queries" swept
-      // against block j — one many-to-many kernel, SQ8 prune and all,
-      // with the join's fixed threshold (it never tightens, unlike a
-      // k-NN heap bound).
+      // against block j — one many-to-many kernel with the join's fixed
+      // threshold (it never tightens, unlike a k-NN heap bound). Only
+      // exact trees get here: a quantized join sends every pair through
+      // the codebooks above.
+      PARSIM_CHECK(!bj.has_sq8);
       member_stats.assign(bi.count, Counters{});
       SweepLeafBlockMany(
           bj, bi.coords.data(), bi.count, metric_,

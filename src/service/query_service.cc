@@ -10,6 +10,9 @@ namespace parsim {
 
 namespace {
 
+/// EMA smoothing of the per-round prune rate.
+constexpr double kPruneEmaAlpha = 0.3;
+
 double MsBetween(std::chrono::steady_clock::time_point a,
                  std::chrono::steady_clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
@@ -32,8 +35,6 @@ QueryService::QueryService(const ParallelSearchEngine& engine,
   PARSIM_CHECK(options_.min_batch >= 1);
   PARSIM_CHECK(options_.max_batch >= options_.min_batch);
   PARSIM_CHECK(options_.interactive_weight >= 1);
-  PARSIM_CHECK(options_.prune_ema_alpha > 0.0 &&
-               options_.prune_ema_alpha <= 1.0);
   if (options_.threads > 1) pool_ = engine.EnsurePool(options_.threads);
 }
 
@@ -176,8 +177,7 @@ void QueryService::PumpOnce() {
   if (leaf_work > 0) {
     const double rate = static_cast<double>(round.pruned) /
                         static_cast<double>(leaf_work);
-    ema_prune_ = options_.prune_ema_alpha * rate +
-                 (1.0 - options_.prune_ema_alpha) * ema_prune_;
+    ema_prune_ = kPruneEmaAlpha * rate + (1.0 - kPruneEmaAlpha) * ema_prune_;
   }
 
   // 4. Resolve everything that finished or expired this round.

@@ -112,8 +112,6 @@ struct ServiceOptions {
   bool adaptive_batch = true;
   /// Consecutive interactive admissions allowed while bulk work waits.
   std::size_t interactive_weight = 4;
-  /// EMA smoothing of the per-round prune rate (0 < alpha <= 1).
-  double prune_ema_alpha = 0.3;
   /// Worker threads for the round expansion phase (0 or 1 = serial).
   unsigned threads = 0;
 };

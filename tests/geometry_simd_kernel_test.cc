@@ -7,9 +7,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <ios>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -234,7 +237,7 @@ bool SameBits(double a, double b) {
 }
 
 // MINDIST from one point to many boxes: the dispatched MinDistMany (the
-// AVX2 kernel on hosts that have it), its scalar version and per-box
+// AVX2 kernel on hosts that have it), the portable row's kernel and per-box
 // MinDistComparable must agree bit for bit — the descent's keys, and
 // with them every frontier order and counter, depend on it. Boxes sit in
 // a dimension-major image with a stride wider than the box count (NaN
@@ -244,7 +247,7 @@ TEST(SimdKernelTest, MinDistManyBitIdenticalToPerBoxMinDist) {
   if (!detail::SimdEnabled()) {
     std::fprintf(stderr,
                  "[ simd ] no AVX2 on this host: skipped MinDistMany's "
-                 "vector path; the scalar version is still compared\n");
+                 "vector path; the portable kernel is still compared\n");
   }
   const float nan = std::numeric_limits<float>::quiet_NaN();
   Rng rng(1213);
@@ -300,8 +303,9 @@ TEST(SimdKernelTest, MinDistManyBitIdenticalToPerBoxMinDist) {
               std::vector<double> scalar(count + 1, -7.0);
               metric.MinDistMany(*query, lo.data(), hi.data(), count, stride,
                                  dispatched.data());
-              detail::MinDistManyScalar(kind, *query, lo.data(), hi.data(),
-                                        count, stride, scalar.data());
+              detail::KernelRowFor(kind, /*portable=*/true)
+                  .min_dist_many(query->data(), lo.data(), hi.data(), count,
+                                 stride, dim, scalar.data());
               EXPECT_TRUE(SameBits(-7.0, dispatched[count]))
                   << "dispatched kernel wrote past the count";
               EXPECT_TRUE(SameBits(-7.0, scalar[count]))
@@ -325,6 +329,194 @@ TEST(SimdKernelTest, MinDistManyBitIdenticalToPerBoxMinDist) {
           }
         }
       }
+    }
+  }
+}
+
+// Kernel fingerprints: FNV-1a over the output bits of every kernel-row
+// entry for one metric, over a fixed set of seeded inputs per dimension.
+// The expected values were recorded from the per-metric kernels the
+// templates replaced, through the public Metric API, once with AVX2
+// dispatch and once with metric.cc's x86 branch compiled out. Any kernel
+// edit that changes one output bit on either table fails here.
+
+struct Fnv1a {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  void Add(const void* data, std::size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      hash ^= bytes[i];
+      hash *= 0x100000001b3ull;
+    }
+  }
+  template <typename T>
+  void Add(T value) {
+    Add(&value, sizeof(value));
+  }
+};
+
+struct RowFingerprint {
+  std::uint64_t pair, block, min_dist_many, sq8_many, sq8_many_under;
+};
+
+constexpr std::size_t kFingerprintDims[] = {1,  2,  3,  4,  5,  7,
+                                            8,  9,  12, 15, 16, 17,
+                                            24, 31, 32, 33, 64, 127};
+
+// Uniform in [-scale, scale), and a signed zero one time in ten, so the
+// operand order of every max shows in the sign bit.
+float FingerprintCoord(Rng& rng, double scale) {
+  if (rng.NextBernoulli(0.1)) return rng.NextBernoulli(0.5) ? -0.0f : 0.0f;
+  return static_cast<float>((rng.NextDouble() - 0.5) * 2.0 * scale);
+}
+
+std::uint32_t Sq8Reference(MetricKind kind, const std::uint8_t* a,
+                           const std::uint8_t* b, std::size_t n) {
+  switch (kind) {
+    case MetricKind::kL1:
+      return detail::Sq8SadScalar(a, b, n);
+    case MetricKind::kL2:
+      return detail::Sq8SsdScalar(a, b, n);
+    case MetricKind::kLmax:
+      return detail::Sq8MadScalar(a, b, n);
+  }
+  return 0;
+}
+
+// `row` calls the five entries with KernelRow's signatures.
+template <typename Row>
+RowFingerprint Fingerprint(const Row& row, MetricKind kind) {
+  Fnv1a pair, block, min_dist_many, sq8_many, sq8_many_under;
+  for (const std::size_t dim : kFingerprintDims) {
+    Rng rng(7919 + dim);
+    // 40 rows; every fifth at magnitude 1e6.
+    constexpr std::size_t kRows = 40;
+    std::vector<float> pts(kRows * dim);
+    for (std::size_t r = 0; r < kRows; ++r) {
+      for (std::size_t i = 0; i < dim; ++i) {
+        pts[r * dim + i] = FingerprintCoord(rng, r % 5 == 4 ? 1e6 : 1.0);
+      }
+    }
+    for (std::size_t r = 0; r < kRows; ++r) {
+      pair.Add(row.pair(pts.data() + r * dim,
+                        pts.data() + ((r * 7 + 3) % kRows) * dim, dim));
+    }
+    // Three queries against the other 37 rows.
+    std::vector<double> out(3 * (kRows - 3));
+    row.block(pts.data(), 3, pts.data() + 3 * dim, kRows - 3, dim,
+              out.data());
+    for (const double v : out) block.Add(v);
+
+    for (const std::size_t count : {1ul, 2ul, 3ul, 5ul, 8ul, 13ul, 31ul}) {
+      const std::size_t stride = count + 3;
+      std::vector<float> lo(dim * stride, 0.0f), hi(dim * stride, 0.0f);
+      for (std::size_t j = 0; j < count; ++j) {
+        for (std::size_t i = 0; i < dim; ++i) {
+          const float a = FingerprintCoord(rng, 1.0);
+          const float b =
+              rng.NextBernoulli(0.1) ? a : FingerprintCoord(rng, 1.0);
+          lo[i * stride + j] = std::min(a, b);
+          hi[i * stride + j] = std::max(a, b);
+        }
+      }
+      std::vector<float> inside(dim);
+      for (std::size_t i = 0; i < dim; ++i) {
+        inside[i] = lo[i * stride] + (hi[i * stride] - lo[i * stride]) / 2.0f;
+      }
+      std::vector<double> dists(count);
+      const float* queries[] = {pts.data(), pts.data() + dim, inside.data()};
+      for (const float* query : queries) {
+        row.min_dist_many(query, lo.data(), hi.data(), count, stride, dim,
+                          dists.data());
+        for (const double v : dists) min_dist_many.Add(v);
+      }
+    }
+
+    // Three query code rows against 37 stored rows; the extremes 0 and
+    // 255 meet in query 0 and row 0.
+    constexpr std::size_t kCodeRows = 37;
+    std::vector<std::uint8_t> qcodes(3 * dim), codes(kCodeRows * dim);
+    for (auto& c : qcodes) c = static_cast<std::uint8_t>(rng.NextBounded(256));
+    for (auto& c : codes) c = static_cast<std::uint8_t>(rng.NextBounded(256));
+    std::fill_n(qcodes.begin(), dim, std::uint8_t{0});
+    std::fill_n(codes.begin(), dim, std::uint8_t{255});
+    std::vector<std::uint32_t> reductions(kCodeRows), idx(kCodeRows);
+    for (std::size_t q = 0; q < 3; ++q) {
+      const std::uint8_t* query = qcodes.data() + q * dim;
+      row.sq8_many(query, codes.data(), kCodeRows, dim, reductions.data());
+      for (const std::uint32_t v : reductions) sq8_many.Add(v);
+      const std::uint32_t median =
+          Sq8Reference(kind, query, codes.data() + (kCodeRows / 2) * dim, dim);
+      for (const std::uint32_t cutoff :
+           {0u, median, 0x80000001u, 0xffffffffu}) {
+        const std::size_t n = row.sq8_many_under(query, codes.data(), kCodeRows,
+                                                 dim, cutoff, idx.data());
+        sq8_many_under.Add(static_cast<std::uint64_t>(n));
+        for (std::size_t i = 0; i < n; ++i) sq8_many_under.Add(idx[i]);
+      }
+    }
+  }
+  return {pair.hash, block.hash, min_dist_many.hash, sq8_many.hash,
+          sq8_many_under.hash};
+}
+
+// Recorded with the x86-64 Release build (-O3); indexed by MetricKind.
+constexpr RowFingerprint kAvx2Fingerprints[] = {
+    {0x89430a32397a5e2aull, 0x107f33d4add754afull, 0x5290e8c85abc18a9ull,
+     0x676ba3c33a32473cull, 0x1d695afaf604c8e1ull},  // L1
+    {0x13cd90c568f8cd38ull, 0x0ca4a428c653b56full, 0xacf5cffff76d2455ull,
+     0x9f1bcc4b1ef6a55aull, 0x1275966f867097cdull},  // L2
+    {0x2e1c549bb98b450full, 0x44b0aed377a47a4cull, 0x67dfa6637bb04bc7ull,
+     0xa92be628792cc3e4ull, 0xd838bf4a93cc08f7ull},  // Lmax
+};
+constexpr RowFingerprint kPortableFingerprints[] = {
+    {0x57cb26da1ec4717aull, 0xa2607b8fb1e626ddull, 0x5290e8c85abc18a9ull,
+     0x676ba3c33a32473cull, 0x1d695afaf604c8e1ull},  // L1
+    {0x0a9c044463acdbfcull, 0xb7bee873d4d0fba5ull, 0xacf5cffff76d2455ull,
+     0x9f1bcc4b1ef6a55aull, 0x1275966f867097cdull},  // L2
+    {0x2e1c549bb98b450full, 0x44b0aed377a47a4cull, 0x67dfa6637bb04bc7ull,
+     0xa92be628792cc3e4ull, 0xd838bf4a93cc08f7ull},  // Lmax
+};
+
+void ExpectFingerprint(const RowFingerprint& want, const RowFingerprint& got,
+                       const char* table, MetricKind kind) {
+  const std::pair<const char*, std::uint64_t RowFingerprint::*> entries[] = {
+      {"pair", &RowFingerprint::pair},
+      {"block", &RowFingerprint::block},
+      {"min_dist_many", &RowFingerprint::min_dist_many},
+      {"sq8_many", &RowFingerprint::sq8_many},
+      {"sq8_many_under", &RowFingerprint::sq8_many_under}};
+  for (const auto& [name, field] : entries) {
+    EXPECT_EQ(want.*field, got.*field)
+        << table << " row, " << MetricKindToString(kind) << " " << name
+        << ": an output bit changed (got 0x" << std::hex << got.*field
+        << std::dec << ")";
+  }
+}
+
+// The bit-identity gate for kernel edits: both tables' rows must
+// reproduce the recorded fingerprints. The portable row runs on every
+// host; the dispatched row only where the process dispatched to AVX2.
+TEST(SimdKernelTest, KernelRowsMatchRecordedFingerprints) {
+#ifndef __x86_64__
+  GTEST_SKIP() << "the fingerprints are x86-64 values; other targets may "
+                  "fuse the portable loops' multiply-adds";
+#endif
+  if (!detail::SimdEnabled()) {
+    std::fprintf(stderr,
+                 "[ simd ] no AVX2 on this host: skipped the dispatched "
+                 "row's fingerprints; the portable row is still pinned\n");
+  }
+  for (const MetricKind kind :
+       {MetricKind::kL1, MetricKind::kL2, MetricKind::kLmax}) {
+    const std::size_t k = static_cast<std::size_t>(kind);
+    ExpectFingerprint(kPortableFingerprints[k],
+                      Fingerprint(detail::KernelRowFor(kind, true), kind),
+                      "portable", kind);
+    if (detail::SimdEnabled()) {
+      ExpectFingerprint(kAvx2Fingerprints[k],
+                        Fingerprint(detail::KernelRowFor(kind, false), kind),
+                        "AVX2", kind);
     }
   }
 }
