@@ -44,6 +44,7 @@
 
 #include "bench/microbench_common.h"
 #include "src/core/near_optimal.h"
+#include "src/geometry/metric.h"
 #include "src/parallel/engine.h"
 #include "src/util/random.h"
 #include "src/util/stopwatch.h"
@@ -131,8 +132,10 @@ int Run(bool smoke) {
   const unsigned hardware = std::thread::hardware_concurrency();
   const int reps = smoke ? 1 : 2;
   std::printf("all-pairs similarity join: n=%zu threads=%u "
-              "(hardware threads: %u)%s\n",
-              n, threads, hardware, smoke ? " [smoke]" : "");
+              "(hardware threads: %u, kernel tier: %s)%s\n",
+              n, threads, hardware,
+              detail::KernelTierName(detail::DispatchedTier()),
+              smoke ? " [smoke]" : "");
   std::printf(
       "%4s %10s %12s %14s %9s %12s %10s %10s %8s %8s\n", "dim", "eps",
       "pairs", "candidates", "pruned%", "exhaust_ms", "sq8_ms", "sq8xT_ms",
@@ -249,6 +252,8 @@ int Run(bool smoke) {
                "\"clusters\": 32, \"smoke\": %s},\n",
                n, threads, smoke ? "true" : "false");
   std::fprintf(json, "  \"hardware_threads\": %u,\n", hardware);
+  std::fprintf(json, "  \"kernel_tier\": \"%s\",\n",
+               detail::KernelTierName(detail::DispatchedTier()));
   std::fprintf(json, "  \"configs\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const ConfigRow& r = rows[i];

@@ -41,6 +41,7 @@
 
 #include "bench/microbench_common.h"
 #include "src/core/near_optimal.h"
+#include "src/geometry/metric.h"
 #include "src/geometry/rect.h"
 #include "src/index/knn.h"
 #include "src/index/leaf_sweep.h"
@@ -352,7 +353,9 @@ int Run(bool smoke) {
   std::printf("== microbench_quantized_knn ==\n");
   std::printf("workload: n=%zu queries<=%zu (hot-spot) k=%zu disks=%zu%s\n", n,
               num_queries, k, disks, smoke ? " [smoke]" : "");
-  std::printf("hardware threads: %u\n", std::thread::hardware_concurrency());
+  std::printf("hardware threads: %u, kernel tier: %s\n",
+              std::thread::hardware_concurrency(),
+              detail::KernelTierName(detail::DispatchedTier()));
 
   bool all_ok = true;
 
@@ -433,6 +436,8 @@ int Run(bool smoke) {
                n, num_queries, k, disks, smoke ? "true" : "false");
   std::fprintf(json, "  \"hardware_threads\": %u,\n",
                std::thread::hardware_concurrency());
+  std::fprintf(json, "  \"kernel_tier\": \"%s\",\n",
+               detail::KernelTierName(detail::DispatchedTier()));
   std::fprintf(json, "  \"sweep_layer\": [\n");
   for (std::size_t i = 0; i < sweeps.size(); ++i) {
     const SweepResult& r = sweeps[i];

@@ -948,6 +948,142 @@ __attribute__((target("avx2"))) void MinDistManyAvx2(
   }
 }
 
+// ---------------------------------------------------------------------
+// AVX-512 SSD kernels at d = 16, the similarity join's integer filter.
+// Sixteen rows per step, one row per 128-bit lane of four 64-byte
+// loads: in-lane byte unpacks widen each row against zero, a
+// four-times-broadcast query is subtracted, and madd + dpwssd leave four
+// partial sums per row. One in-lane 4x4 transpose-add and one cross-lane
+// permute put the sixteen row sums in row order: 15 shuffle uops per 16
+// rows against the AVX2 filter's 28. The last count % 16 rows run the
+// same step through masked loads, so nothing is read past the codes.
+// Other dims call the AVX2 kernels. GCC 12 reports the
+// _mm512_undefined_epi32() operand inside avx512fintrin.h's broadcast,
+// unpack and permute intrinsics as -Wmaybe-uninitialized (GCC bug
+// 105593, fixed in GCC 13); the suppression covers this block only.
+// ---------------------------------------------------------------------
+
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
+/// The d = 16 query row, widened to 16 bits in every 128-bit lane: its
+/// low eight bytes in `lo`, its high eight in `hi`.
+struct Ssd16Query {
+  __m512i lo, hi;
+};
+
+__attribute__((target("avx512f,avx512bw"))) inline Ssd16Query WidenQuery16(
+    const std::uint8_t* query) {
+  const __m512i zero = _mm512_setzero_si512();
+  const __m512i qq = _mm512_broadcast_i32x4(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(query)));
+  return {_mm512_unpacklo_epi8(qq, zero), _mm512_unpackhi_epi8(qq, zero)};
+}
+
+/// The SSDs of the d = 16 rows p[0 .. rows) against `q`, element r
+/// holding row r. kPartial loads only the first `rows` (< 16) rows; the
+/// elements past them hold the SSD of a zero row and must be masked off.
+template <bool kPartial>
+__attribute__((target("avx512f,avx512bw,avx512vnni"))) inline __m512i
+Ssd16Rows(const std::uint8_t* p, const Ssd16Query& q, std::size_t rows) {
+  const __m512i zero = _mm512_setzero_si512();
+  __m512i s[4];
+  for (std::size_t k = 0; k < 4; ++k) {
+    __m512i v;
+    if constexpr (kPartial) {
+      const std::size_t bytes =
+          rows * 16 > k * 64 ? std::min<std::size_t>(64, rows * 16 - k * 64)
+                             : 0;
+      const __mmask64 m =
+          bytes == 64 ? ~__mmask64{0} : (__mmask64{1} << bytes) - 1;
+      v = _mm512_maskz_loadu_epi8(m, p + k * 64);
+    } else {
+      v = _mm512_loadu_si512(p + k * 64);
+    }
+    const __m512i lo = _mm512_sub_epi16(_mm512_unpacklo_epi8(v, zero), q.lo);
+    const __m512i hi = _mm512_sub_epi16(_mm512_unpackhi_epi8(v, zero), q.hi);
+    s[k] = _mm512_dpwssd_epi32(_mm512_madd_epi16(lo, lo), hi, hi);
+  }
+  // Lane L of s[k] holds row 4k + L's four partials. After the
+  // transpose-add, element 4L + k of t is row 4k + L's sum.
+  const __m512i ab = _mm512_add_epi32(_mm512_unpacklo_epi32(s[0], s[1]),
+                                      _mm512_unpackhi_epi32(s[0], s[1]));
+  const __m512i cd = _mm512_add_epi32(_mm512_unpacklo_epi32(s[2], s[3]),
+                                      _mm512_unpackhi_epi32(s[2], s[3]));
+  const __m512i t = _mm512_add_epi32(_mm512_unpacklo_epi64(ab, cd),
+                                     _mm512_unpackhi_epi64(ab, cd));
+  const __m512i row_order = _mm512_setr_epi32(0, 4, 8, 12, 1, 5, 9, 13, 2, 6,
+                                              10, 14, 3, 7, 11, 15);
+  return _mm512_permutexvar_epi32(row_order, t);
+}
+
+__attribute__((target("avx512f,avx512bw,avx512vnni"))) void Sq8SsdManyAvx512(
+    const std::uint8_t* query, const std::uint8_t* codes, std::size_t count,
+    std::size_t dim, std::uint32_t* out) {
+  if (dim != 16) {
+    Sq8SsdManyAvx2(query, codes, count, dim, out);
+    return;
+  }
+  const Ssd16Query q = WidenQuery16(query);
+  std::size_t i = 0;
+  for (; i + 16 <= count; i += 16) {
+    _mm512_storeu_si512(out + i, Ssd16Rows<false>(codes + i * 16, q, 16));
+  }
+  if (i < count) {
+    const std::size_t rest = count - i;
+    _mm512_mask_storeu_epi32(out + i, static_cast<__mmask16>((1u << rest) - 1),
+                             Ssd16Rows<true>(codes + i * 16, q, rest));
+  }
+}
+
+/// Appends the indices of `idx` that `keep` selects to out_idx[n ..] and
+/// returns the new count. Storing only for a non-empty mask keeps
+/// out_idx ascending and writes nothing past the count.
+__attribute__((target("avx512f,popcnt"))) inline std::size_t AppendSurvivors(
+    std::uint32_t* out_idx, std::size_t n, __mmask16 keep, __m512i idx) {
+  if (keep) {
+    _mm512_mask_compressstoreu_epi32(out_idx + n, keep, idx);
+    n += static_cast<std::size_t>(_mm_popcnt_u32(keep));
+  }
+  return n;
+}
+
+/// The fused filter on the same step. The compare is unsigned, so any
+/// cutoff is exact without a clamp.
+__attribute__((target("avx512f,avx512bw,avx512vnni,popcnt"))) std::size_t
+Sq8SsdManyUnderAvx512(const std::uint8_t* query, const std::uint8_t* codes,
+                      std::size_t count, std::size_t dim,
+                      std::uint32_t cutoff, std::uint32_t* out_idx) {
+  if (dim != 16) {
+    return Sq8ManyUnderAvx2<kL2>(query, codes, count, dim, cutoff, out_idx);
+  }
+  const Ssd16Query q = WidenQuery16(query);
+  const __m512i cut = _mm512_set1_epi32(static_cast<int>(cutoff));
+  __m512i idx =
+      _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+  const __m512i step = _mm512_set1_epi32(16);
+  std::size_t n = 0;
+  std::size_t i = 0;
+  for (; i + 16 <= count; i += 16) {
+    n = AppendSurvivors(
+        out_idx, n,
+        _mm512_cmple_epu32_mask(Ssd16Rows<false>(codes + i * 16, q, 16), cut),
+        idx);
+    idx = _mm512_add_epi32(idx, step);
+  }
+  if (i < count) {
+    const std::size_t rest = count - i;
+    n = AppendSurvivors(out_idx, n,
+                        _mm512_mask_cmple_epu32_mask(
+                            static_cast<__mmask16>((1u << rest) - 1),
+                            Ssd16Rows<true>(codes + i * 16, q, rest), cut),
+                        idx);
+  }
+  return n;
+}
+
+#pragma GCC diagnostic pop
+
 #endif  // PARSIM_METRIC_X86
 
 // ---------------------------------------------------------------------
@@ -977,26 +1113,53 @@ constexpr detail::KernelRow Avx2Row(decltype(detail::KernelRow::sq8_many)
 constexpr detail::KernelRow kAvx2Rows[] = {Avx2Row<kL1>(Sq8SadManyAvx2),
                                            Avx2Row<kL2>(Sq8SsdManyAvx2),
                                            Avx2Row<kLmax>(Sq8MadManyAvx2)};
+
+/// The AVX2 table with L2's two SQ8 one-to-many entries replaced. The
+/// float entries stay because their summation order is part of every
+/// value; the L1 and Lmax SQ8 entries stay because no workload runs
+/// them.
+constexpr detail::KernelRow kAvx512Rows[] = {
+    kAvx2Rows[0],
+    {PairAvx2<kL2>, BlockAvx2<kL2>, MinDistManyAvx2<kL2>, Sq8SsdManyAvx512,
+     Sq8SsdManyUnderAvx512},
+    kAvx2Rows[2]};
 #endif
 
-struct KernelTable {
-  const detail::KernelRow* rows;
-  bool simd;
-};
-
-KernelTable PickKernels() {
+detail::KernelTier PickTier() {
 #ifdef PARSIM_METRIC_X86
   // The SQ8 and MINDIST kernels only need avx2, but they dispatch
   // together with the float kernels: one cpuid decision, one table.
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    return {kAvx2Rows, /*simd=*/true};
+    if (__builtin_cpu_supports("avx512f") &&
+        __builtin_cpu_supports("avx512bw") &&
+        __builtin_cpu_supports("avx512vl") &&
+        __builtin_cpu_supports("avx512vnni")) {
+      return detail::KernelTier::kAvx512;
+    }
+    return detail::KernelTier::kAvx2;
   }
 #endif
-  return {kPortableRows, /*simd=*/false};
+  return detail::KernelTier::kPortable;
 }
 
+/// Indexed by KernelTier; a host only dispatches to tiers it has.
+#ifdef PARSIM_METRIC_X86
+constexpr const detail::KernelRow* kTables[] = {kPortableRows, kAvx2Rows,
+                                                kAvx512Rows};
+#else
+constexpr const detail::KernelRow* kTables[] = {kPortableRows};
+#endif
+
+struct KernelTable {
+  const detail::KernelRow* rows;
+  detail::KernelTier tier;
+};
+
 const KernelTable& Kernels() {
-  static const KernelTable table = PickKernels();
+  static const KernelTable table = [] {
+    const detail::KernelTier tier = PickTier();
+    return KernelTable{kTables[static_cast<std::size_t>(tier)], tier};
+  }();
   return table;
 }
 
@@ -1008,11 +1171,26 @@ const detail::KernelRow& Row(MetricKind kind) {
 
 namespace detail {
 
-bool SimdEnabled() { return Kernels().simd; }
+bool SimdEnabled() { return Kernels().tier != KernelTier::kPortable; }
 
-const KernelRow& KernelRowFor(MetricKind kind, bool portable) {
-  return portable ? kPortableRows[static_cast<std::size_t>(kind)]
-                  : Row(kind);
+KernelTier DispatchedTier() { return Kernels().tier; }
+
+const char* KernelTierName(KernelTier tier) {
+  switch (tier) {
+    case KernelTier::kPortable:
+      return "portable";
+    case KernelTier::kAvx2:
+      return "avx2";
+    case KernelTier::kAvx512:
+      return "avx512";
+  }
+  PARSIM_UNREACHABLE();
+}
+
+const KernelRow& KernelRowFor(MetricKind kind, KernelTier tier) {
+  PARSIM_CHECK(tier <= DispatchedTier());
+  const KernelRow* rows = kTables[static_cast<std::size_t>(tier)];
+  return rows[static_cast<std::size_t>(kind)];
 }
 
 }  // namespace detail

@@ -14,14 +14,19 @@
 // d = 8/16/32 paths of the one-to-many SQ8 kernels (psadbw for L1, madd
 // for L2, max_epu8 for Lmax), and the SSD filter's d = 8/16 path.
 //
-// Dispatch: on x86-64 hosts with AVX2+FMA the AVX2 row runs (floats
-// widened to doubles in registers, so results keep double-precision
-// accumulation); elsewhere the portable, unrolled row runs. Dispatch is
+// Dispatch: there are three tables (detail::KernelTier). On x86-64
+// hosts with AVX2+FMA the AVX2 table runs (floats widened to doubles in
+// registers, so results keep double-precision accumulation); elsewhere
+// the portable, unrolled table runs. Hosts that also have AVX-512 F, BW,
+// VL and VNNI run the AVX-512 table: the AVX2 table with only L2's
+// Sq8Many and Sq8ManyUnder entries replaced, which at d = 16 reduce
+// sixteen code rows per step. Those are exact integer reductions, so the
+// AVX-512 table returns the AVX2 table's values bit for bit. Dispatch is
 // resolved once per process, so every call site — one-to-one and
 // one-to-many — computes bit-identical values for the same operand pair.
 // The AVX2 L2 pair and block kernels end in a fused multiply-add tail
 // (std::fma) and the portable ones in a separate multiply and add; the
-// MINDIST kernels never fuse. geometry_simd_kernel_test pins both rows
+// MINDIST kernels never fuse. geometry_simd_kernel_test pins every table
 // bit for bit.
 
 #ifndef PARSIM_SRC_GEOMETRY_METRIC_H_
@@ -62,7 +67,8 @@ using ComparableFn = double (*)(const Scalar*, const Scalar*, std::size_t);
 
 namespace detail {
 
-/// True when the process dispatched to the AVX2 kernels.
+/// True when the process dispatched to a vector table (AVX2 or
+/// AVX-512).
 bool SimdEnabled();
 
 /// Portable reference kernels (the pre-dispatch scalar loops). Exposed so
@@ -87,7 +93,7 @@ std::uint32_t Sq8MadScalar(const std::uint8_t* a, const std::uint8_t* b,
 /// One metric's row of the kernel table: the kernels behind Metric's
 /// Comparable (`pair`), ComparableBlock, MinDistMany, Sq8Many and
 /// Sq8ManyUnder, with the same arguments (MinDistMany's query as a
-/// pointer plus `dim`). Exposed so tests can pin both tables bit for
+/// pointer plus `dim`). Exposed so tests can pin every table bit for
 /// bit on any host; production code calls Metric.
 struct KernelRow {
   ComparableFn pair;
@@ -105,10 +111,23 @@ struct KernelRow {
                                 std::uint32_t* out_idx);
 };
 
-/// `kind`'s row of the table this process dispatched to, or of the
-/// portable table when `portable` is set (the same row on hosts without
-/// AVX2).
-const KernelRow& KernelRowFor(MetricKind kind, bool portable);
+/// The kernel tables, lowest first. Each tier's host can run every tier
+/// below it.
+enum class KernelTier {
+  kPortable,
+  kAvx2,    // AVX2 + FMA
+  kAvx512,  // the AVX2 table with L2's d = 16 SQ8 kernels on AVX-512
+};
+
+/// The table this process dispatched to (chosen once, by cpuid).
+KernelTier DispatchedTier();
+
+/// "portable", "avx2" or "avx512".
+const char* KernelTierName(KernelTier tier);
+
+/// `kind`'s row of `tier`'s table. The tier must not exceed
+/// DispatchedTier(): this host cannot run the ones above it.
+const KernelRow& KernelRowFor(MetricKind kind, KernelTier tier);
 
 }  // namespace detail
 

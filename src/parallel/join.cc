@@ -668,22 +668,62 @@ std::vector<JoinPair> SimilarityJoin::Run(double epsilon,
   const auto bucket_of = [a_min, shift](const JoinPair& pair) {
     return static_cast<std::size_t>((std::uint64_t{pair.a} - a_min) >> shift);
   };
+  // The count and the scatter run over contiguous row chunks of about
+  // equal pair counts, one task each. Slots go out bucket-major, chunk
+  // order within a bucket, and each chunk scatters its rows in row
+  // order, so every bucket holds its pairs in the serial scatter's
+  // order whatever the chunk count.
+  const std::size_t num_chunks =
+      pool != nullptr && pool->size() > 1
+          ? std::min<std::size_t>(num_leaves, 4 * std::size_t{pool->size()})
+          : 1;
+  std::vector<std::size_t> chunk_rows(num_chunks + 1, num_leaves);
+  chunk_rows[0] = 0;
+  for (std::size_t i = 0, seen = 0, c = 1; i < num_leaves && c < num_chunks;
+       ++i) {
+    seen += rows[i].pairs.size();
+    if (seen * num_chunks >= c * total) chunk_rows[c++] = i + 1;
+  }
+  // slot[c * num_buckets + b]: chunk c's count in bucket b, then its
+  // first slot there.
+  std::vector<std::size_t> slot(num_chunks * num_buckets, 0);
   std::vector<std::size_t> start(num_buckets + 1, 0);
   std::vector<JoinPair> pairs;
   {
     ScopedPhase phase(Phase::kMerge);
     pairs.resize(total);
-    for (const RowOutput& out : rows) {
-      for (const JoinPair& pair : out.pairs) ++start[bucket_of(pair) + 1];
+  }
+  pooled_for(num_chunks, [&](std::size_t c) {
+    ScopedPhaseCapture worker_capture(phases);
+    ScopedPhase phase(Phase::kMerge);
+    std::size_t* count = slot.data() + c * num_buckets;
+    for (std::size_t i = chunk_rows[c]; i < chunk_rows[c + 1]; ++i) {
+      for (const JoinPair& pair : rows[i].pairs) ++count[bucket_of(pair)];
     }
-    for (std::size_t b = 0; b < num_buckets; ++b) start[b + 1] += start[b];
-    std::vector<std::size_t> fill(start.begin(), start.end() - 1);
-    for (const RowOutput& out : rows) {
-      for (const JoinPair& pair : out.pairs) {
+  });
+  {
+    ScopedPhase phase(Phase::kMerge);
+    std::size_t next = 0;
+    for (std::size_t b = 0; b < num_buckets; ++b) {
+      start[b] = next;
+      for (std::size_t c = 0; c < num_chunks; ++c) {
+        const std::size_t n = slot[c * num_buckets + b];
+        slot[c * num_buckets + b] = next;
+        next += n;
+      }
+    }
+    start[num_buckets] = next;
+  }
+  pooled_for(num_chunks, [&](std::size_t c) {
+    ScopedPhaseCapture worker_capture(phases);
+    ScopedPhase phase(Phase::kMerge);
+    std::size_t* fill = slot.data() + c * num_buckets;
+    for (std::size_t i = chunk_rows[c]; i < chunk_rows[c + 1]; ++i) {
+      for (const JoinPair& pair : rows[i].pairs) {
         pairs[fill[bucket_of(pair)]++] = pair;
       }
     }
-  }
+  });
   pooled_for(num_buckets, [&](std::size_t b) {
     ScopedPhaseCapture worker_capture(phases);
     ScopedPhase phase(Phase::kMerge);

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <ios>
 #include <limits>
+#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -144,88 +145,179 @@ TEST(SimdKernelTest, SelfBlockBitIdenticalToFullBlock) {
   }
 }
 
+// The kernel tables this host can run, lowest first, after printing a
+// skip line for each one it cannot.
+std::vector<detail::KernelTier> HostTiers(const char* test) {
+  std::vector<detail::KernelTier> tiers;
+  for (const detail::KernelTier tier :
+       {detail::KernelTier::kPortable, detail::KernelTier::kAvx2,
+        detail::KernelTier::kAvx512}) {
+    if (tier <= detail::DispatchedTier()) {
+      tiers.push_back(tier);
+    } else {
+      std::fprintf(stderr, "[ simd ] no %s on this host: %s skipped it\n",
+                   detail::KernelTierName(tier), test);
+    }
+  }
+  return tiers;
+}
+
+std::uint32_t Sq8Reference(MetricKind kind, const std::uint8_t* a,
+                           const std::uint8_t* b, std::size_t n) {
+  switch (kind) {
+    case MetricKind::kL1:
+      return detail::Sq8SadScalar(a, b, n);
+    case MetricKind::kL2:
+      return detail::Sq8SsdScalar(a, b, n);
+    case MetricKind::kLmax:
+      return detail::Sq8MadScalar(a, b, n);
+  }
+  return 0;
+}
+
+// Every row width 0..48 meets every remainder mod 16 (the AVX-512 step)
+// and mod 8 and 4 (the AVX2 steps) three times; 257 adds a long run.
+std::vector<std::size_t> Sq8Counts() {
+  std::vector<std::size_t> counts;
+  for (std::size_t c = 0; c <= 48; ++c) counts.push_back(c);
+  counts.push_back(257);
+  return counts;
+}
+
+std::vector<std::uint8_t> RandomCodes(Rng& rng, std::size_t n) {
+  std::vector<std::uint8_t> codes(n);
+  for (auto& c : codes) c = static_cast<std::uint8_t>(rng.NextBounded(256));
+  return codes;
+}
+
+// The row-tail self block on every tier's sq8_many, against the scalar
+// reduction of every pair; on the dispatched tier, Metric's Sq8Block and
+// Sq8BlockSelf as well. A poisoned buffer shows any write at or below
+// the diagonal.
 TEST(SimdKernelTest, Sq8SelfBlockBitIdenticalToFullBlock) {
   Rng rng(1209);
-  for (const MetricKind kind :
-       {MetricKind::kL1, MetricKind::kL2, MetricKind::kLmax}) {
-    const Metric metric(kind);
-    for (const std::size_t count : {2ul, 17ul, 137ul}) {
-      for (const std::size_t dim : {1ul, 8ul, 16ul, 33ul}) {
-        // Two distinct code arrays, as in the join's quantized sweep
-        // (prepared query codes vs stored mirror rows).
-        std::vector<std::uint8_t> queries(count * dim);
-        std::vector<std::uint8_t> codes(count * dim);
-        for (std::size_t i = 0; i < queries.size(); ++i) {
-          queries[i] = static_cast<std::uint8_t>(rng.NextBounded(256));
-          codes[i] = static_cast<std::uint8_t>(rng.NextBounded(256));
-        }
-        std::vector<std::uint32_t> full(count * count);
-        metric.Sq8Block(queries.data(), count, codes.data(), count, dim,
-                        full.data());
-        constexpr std::uint32_t kPoison = 0xdeadbeef;
-        std::vector<std::uint32_t> tri(count * count, kPoison);
-        metric.Sq8BlockSelf(queries.data(), codes.data(), count, dim,
-                            tri.data());
-        for (std::size_t i = 0; i < count; ++i) {
-          for (std::size_t j = 0; j < count; ++j) {
-            const std::uint32_t got = tri[i * count + j];
-            if (j > i) {
-              EXPECT_EQ(full[i * count + j], got)
-                  << "kind=" << MetricKindToString(kind) << " count=" << count
-                  << " dim=" << dim << " i=" << i << " j=" << j;
-            } else {
-              EXPECT_EQ(kPoison, got) << "wrote outside the strict upper "
-                                         "triangle at i="
-                                      << i << " j=" << j;
+  constexpr std::uint32_t kPoison = 0xdeadbeef;
+  for (const detail::KernelTier tier :
+       HostTiers("Sq8SelfBlockBitIdenticalToFullBlock")) {
+    const char* tier_name = detail::KernelTierName(tier);
+    for (const MetricKind kind :
+         {MetricKind::kL1, MetricKind::kL2, MetricKind::kLmax}) {
+      const Metric metric(kind);
+      const auto sq8_many = detail::KernelRowFor(kind, tier).sq8_many;
+      const bool dispatched = tier == detail::DispatchedTier();
+      for (const std::size_t count : Sq8Counts()) {
+        for (const std::size_t dim : {1ul, 8ul, 16ul, 33ul}) {
+          // Two distinct code arrays, as in the join's quantized sweep
+          // (prepared query codes vs stored mirror rows).
+          const std::vector<std::uint8_t> queries =
+              RandomCodes(rng, count * dim);
+          const std::vector<std::uint8_t> codes = RandomCodes(rng, count * dim);
+          std::vector<std::uint32_t> tri(count * count, kPoison);
+          for (std::size_t i = 0; i + 1 < count; ++i) {
+            sq8_many(queries.data() + i * dim, codes.data() + (i + 1) * dim,
+                     count - i - 1, dim, tri.data() + i * count + i + 1);
+          }
+          std::vector<std::uint32_t> full, self;
+          if (dispatched) {
+            full.resize(count * count);
+            self.assign(count * count, kPoison);
+            metric.Sq8Block(queries.data(), count, codes.data(), count, dim,
+                            full.data());
+            metric.Sq8BlockSelf(queries.data(), codes.data(), count, dim,
+                                self.data());
+          }
+          std::size_t wrong = 0;
+          for (std::size_t i = 0; i < count; ++i) {
+            for (std::size_t j = 0; j < count; ++j) {
+              const std::size_t at = i * count + j;
+              const std::uint32_t ref = Sq8Reference(
+                  kind, queries.data() + i * dim, codes.data() + j * dim, dim);
+              const std::uint32_t want = j > i ? ref : kPoison;
+              wrong += tri[at] != want;
+              if (dispatched) {
+                wrong += self[at] != want;
+                wrong += full[at] != ref;
+              }
             }
           }
+          EXPECT_EQ(0u, wrong)
+              << tier_name << " " << MetricKindToString(kind)
+              << " count=" << count << " dim=" << dim
+              << ": entries differ from the scalar reduction, or were "
+                 "written outside the strict upper triangle";
         }
       }
     }
   }
 }
 
+// Every tier's fused filter selects exactly the rows whose scalar
+// reduction is <= the cutoff, in ascending order, and writes nothing
+// past the survivor count; its sq8_many writes nothing past `count`.
+// Planted rows (copies of the query, reduction 0) sit at lane 0 or lane
+// 15 of every 16-row step, so cutoff 0 keeps only that lane; the other
+// cutoffs prune everything but exact matches, keep a middle quantile,
+// and keep every lane (including past INT32_MAX, the AVX2 clamp).
 TEST(SimdKernelTest, Sq8ManyUnderMatchesManyPlusFilter) {
   Rng rng(1213);
-  for (const MetricKind kind :
-       {MetricKind::kL1, MetricKind::kL2, MetricKind::kLmax}) {
-    const Metric metric(kind);
-    for (const std::size_t count : {0ul, 1ul, 5ul, 64ul, 257ul}) {
-      for (const std::size_t dim : {1ul, 4ul, 8ul, 16ul, 33ul}) {
-        std::vector<std::uint8_t> query(dim);
-        std::vector<std::uint8_t> codes(count * dim);
-        for (std::size_t i = 0; i < dim; ++i) {
-          query[i] = static_cast<std::uint8_t>(rng.NextBounded(256));
-        }
-        for (std::size_t i = 0; i < codes.size(); ++i) {
-          codes[i] = static_cast<std::uint8_t>(rng.NextBounded(256));
-        }
-        std::vector<std::uint32_t> reductions(count);
-        metric.Sq8Many(query.data(), codes.data(), count, dim,
-                       reductions.data());
-        // Cutoffs spanning prune-everything, a mid quantile, and the
-        // keep-everything saturation path (> INT32_MAX).
-        std::vector<std::uint32_t> cutoffs = {0u, 0xffffffffu, 0x80000001u};
-        if (count > 0) cutoffs.push_back(reductions[count / 2]);
-        for (const std::uint32_t cutoff : cutoffs) {
-          std::vector<std::uint32_t> expected;
-          for (std::size_t i = 0; i < count; ++i) {
-            if (reductions[i] <= cutoff) {
-              expected.push_back(static_cast<std::uint32_t>(i));
+  constexpr std::uint32_t kSentinel = 0xdeadbeefu;
+  for (const detail::KernelTier tier :
+       HostTiers("Sq8ManyUnderMatchesManyPlusFilter")) {
+    const char* tier_name = detail::KernelTierName(tier);
+    for (const MetricKind kind :
+         {MetricKind::kL1, MetricKind::kL2, MetricKind::kLmax}) {
+      const detail::KernelRow& row = detail::KernelRowFor(kind, tier);
+      for (const std::size_t count : Sq8Counts()) {
+        for (const std::size_t dim : {1ul, 4ul, 8ul, 16ul, 33ul}) {
+          for (const int planted_lane : {-1, 0, 15}) {
+            const std::vector<std::uint8_t> query = RandomCodes(rng, dim);
+            std::vector<std::uint8_t> codes = RandomCodes(rng, count * dim);
+            for (std::size_t i = 0; i < count; ++i) {
+              if (static_cast<int>(i % 16) == planted_lane) {
+                std::copy(query.begin(), query.end(),
+                          codes.begin() + static_cast<std::ptrdiff_t>(i * dim));
+              }
+            }
+            std::vector<std::uint32_t> want(count);
+            for (std::size_t i = 0; i < count; ++i) {
+              want[i] = Sq8Reference(kind, query.data(),
+                                     codes.data() + i * dim, dim);
+            }
+            const auto where = [&] {
+              std::ostringstream s;
+              s << tier_name << " " << MetricKindToString(kind)
+                << " count=" << count << " dim=" << dim
+                << " planted_lane=" << planted_lane;
+              return s.str();
+            };
+            std::vector<std::uint32_t> reductions(count + 1, kSentinel);
+            row.sq8_many(query.data(), codes.data(), count, dim,
+                         reductions.data());
+            EXPECT_EQ(kSentinel, reductions[count])
+                << where() << ": sq8_many wrote past the count";
+            reductions.pop_back();
+            ASSERT_EQ(want, reductions) << where();
+            std::vector<std::uint32_t> cutoffs = {0u, 0xffffffffu,
+                                                  0x80000001u};
+            if (count > 0) cutoffs.push_back(want[count / 2]);
+            for (const std::uint32_t cutoff : cutoffs) {
+              std::vector<std::uint32_t> expected;
+              for (std::size_t i = 0; i < count; ++i) {
+                if (want[i] <= cutoff) {
+                  expected.push_back(static_cast<std::uint32_t>(i));
+                }
+              }
+              std::vector<std::uint32_t> got(count + 1, kSentinel);
+              const std::size_t n = row.sq8_many_under(
+                  query.data(), codes.data(), count, dim, cutoff, got.data());
+              ASSERT_LE(n, count) << where() << " cutoff=" << cutoff;
+              EXPECT_EQ(kSentinel, got[n])
+                  << where() << " cutoff=" << cutoff
+                  << ": wrote past the survivor count";
+              got.resize(n);
+              ASSERT_EQ(expected, got) << where() << " cutoff=" << cutoff;
             }
           }
-          std::vector<std::uint32_t> got(count + 1, 0xdeadbeefu);
-          const std::size_t n = metric.Sq8ManyUnder(
-              query.data(), codes.data(), count, dim, cutoff, got.data());
-          ASSERT_EQ(expected.size(), n)
-              << "kind=" << MetricKindToString(kind) << " count=" << count
-              << " dim=" << dim << " cutoff=" << cutoff;
-          for (std::size_t i = 0; i < n; ++i) {
-            EXPECT_EQ(expected[i], got[i])
-                << "kind=" << MetricKindToString(kind) << " count=" << count
-                << " dim=" << dim << " cutoff=" << cutoff << " slot=" << i;
-          }
-          EXPECT_EQ(0xdeadbeefu, got[n]) << "wrote past the survivor count";
         }
       }
     }
@@ -303,7 +395,7 @@ TEST(SimdKernelTest, MinDistManyBitIdenticalToPerBoxMinDist) {
               std::vector<double> scalar(count + 1, -7.0);
               metric.MinDistMany(*query, lo.data(), hi.data(), count, stride,
                                  dispatched.data());
-              detail::KernelRowFor(kind, /*portable=*/true)
+              detail::KernelRowFor(kind, detail::KernelTier::kPortable)
                   .min_dist_many(query->data(), lo.data(), hi.data(), count,
                                  stride, dim, scalar.data());
               EXPECT_TRUE(SameBits(-7.0, dispatched[count]))
@@ -338,7 +430,7 @@ TEST(SimdKernelTest, MinDistManyBitIdenticalToPerBoxMinDist) {
 // The expected values were recorded from the per-metric kernels the
 // templates replaced, through the public Metric API, once with AVX2
 // dispatch and once with metric.cc's x86 branch compiled out. Any kernel
-// edit that changes one output bit on either table fails here.
+// edit that changes one output bit on any table fails here.
 
 struct Fnv1a {
   std::uint64_t hash = 0xcbf29ce484222325ull;
@@ -368,19 +460,6 @@ constexpr std::size_t kFingerprintDims[] = {1,  2,  3,  4,  5,  7,
 float FingerprintCoord(Rng& rng, double scale) {
   if (rng.NextBernoulli(0.1)) return rng.NextBernoulli(0.5) ? -0.0f : 0.0f;
   return static_cast<float>((rng.NextDouble() - 0.5) * 2.0 * scale);
-}
-
-std::uint32_t Sq8Reference(MetricKind kind, const std::uint8_t* a,
-                           const std::uint8_t* b, std::size_t n) {
-  switch (kind) {
-    case MetricKind::kL1:
-      return detail::Sq8SadScalar(a, b, n);
-    case MetricKind::kL2:
-      return detail::Sq8SsdScalar(a, b, n);
-    case MetricKind::kLmax:
-      return detail::Sq8MadScalar(a, b, n);
-  }
-  return 0;
 }
 
 // `row` calls the five entries with KernelRow's signatures.
@@ -494,39 +573,36 @@ void ExpectFingerprint(const RowFingerprint& want, const RowFingerprint& got,
   }
 }
 
-// The bit-identity gate for kernel edits: both tables' rows must
-// reproduce the recorded fingerprints. The portable row runs on every
-// host; the dispatched row only where the process dispatched to AVX2.
+// The bit-identity gate for kernel edits: every table's rows must
+// reproduce the recorded fingerprints. The AVX-512 table only replaces
+// integer kernels, so it is pinned to the AVX2 values. The portable
+// table runs on every host; a vector table only where the host has it.
 TEST(SimdKernelTest, KernelRowsMatchRecordedFingerprints) {
 #ifndef __x86_64__
   GTEST_SKIP() << "the fingerprints are x86-64 values; other targets may "
                   "fuse the portable loops' multiply-adds";
 #endif
-  if (!detail::SimdEnabled()) {
-    std::fprintf(stderr,
-                 "[ simd ] no AVX2 on this host: skipped the dispatched "
-                 "row's fingerprints; the portable row is still pinned\n");
-  }
-  for (const MetricKind kind :
-       {MetricKind::kL1, MetricKind::kL2, MetricKind::kLmax}) {
-    const std::size_t k = static_cast<std::size_t>(kind);
-    ExpectFingerprint(kPortableFingerprints[k],
-                      Fingerprint(detail::KernelRowFor(kind, true), kind),
-                      "portable", kind);
-    if (detail::SimdEnabled()) {
-      ExpectFingerprint(kAvx2Fingerprints[k],
-                        Fingerprint(detail::KernelRowFor(kind, false), kind),
-                        "AVX2", kind);
+  for (const detail::KernelTier tier :
+       HostTiers("KernelRowsMatchRecordedFingerprints")) {
+    const RowFingerprint* want = tier == detail::KernelTier::kPortable
+                                     ? kPortableFingerprints
+                                     : kAvx2Fingerprints;
+    for (const MetricKind kind :
+         {MetricKind::kL1, MetricKind::kL2, MetricKind::kLmax}) {
+      ExpectFingerprint(want[static_cast<std::size_t>(kind)],
+                        Fingerprint(detail::KernelRowFor(kind, tier), kind),
+                        detail::KernelTierName(tier), kind);
     }
   }
 }
 
 TEST(SimdKernelTest, DispatchReportsConsistentState) {
-  // Informational: the suite passes on both paths, but record which one
-  // this host exercised.
+  // Informational: the suite passes on every table, but record which
+  // one this host dispatched to.
   std::fprintf(stderr, "[ simd ] dispatched kernels: %s\n",
-               detail::SimdEnabled() ? "AVX2+FMA" : "scalar-unrolled");
-  SUCCEED();
+               detail::KernelTierName(detail::DispatchedTier()));
+  EXPECT_EQ(detail::SimdEnabled(),
+            detail::DispatchedTier() != detail::KernelTier::kPortable);
 }
 
 }  // namespace

@@ -1,6 +1,10 @@
 #include "src/util/status.h"
 
+#include <cstdio>
+
 #include <gtest/gtest.h>
+
+#include "src/util/check.h"
 
 namespace parsim {
 namespace {
@@ -110,6 +114,19 @@ TEST(ResultDeathTest, StatusOnValueAborts) {
 
 TEST(ResultDeathTest, OkStatusAsResultForbidden) {
   EXPECT_DEATH(Result<int>(Status::Ok()), "PARSIM_CHECK");
+}
+
+// PARSIM_DCHECK is live exactly when NDEBUG is unset. Builds that define
+// it print a skip line instead, so a test log shows whether the
+// debug-only contracts ran.
+TEST(CheckDeathTest, DcheckFiresWithoutNdebug) {
+#ifdef NDEBUG
+  std::fprintf(stderr,
+               "[ dcheck ] NDEBUG is set: PARSIM_DCHECK compiles out in this "
+               "build; skipped\n");
+#else
+  EXPECT_DEATH(PARSIM_DCHECK(false), "PARSIM_CHECK failed: false");
+#endif
 }
 
 }  // namespace

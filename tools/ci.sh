@@ -19,6 +19,11 @@
 #   3. ThreadSanitizer build running the concurrency-sensitive tests:
 #      any data race in the cost-capture / thread-pool / QueryBatch path
 #      fails the run.
+#      Lanes 2 and 3 replace RelWithDebInfo's flags with "-O1 -g" (no
+#      -DNDEBUG), so every PARSIM_DCHECK is evaluated there; the Release
+#      lane compiles them out. CheckDeathTest.DcheckFiresWithoutNdebug
+#      (util_status_test) dies on a DCHECK in those builds and prints a
+#      "[ dcheck ]" skip line in the others.
 #   4. Smoke run of every microbench (seconds-scale workloads): their
 #      built-in identity and invariant checks run on every CI pass, not
 #      just when someone regenerates the BENCH_*.json files.
@@ -50,7 +55,8 @@ python3 bench/ledger/run.py --smoke --out build-ci/ledger-smoke
 
 echo "== [2/4] ASAN+UBSAN build + full suite =="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -O1 -g" \
+    -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O1 -g" \
+    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 cmake --build build-asan -j "$JOBS"
 # The index tests churn millions of tiny Rect allocations; ASAN's
@@ -63,6 +69,11 @@ cmake --build build-asan -j "$JOBS"
 ASAN_OPTIONS="detect_leaks=1:abort_on_error=1:malloc_context_size=2:quarantine_size_mb=16" \
 UBSAN_OPTIONS="print_stacktrace=1" \
     ctest --test-dir build-asan --output-on-failure -j "$JOBS"
+if ./build-asan/tests/util_status_test --gtest_filter='CheckDeathTest.*' 2>&1 \
+        | grep -F "[ dcheck ]"; then
+    echo "ci: PARSIM_DCHECK is compiled out in the sanitizer build" >&2
+    exit 1
+fi
 
 echo "== [3/4] TSAN build + concurrency tests =="
 # io_buffer_pool_test hammers the sharded pool from raw threads;
@@ -102,7 +113,8 @@ TSAN_TESTS=(util_thread_pool_test util_parallel_sort_test
             index_approx_knn_test parallel_service_test
             index_bulk_load_parallel_test parallel_join_test)
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DCMAKE_CXX_FLAGS="-fsanitize=thread -O1 -g" \
+    -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O1 -g" \
+    -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 cmake --build build-tsan -j "$JOBS" --target "${TSAN_TESTS[@]}"
 for t in "${TSAN_TESTS[@]}"; do
