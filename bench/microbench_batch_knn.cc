@@ -64,7 +64,6 @@ std::unique_ptr<ParallelSearchEngine> MakeEngine(const PointSet& data,
   options.bulk_load = true;
   options.coalesced_batch = coalesced;
   options.buffer_pages_per_disk = buffer_pages;
-  options.deterministic_batch = buffer_pages > 0;  // reproducible per-query
   options.parallel_workers = workers;  // > 1: parallel build
   auto engine = std::make_unique<ParallelSearchEngine>(
       data.dim(), std::make_unique<NearOptimalDeclusterer>(data.dim(), disks),

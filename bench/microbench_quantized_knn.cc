@@ -254,7 +254,6 @@ std::unique_ptr<ParallelSearchEngine> MakeEngine(const PointSet& data,
   options.quantized_leaf_blocks = quantized;
   options.coalesced_batch = coalesced;
   options.buffer_pages_per_disk = buffer_pages;
-  options.deterministic_batch = buffer_pages > 0;
   auto engine = std::make_unique<ParallelSearchEngine>(
       data.dim(), std::make_unique<NearOptimalDeclusterer>(data.dim(), disks),
       options);

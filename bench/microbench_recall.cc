@@ -6,8 +6,7 @@
 // PlantNeighbors for why the spacing is what makes the curve
 // non-degenerate under distance concentration).
 // Ground truth comes from the linear-scan oracle via the recall harness
-// (src/eval/recall.h), cached to BENCH_recall_gt.bin so repeated runs
-// skip the O(n * q) scan.
+// (src/eval/recall.h).
 //
 // One engine per epsilon in the sweep, all through the production
 // QueryBatch path (coalesced rounds, one thread):
@@ -291,15 +290,11 @@ int Run(bool smoke) {
   const PointSet queries =
       MakeHotSpotQueries(centers, dim, num_queries, jitter, 9003);
 
-  // Ground truth via the harness: linear-scan oracle, disk-cached. The
-  // cache key hashes the data/query bytes, so PARSIM_BENCH_N changes
-  // recompute automatically.
+  // Ground truth via the harness: the linear-scan oracle.
   ThreadPool pool;
-  bool from_cache = false;
-  const std::vector<KnnResult> truth = LoadOrComputeGroundTruth(
-      "BENCH_recall_gt.bin", data, queries, k, Metric(), &pool, &from_cache);
-  std::printf("ground truth: %zu queries (%s)\n", truth.size(),
-              from_cache ? "cache hit" : "computed, cached");
+  const std::vector<KnnResult> truth =
+      ComputeGroundTruth(data, queries, k, Metric(), &pool);
+  std::printf("ground truth: %zu queries\n", truth.size());
 
   bool all_ok = true;
   std::vector<CurvePoint> curve;
@@ -444,8 +439,6 @@ int Run(bool smoke) {
                smoke ? "true" : "false");
   std::fprintf(json, "  \"hardware_threads\": %u,\n",
                std::thread::hardware_concurrency());
-  std::fprintf(json, "  \"ground_truth_from_cache\": %s,\n",
-               from_cache ? "true" : "false");
   std::fprintf(json, "  \"curve\": [\n");
   for (std::size_t i = 0; i < curve.size(); ++i) {
     const CurvePoint& p = curve[i];

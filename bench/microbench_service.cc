@@ -1,7 +1,6 @@
 // Microbenchmark of the production query service front-end: open-loop
 // arrival sweep (Poisson arrivals at a sustained QPS) over a mixed
-// cheap/expensive workload, adaptive batch formation vs. the fixed
-// round-expander baseline, admission-control backpressure, and
+// cheap/expensive workload, admission-control backpressure, and
 // deadline/budget early termination. Plain main() binary.
 //
 // Sections:
@@ -9,24 +8,19 @@
 //                  bit-identical to ParallelSearchEngine::QueryBatch;
 //   * capacity   — closed-loop Drain throughput of the mixed workload,
 //                  used to calibrate the arrival sweep across machines;
-//   * sweep      — for each offered rate (fractions of capacity) and
-//                  each mode (adaptive, fixed), an open-loop run
-//                  reporting per-class p50/p95/p99 latency, queueing
-//                  delay, rejections, and expirations. Fixed mode only
-//                  opens a new batch when the previous one fully drains,
-//                  so cheap interactive queries convoy behind bulk
-//                  scans; adaptive admission joins them into the next
-//                  round. The headline check requires adaptive to beat
-//                  fixed on interactive p50/p95/p99 at the highest rate;
+//   * sweep      — for each offered rate (fractions of capacity), an
+//                  open-loop run reporting per-class p50/p95/p99
+//                  latency, queueing delay, rejections, and
+//                  expirations. The latencies are reported, not gated:
+//                  wall clock on a shared machine is too noisy to gate;
 //   * deadline   — per-query page budgets provably stop work early:
 //                  budgeted runs expire with page counters strictly
 //                  below the unbudgeted run of the same query.
 //
 // Output: a table on stdout and BENCH_service.json in the working
-// directory; exit status 1 if any acceptance check fails. Scale with
-// PARSIM_BENCH_N / PARSIM_BENCH_QUERIES, or pass --smoke for a
-// seconds-fast CI variant (smoke skips the wall-clock latency
-// assertions — CI machines are noisy — but still runs every section).
+// directory; exit status 1 if the identity or deadline check fails.
+// Scale with PARSIM_BENCH_N / PARSIM_BENCH_QUERIES, or pass --smoke for
+// a seconds-fast CI variant that runs every section at one load.
 
 #include <algorithm>
 #include <cstdio>
@@ -64,12 +58,10 @@ std::unique_ptr<ParallelSearchEngine> MakeEngine(const PointSet& data,
   return engine;
 }
 
-ServiceOptions MakeServiceOptions(bool adaptive) {
+ServiceOptions MakeServiceOptions() {
   ServiceOptions options;
-  options.adaptive_batch = adaptive;
   options.max_queue = 512;
   options.max_batch = 64;
-  options.min_batch = 4;
   return options;
 }
 
@@ -79,7 +71,7 @@ double MeasureCapacityQps(const ParallelSearchEngine& engine,
                           const PointSet& queries, std::size_t k,
                           std::size_t bulk_k, double bulk_fraction,
                           std::uint64_t seed) {
-  QueryService service(engine, MakeServiceOptions(true));
+  QueryService service(engine, MakeServiceOptions());
   Rng rng(seed);
   std::vector<std::future<ServedResult>> futures(queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
@@ -102,10 +94,8 @@ double MeasureCapacityQps(const ParallelSearchEngine& engine,
 struct SweepRow {
   double load_fraction = 0.0;
   double offered_qps = 0.0;
-  bool adaptive = false;
   OpenLoopResult open_loop;
   std::uint64_t service_rounds = 0;
-  double ema_prune_rate = 0.0;
 };
 
 }  // namespace
@@ -141,7 +131,7 @@ int Run(bool smoke) {
   bool identity_ok = true;
   {
     const std::vector<KnnResult> batch = engine->QueryBatch(queries, k);
-    QueryService service(*engine, MakeServiceOptions(true));
+    QueryService service(*engine, MakeServiceOptions());
     std::vector<std::future<ServedResult>> futures(queries.size());
     for (std::size_t i = 0; i < queries.size(); ++i) {
       if (!service.Submit(queries[i], {}, &futures[i]).ok()) {
@@ -183,35 +173,29 @@ int Run(bool smoke) {
       smoke ? std::vector<double>{0.5} : std::vector<double>{0.25, 0.5, 0.8};
   std::vector<SweepRow> rows;
   for (const double load : load_fractions) {
-    for (const bool adaptive : {true, false}) {
-      QueryService service(*engine, MakeServiceOptions(adaptive));
-      service.Start();
-      OpenLoopOptions olo;
-      olo.arrival_qps = capacity_qps * load;
-      olo.num_queries = num_queries;
-      olo.k = k;
-      olo.bulk_k = bulk_k;
-      olo.bulk_fraction = bulk_fraction;
-      olo.seed = 11009;  // same arrival schedule for both modes
-      SweepRow row;
-      row.load_fraction = load;
-      row.offered_qps = olo.arrival_qps;
-      row.adaptive = adaptive;
-      row.open_loop = RunOpenLoop(service, queries, olo);
-      service.Stop();
-      const ServiceMetrics metrics = service.metrics();
-      row.service_rounds = metrics.rounds;
-      row.ema_prune_rate = metrics.ema_prune_rate;
-      rows.push_back(row);
-      const OpenLoopResult& r = row.open_loop;
-      std::printf(
-          "  load=%.2f (%6.0f qps) %-8s: interactive p50/p95/p99 = "
-          "%7.2f/%7.2f/%7.2f ms  bulk p95 = %8.2f ms  queue %7.2f ms  "
-          "rejected %zu\n",
-          load, row.offered_qps, adaptive ? "adaptive" : "fixed",
-          r.interactive.p50_ms, r.interactive.p95_ms, r.interactive.p99_ms,
-          r.bulk.p95_ms, r.mean_queue_ms, r.rejected);
-    }
+    QueryService service(*engine, MakeServiceOptions());
+    service.Start();
+    OpenLoopOptions olo;
+    olo.arrival_qps = capacity_qps * load;
+    olo.num_queries = num_queries;
+    olo.k = k;
+    olo.bulk_k = bulk_k;
+    olo.bulk_fraction = bulk_fraction;
+    olo.seed = 11009;
+    SweepRow row;
+    row.load_fraction = load;
+    row.offered_qps = olo.arrival_qps;
+    row.open_loop = RunOpenLoop(service, queries, olo);
+    service.Stop();
+    row.service_rounds = service.metrics().rounds;
+    rows.push_back(row);
+    const OpenLoopResult& r = row.open_loop;
+    std::printf(
+        "  load=%.2f (%6.0f qps): interactive p50/p95/p99 = "
+        "%7.2f/%7.2f/%7.2f ms  bulk p95 = %8.2f ms  queue %7.2f ms  "
+        "rejected %zu\n",
+        load, row.offered_qps, r.interactive.p50_ms, r.interactive.p95_ms,
+        r.interactive.p99_ms, r.bulk.p95_ms, r.mean_queue_ms, r.rejected);
   }
 
   // --- Deadline / budget early termination ------------------------------
@@ -222,7 +206,7 @@ int Run(bool smoke) {
   std::uint64_t pages_budgeted_sum = 0;
   for (std::size_t q = 0; q < deadline_queries; ++q) {
     auto run_one = [&](std::uint64_t max_pages) {
-      QueryService service(*engine, MakeServiceOptions(true));
+      QueryService service(*engine, MakeServiceOptions());
       ServiceQueryOptions opts;
       opts.k = bulk_k;  // expensive queries, so budgets genuinely bite
       opts.max_pages = max_pages;
@@ -257,28 +241,6 @@ int Run(bool smoke) {
       pages_strictly_below ? "yes" : "NO (BUG)");
   all_ok = all_ok && deadline_ok;
 
-  // --- Acceptance: adaptive beats fixed at the highest offered rate -----
-  const SweepRow* top_adaptive = nullptr;
-  const SweepRow* top_fixed = nullptr;
-  for (const SweepRow& row : rows) {
-    if (row.load_fraction == load_fractions.back()) {
-      (row.adaptive ? top_adaptive : top_fixed) = &row;
-    }
-  }
-  bool sweep_ok = true;
-  if (top_adaptive != nullptr && top_fixed != nullptr) {
-    const LatencyProfile& a = top_adaptive->open_loop.interactive;
-    const LatencyProfile& f = top_fixed->open_loop.interactive;
-    sweep_ok = a.p50_ms < f.p50_ms && a.p95_ms < f.p95_ms &&
-               a.p99_ms < f.p99_ms;
-    std::printf(
-        "headline (load=%.2f, interactive): adaptive %7.2f/%7.2f/%7.2f ms "
-        "vs fixed %7.2f/%7.2f/%7.2f ms -> adaptive wins p50/p95/p99: %s\n",
-        load_fractions.back(), a.p50_ms, a.p95_ms, a.p99_ms, f.p50_ms,
-        f.p95_ms, f.p99_ms, sweep_ok ? "yes" : "NO");
-  }
-  if (!smoke) all_ok = all_ok && sweep_ok;
-
   // --- JSON -------------------------------------------------------------
   FILE* json = std::fopen("BENCH_service.json", "w");
   if (json == nullptr) {
@@ -302,19 +264,18 @@ int Run(bool smoke) {
     std::fprintf(
         json,
         "    {\"load_fraction\": %.2f, \"offered_qps\": %.1f, "
-        "\"mode\": \"%s\", \"accepted\": %zu, \"rejected\": %zu, "
+        "\"accepted\": %zu, \"rejected\": %zu, "
         "\"expired\": %zu, \"achieved_qps\": %.1f, "
         "\"mean_queue_ms\": %.3f, \"mean_rounds\": %.2f, "
-        "\"service_rounds\": %llu, \"ema_prune_rate\": %.3f, "
+        "\"service_rounds\": %llu, "
         "\"interactive\": {\"count\": %zu, \"p50_ms\": %.3f, "
         "\"p95_ms\": %.3f, \"p99_ms\": %.3f, \"max_ms\": %.3f}, "
         "\"bulk\": {\"count\": %zu, \"p50_ms\": %.3f, \"p95_ms\": %.3f, "
         "\"p99_ms\": %.3f, \"max_ms\": %.3f}}%s\n",
-        row.load_fraction, row.offered_qps,
-        row.adaptive ? "adaptive" : "fixed", r.accepted, r.rejected,
+        row.load_fraction, row.offered_qps, r.accepted, r.rejected,
         r.expired, r.achieved_qps, r.mean_queue_ms, r.mean_rounds,
         static_cast<unsigned long long>(row.service_rounds),
-        row.ema_prune_rate, r.interactive.count, r.interactive.p50_ms,
+        r.interactive.count, r.interactive.p50_ms,
         r.interactive.p95_ms, r.interactive.p99_ms, r.interactive.max_ms,
         r.bulk.count, r.bulk.p50_ms, r.bulk.p95_ms, r.bulk.p99_ms,
         r.bulk.max_ms, i + 1 < rows.size() ? "," : "");
@@ -331,10 +292,8 @@ int Run(bool smoke) {
   std::fprintf(json,
                "  \"identity\": {\"bit_identical_to_query_batch\": %s},\n",
                identity_ok ? "true" : "false");
-  std::fprintf(json,
-               "  \"headline\": {\"adaptive_beats_fixed_interactive\": %s, "
-               "\"all_checks_passed\": %s}\n",
-               sweep_ok ? "true" : "false", all_ok ? "true" : "false");
+  std::fprintf(json, "  \"all_checks_passed\": %s\n",
+               all_ok ? "true" : "false");
   std::fprintf(json, "}\n");
   std::fclose(json);
   std::printf("wrote BENCH_service.json\n");

@@ -1,119 +1,10 @@
 #include "src/eval/recall.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
 
 #include "src/util/check.h"
 
 namespace parsim {
-namespace {
-
-// Cache file layout (little-endian, host-width-free):
-//   8 bytes  magic "PRGT0001"
-//   8 bytes  FNV-1a content hash (dim, n, q, k, metric kind, data bytes,
-//            query bytes)
-//   8 bytes  query count
-//   per query: 8-byte neighbor count, then (uint32 id, double distance)
-//   records.
-// Any structural mismatch — magic, hash, counts, truncation — makes the
-// loader report failure and the caller recompute + rewrite.
-constexpr char kMagic[8] = {'P', 'R', 'G', 'T', '0', '0', '0', '1'};
-
-std::uint64_t Fnv1aMix(std::uint64_t h, const void* bytes, std::size_t n) {
-  const unsigned char* p = static_cast<const unsigned char*>(bytes);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::uint64_t ContentHash(const PointSet& data, const PointSet& queries,
-                          std::size_t k, const Metric& metric) {
-  std::uint64_t h = 1469598103934665603ull;
-  const std::uint64_t dim = data.dim();
-  const std::uint64_t n = data.size();
-  const std::uint64_t q = queries.size();
-  const std::uint64_t kk = k;
-  const std::uint64_t kind = static_cast<std::uint64_t>(metric.kind());
-  h = Fnv1aMix(h, &dim, sizeof dim);
-  h = Fnv1aMix(h, &n, sizeof n);
-  h = Fnv1aMix(h, &q, sizeof q);
-  h = Fnv1aMix(h, &kk, sizeof kk);
-  h = Fnv1aMix(h, &kind, sizeof kind);
-  h = Fnv1aMix(h, data.data(), data.size() * data.dim() * sizeof(Scalar));
-  h = Fnv1aMix(h, queries.data(),
-               queries.size() * queries.dim() * sizeof(Scalar));
-  return h;
-}
-
-bool ReadExact(std::FILE* f, void* out, std::size_t n) {
-  return std::fread(out, 1, n, f) == n;
-}
-
-bool TryLoadCache(const std::string& path, std::uint64_t want_hash,
-                  std::size_t want_queries, std::vector<KnnResult>* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  bool ok = false;
-  char magic[8];
-  std::uint64_t hash = 0;
-  std::uint64_t count = 0;
-  if (ReadExact(f, magic, sizeof magic) &&
-      std::memcmp(magic, kMagic, sizeof kMagic) == 0 &&
-      ReadExact(f, &hash, sizeof hash) && hash == want_hash &&
-      ReadExact(f, &count, sizeof count) && count == want_queries) {
-    std::vector<KnnResult> loaded(count);
-    ok = true;
-    for (std::uint64_t qi = 0; ok && qi < count; ++qi) {
-      std::uint64_t neighbors = 0;
-      ok = ReadExact(f, &neighbors, sizeof neighbors) &&
-           neighbors <= (1ull << 32);
-      if (!ok) break;
-      loaded[qi].resize(neighbors);
-      for (std::uint64_t i = 0; ok && i < neighbors; ++i) {
-        ok = ReadExact(f, &loaded[qi][i].id, sizeof(PointId)) &&
-             ReadExact(f, &loaded[qi][i].distance, sizeof(double));
-      }
-    }
-    // A well-formed file ends exactly at the last record.
-    if (ok) {
-      char extra;
-      ok = std::fread(&extra, 1, 1, f) == 0;
-    }
-    if (ok) *out = std::move(loaded);
-  }
-  std::fclose(f);
-  return ok;
-}
-
-void WriteCache(const std::string& path, std::uint64_t hash,
-                const std::vector<KnnResult>& truth) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  // A cache that can't be written (read-only dir) is a soft failure: the
-  // caller already holds the computed truth.
-  if (f == nullptr) return;
-  bool ok = std::fwrite(kMagic, 1, sizeof kMagic, f) == sizeof kMagic;
-  ok = ok && std::fwrite(&hash, 1, sizeof hash, f) == sizeof hash;
-  const std::uint64_t count = truth.size();
-  ok = ok && std::fwrite(&count, 1, sizeof count, f) == sizeof count;
-  for (std::size_t qi = 0; ok && qi < truth.size(); ++qi) {
-    const std::uint64_t neighbors = truth[qi].size();
-    ok = std::fwrite(&neighbors, 1, sizeof neighbors, f) == sizeof neighbors;
-    for (std::size_t i = 0; ok && i < truth[qi].size(); ++i) {
-      ok = std::fwrite(&truth[qi][i].id, 1, sizeof(PointId), f) ==
-               sizeof(PointId) &&
-           std::fwrite(&truth[qi][i].distance, 1, sizeof(double), f) ==
-               sizeof(double);
-    }
-  }
-  std::fclose(f);
-  // A partial write must not be mistaken for a cache on the next run.
-  if (!ok) std::remove(path.c_str());
-}
-
-}  // namespace
 
 std::vector<KnnResult> ComputeGroundTruth(const PointSet& data,
                                           const PointSet& queries,
@@ -131,22 +22,6 @@ std::vector<KnnResult> ComputeGroundTruth(const PointSet& data,
       truth[qi] = BruteForceKnn(data, queries[qi], k, metric);
     }
   }
-  return truth;
-}
-
-std::vector<KnnResult> LoadOrComputeGroundTruth(
-    const std::string& cache_path, const PointSet& data,
-    const PointSet& queries, std::size_t k, const Metric& metric,
-    ThreadPool* pool, bool* from_cache) {
-  const std::uint64_t hash = ContentHash(data, queries, k, metric);
-  std::vector<KnnResult> truth;
-  if (TryLoadCache(cache_path, hash, queries.size(), &truth)) {
-    if (from_cache != nullptr) *from_cache = true;
-    return truth;
-  }
-  truth = ComputeGroundTruth(data, queries, k, metric, pool);
-  WriteCache(cache_path, hash, truth);
-  if (from_cache != nullptr) *from_cache = false;
   return truth;
 }
 

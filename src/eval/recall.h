@@ -2,10 +2,9 @@
 //
 // The standing contract every approximate change is judged against (see
 // DESIGN.md "Approximate tier & recall harness"): exact ground truth is
-// computed ONCE per (dataset, query set, k, metric) — by the linear-scan
-// oracle, so it is independent of every index code path under test —
-// cached to disk keyed by a content hash, and any result set is then
-// scored for recall@k against it.
+// computed by the linear-scan oracle, so it is independent of every
+// index code path under test, and any result set is then scored for
+// recall@k against it.
 //
 // The scorer is distance-tie tolerant (the calc_recall subtlety from
 // pbbsbench): a returned neighbor counts as a hit iff its distance is
@@ -21,7 +20,6 @@
 #define PARSIM_SRC_EVAL_RECALL_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/geometry/metric.h"
@@ -54,17 +52,6 @@ std::vector<KnnResult> ComputeGroundTruth(const PointSet& data,
                                           std::size_t k,
                                           const Metric& metric = Metric(),
                                           ThreadPool* pool = nullptr);
-
-/// ComputeGroundTruth with a disk cache: if `cache_path` exists and its
-/// content hash matches (data bytes, query bytes, k, metric kind, and
-/// shapes), the cached answers are returned without any distance work;
-/// otherwise the truth is computed and the cache (re)written. A stale,
-/// truncated, or corrupt file is recomputed and overwritten, never
-/// trusted. `from_cache` (optional) reports which way it went.
-std::vector<KnnResult> LoadOrComputeGroundTruth(
-    const std::string& cache_path, const PointSet& data,
-    const PointSet& queries, std::size_t k, const Metric& metric = Metric(),
-    ThreadPool* pool = nullptr, bool* from_cache = nullptr);
 
 /// Recall@k of one result list against its ground truth, tie-tolerant:
 /// hits are returned entries (first k) with distance <= the truth's

@@ -18,9 +18,9 @@ ThroughputResult SimulateThroughput(const ParallelSearchEngine& engine,
 
   ThroughputResult out;
   // Execute the batch (on the pool when execution_threads > 1) and time
-  // it. QueryBatch reports the worker count it actually ran on — e.g. 1
-  // when a buffered engine in deterministic mode serializes the batch —
-  // so wall_qps is never attributed to threads that never executed.
+  // it. QueryBatch reports the worker count it actually ran on — never
+  // more than the number of queries — so wall_qps is never attributed to
+  // threads that never executed.
   Stopwatch watch;
   std::vector<QueryStats> per_query;
   unsigned effective_threads = 1;

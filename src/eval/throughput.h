@@ -60,9 +60,8 @@ struct ThroughputResult : Counters {
   /// Queries per real second.
   double wall_qps = 0.0;
   /// Worker threads the batch actually executed on (1 = serial), as
-  /// reported by QueryBatch — not the requested count, so a buffered
-  /// engine in deterministic mode (which serializes the batch) reports 1
-  /// whatever was asked for.
+  /// reported by QueryBatch — not the requested count, so a batch of
+  /// fewer queries than requested threads reports the smaller number.
   unsigned execution_threads = 1;
 };
 
@@ -76,8 +75,7 @@ struct ThroughputResult : Counters {
 /// bit-identical to the serial run; on a buffered engine the aggregate
 /// page totals (hits + misses per disk) stay exact but their hit/miss
 /// split — and thus the simulated makespan — can vary with thread
-/// interleaving, unless options().deterministic_batch serializes the
-/// batch.
+/// interleaving; pass `execution_threads` = 1 when they must not.
 ThroughputResult SimulateThroughput(const ParallelSearchEngine& engine,
                                     const PointSet& queries, std::size_t k,
                                     unsigned execution_threads = 0);

@@ -13,11 +13,10 @@
 // the interleaving (that IS the LRU), but the *aggregate* is exact under
 // any schedule: every touched page is counted as exactly one hit or one
 // miss, so per-shard hit_pages + miss_pages equals the pages touched on
-// that shard — a deterministic quantity of the workload. The
-// deterministic-replay mode that keeps per-query numbers reproducible
-// lives above this class (EngineOptions::deterministic_batch serializes
-// the batch); the pool itself is always safe to hammer from any number
-// of threads.
+// that shard — a deterministic quantity of the workload. A caller that
+// needs reproducible per-query numbers runs its batch on one thread
+// (QueryBatch with threads = 1); the pool itself is always safe to
+// hammer from any number of threads.
 
 #ifndef PARSIM_SRC_IO_BUFFER_POOL_H_
 #define PARSIM_SRC_IO_BUFFER_POOL_H_

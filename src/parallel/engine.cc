@@ -684,17 +684,6 @@ std::vector<KnnResult> ParallelSearchEngine::QueryBatch(
   const bool coalesce = options_.coalesced_batch &&
                         options_.architecture == Architecture::kSharedTree &&
                         options_.knn_algorithm == KnnAlgorithm::kHs;
-  // Deterministic replay: an LRU buffer makes per-query costs depend on
-  // the access history, so this mode serializes buffered batches to keep
-  // their per-query numbers reproducible. The default executes them on
-  // the sharded BufferPool — results and aggregate buffer accounting are
-  // exact under any interleaving (see the header contract). The coalesced
-  // scheduler is exempt: its page-fetch order is serial and sorted, so
-  // its per-query numbers are reproducible at any thread count.
-  if (options_.buffer_pages_per_disk > 0 && options_.deterministic_batch &&
-      !coalesce) {
-    effective = 1;
-  }
   if (effective_threads != nullptr) *effective_threads = effective;
 
   if (coalesce) {

@@ -133,14 +133,6 @@ struct EngineOptions {
   /// workstations had 64 MB RAM (~16k pages) against several hundred MB
   /// of data.
   std::uint64_t buffer_pages_per_disk = 0;
-  /// Replay buffered batches serially. An LRU buffer makes per-query
-  /// costs depend on the access history, so a concurrent batch's
-  /// *per-query* hit/miss split varies with thread interleaving (the
-  /// aggregate — total buffer hits + misses — and all query results are
-  /// exact under any schedule). Set this when per-query numbers must be
-  /// reproducible, e.g. golden-stats runs; it only affects engines with
-  /// buffer_pages_per_disk > 0.
-  bool deterministic_batch = false;
   /// Batched execution path for QueryBatch (kSharedTree + kHs only;
   /// other configurations ignore the flag): the batch's best-first
   /// searches advance in lock-step rounds, queries whose frontiers
@@ -149,8 +141,8 @@ struct EngineOptions {
   /// against all requesting queries by one many-to-many SIMD kernel call
   /// over its SoA block. Results are bit-identical to per-query
   /// execution; per-query costs are deterministic at any thread count
-  /// (the page-fetch schedule is serial and sorted), so buffered engines
-  /// need no deterministic_batch serialization on this path.
+  /// (the page-fetch schedule is serial and sorted), even on a buffered
+  /// engine.
   bool coalesced_batch = false;
   /// Assign every bucket a secondary disk (ReplicaPlacement over the
   /// coloring) and transparently fail reads of a failed disk over to it.
@@ -300,11 +292,10 @@ class ParallelSearchEngine {
   /// engine runs the batch concurrently on the sharded BufferPool: query
   /// results and the aggregate buffer accounting (total hits + misses,
   /// per disk) stay exact under any interleaving, while the per-query
-  /// hit/miss split may vary; set options().deterministic_batch to
-  /// replay such batches serially when per-query numbers must be
-  /// reproducible. `effective_threads` (optional) receives the worker
-  /// count the batch actually executed on (1 = serial), e.g. 1 for a
-  /// buffered engine in deterministic mode whatever `threads` says.
+  /// hit/miss split may vary; pass `threads` = 1 when per-query numbers
+  /// must be reproducible. `effective_threads` (optional) receives the
+  /// worker count the batch actually executed on (1 = serial), which is
+  /// never more than the number of queries.
   /// `phases` (optional; requires options().profile_phases) receives the
   /// batch-level wall-clock phase breakdown summed over all workers.
   std::vector<KnnResult> QueryBatch(const PointSet& queries, std::size_t k,

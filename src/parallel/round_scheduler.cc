@@ -66,9 +66,8 @@ KnnResult HsRoundScheduler::Take(std::size_t slot) {
   return std::move(s.search.result);
 }
 
-std::size_t HsRoundScheduler::Step(ThreadPool* pool, RoundStats* round) {
+std::size_t HsRoundScheduler::Step(ThreadPool* pool) {
   ScopedPhaseCapture phase_capture(phases_);
-  if (round != nullptr) *round = RoundStats{};
 
   requests_.clear();
   for (std::size_t i = 0; i < states_.size(); ++i) {
@@ -95,7 +94,7 @@ std::size_t HsRoundScheduler::Step(ThreadPool* pool, RoundStats* round) {
     while (j < requests_.size() && requests_[j].first == requests_[i].first) {
       ++j;
     }
-    groups_.push_back(Group{requests_[i].first, i, j, nullptr, {}, 0, 0});
+    groups_.push_back(Group{requests_[i].first, i, j, nullptr, {}});
     i = j;
   }
 
@@ -136,7 +135,7 @@ std::size_t HsRoundScheduler::Step(ThreadPool* pool, RoundStats* round) {
     // phase capture; re-install it so their sweep/descent/frontier time
     // lands in the same accumulator.
     ScopedPhaseCapture pc(phases_);
-    Group& g = groups_[gi];
+    const Group& g = groups_[gi];
     const Node& node = *g.accessed;
     const std::size_t members = g.end - g.begin;
     const std::size_t slot = g.route.disk->id();
@@ -173,8 +172,6 @@ std::size_t HsRoundScheduler::Step(ThreadPool* pool, RoundStats* round) {
         DiskStats& s = states_[qi].acc->slot(slot);
         s += sweeps[m];
         s.block_kernel_invocations += 1;
-        g.pruned += sweeps[m].quantized_pruned;
-        g.scored += sweeps[m].distance_computations;
         states_[qi].request = states_[qi].search.Next();
       }
     } else {
@@ -191,14 +188,6 @@ std::size_t HsRoundScheduler::Step(ThreadPool* pool, RoundStats* round) {
     for (std::size_t gi = 0; gi < groups_.size(); ++gi) expand(gi);
   }
 
-  if (round != nullptr) {
-    round->groups = groups_.size();
-    round->members = requests_.size();
-    for (const Group& g : groups_) {
-      round->pruned += g.pruned;
-      round->scored += g.scored;
-    }
-  }
   running_ = 0;
   for (const QueryState& s : states_) {
     if (s.running()) ++running_;

@@ -79,28 +79,12 @@ class HsRoundScheduler {
   std::size_t Add(PointView query, std::size_t k, QueryCostAccumulator* acc,
                   std::uint64_t max_pages = 0);
 
-  /// Aggregate outcome of one round, feeding adaptive batch formation.
-  struct RoundStats {
-    /// Distinct nodes fetched (groups formed).
-    std::size_t groups = 0;
-    /// Query-node expansions served (>= groups; the difference is
-    /// coalesced rides).
-    std::size_t members = 0;
-    /// Leaf candidates the quantized bounds killed before exact work
-    /// (the members' quantized_pruned) across the round. Frontier
-    /// cutoff and approx skips are not in it.
-    std::uint64_t pruned = 0;
-    /// Leaf candidates that reached an exact float kernel.
-    std::uint64_t scored = 0;
-  };
-
   /// Runs one coalesced round over every running query: budget-expires
   /// exhausted slots, collects requests, fetches each distinct node once
   /// (serial, ascending (node, slot) order), expands groups over `pool`
   /// (nullptr = serial). Returns the number of still-running queries;
-  /// 0 means every admitted query is finished or expired. `round`
-  /// (nullable) receives this round's aggregates.
-  std::size_t Step(ThreadPool* pool, RoundStats* round = nullptr);
+  /// 0 means every admitted query is finished or expired.
+  std::size_t Step(ThreadPool* pool);
 
   /// True while the slot has neither finished nor expired.
   bool IsRunning(std::size_t slot) const { return states_[slot].running(); }
@@ -121,8 +105,6 @@ class HsRoundScheduler {
 
   /// Queries admitted and not yet taken, running or settled.
   std::size_t occupied() const { return occupied_; }
-  /// Queries still running (admitted, neither finished nor expired).
-  std::size_t running() const { return running_; }
 
  private:
   /// One admitted query: its best-first search plus the scheduling
@@ -161,10 +143,6 @@ class HsRoundScheduler {
     std::size_t end;
     const Node* accessed = nullptr;
     TreeBase::DiskRoute route;
-    // Per-group prune/score aggregates, summed into RoundStats after
-    // the (possibly parallel) expansion phase.
-    std::uint64_t pruned = 0;
-    std::uint64_t scored = 0;
   };
   std::vector<std::pair<NodeId, std::size_t>> requests_;  // (node, slot)
   std::vector<Group> groups_;

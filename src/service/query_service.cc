@@ -1,6 +1,5 @@
 #include "src/service/query_service.h"
 
-#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -9,9 +8,6 @@
 namespace parsim {
 
 namespace {
-
-/// EMA smoothing of the per-round prune rate.
-constexpr double kPruneEmaAlpha = 0.3;
 
 double MsBetween(std::chrono::steady_clock::time_point a,
                  std::chrono::steady_clock::time_point b) {
@@ -32,8 +28,7 @@ QueryService::QueryService(const ParallelSearchEngine& engine,
   PARSIM_CHECK(engine.options().architecture == Architecture::kSharedTree);
   PARSIM_CHECK(engine.options().knn_algorithm == KnnAlgorithm::kHs);
   PARSIM_CHECK(options_.max_queue >= 1);
-  PARSIM_CHECK(options_.min_batch >= 1);
-  PARSIM_CHECK(options_.max_batch >= options_.min_batch);
+  PARSIM_CHECK(options_.max_batch >= 1);
   PARSIM_CHECK(options_.interactive_weight >= 1);
   if (options_.threads > 1) pool_ = engine.EnsurePool(options_.threads);
 }
@@ -68,23 +63,6 @@ Status QueryService::Submit(PointView query,
   return Status::Ok();
 }
 
-std::size_t QueryService::TargetWidth(std::size_t waiting) const {
-  // Demand is everyone who wants service right now; the prune-rate EMA
-  // damps how much of it one round takes on. Cheap rounds (everything
-  // pruned before exact work) widen to the full demand; expensive ones
-  // narrow toward min_batch, keeping rounds short so newly arriving
-  // latency-sensitive queries join quickly.
-  const std::size_t demand = scheduler_.running() + waiting;
-  const std::size_t lo = options_.min_batch;
-  const std::size_t hi = options_.max_batch;
-  if (demand <= lo) return lo;
-  const std::size_t capped = std::min(demand, hi);
-  const double span = static_cast<double>(capped - lo);
-  const std::size_t width =
-      lo + static_cast<std::size_t>(span * ema_prune_ + 0.5);
-  return std::min(width, hi);
-}
-
 void QueryService::AdmitLocked(std::size_t budget,
                                std::vector<Pending>* admitted) {
   std::deque<Pending>& interactive = queues_[0];
@@ -114,26 +92,13 @@ void QueryService::AdmitLocked(std::size_t budget,
 }
 
 void QueryService::PumpOnce() {
-  // 1. Admission. Adaptive mode admits between every round up to the
-  // adaptive width; fixed mode (the round-expander baseline) only opens
-  // a new closed batch once the previous one fully finished.
+  // 1. Admission: between every round, waiting queries join until
+  // max_batch are in flight.
   std::vector<Pending> admitted;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    const std::size_t waiting = PendingLocked();
-    if (waiting > 0) {
-      std::size_t budget = 0;
-      if (options_.adaptive_batch) {
-        const std::size_t width = TargetWidth(waiting);
-        metrics_.last_width = width;
-        budget = width > scheduler_.occupied()
-                     ? width - scheduler_.occupied()
-                     : 0;
-      } else if (scheduler_.occupied() == 0) {
-        budget = options_.max_batch;
-        metrics_.last_width = budget;
-      }
-      if (budget > 0) AdmitLocked(budget, &admitted);
+    if (scheduler_.occupied() < options_.max_batch) {
+      AdmitLocked(options_.max_batch - scheduler_.occupied(), &admitted);
     }
   }
   const Clock::time_point admit_time = Clock::now();
@@ -145,12 +110,6 @@ void QueryService::PumpOnce() {
     if (inflight_.size() <= slot) inflight_.resize(slot + 1);
     auto f = std::make_unique<InFlight>();
     f->admit = admit_time;
-    f->deadline =
-        p.opts.deadline_ms > 0.0
-            ? p.submit + std::chrono::duration_cast<Clock::duration>(
-                             std::chrono::duration<double, std::milli>(
-                                 p.opts.deadline_ms))
-            : Clock::time_point::max();
     f->acc = std::move(acc);
     f->pending = std::move(p);
     inflight_[slot] = std::move(f);
@@ -158,27 +117,24 @@ void QueryService::PumpOnce() {
   if (scheduler_.occupied() == 0) return;
 
   // 2. Wall deadlines, at round granularity (page budgets are checked
-  // inside Step itself).
+  // inside Step itself). The elapsed time is compared in milliseconds,
+  // so an infinite or huge deadline never fires.
   const Clock::time_point now = Clock::now();
   round_slots_.clear();
   for (std::size_t slot = 0; slot < inflight_.size(); ++slot) {
-    if (inflight_[slot] == nullptr) continue;
-    if (scheduler_.IsRunning(slot) && now >= inflight_[slot]->deadline) {
+    const InFlight* f = inflight_[slot].get();
+    if (f == nullptr) continue;
+    const double deadline_ms = f->pending.opts.deadline_ms;
+    if (scheduler_.IsRunning(slot) && deadline_ms > 0.0 &&
+        MsBetween(f->pending.submit, now) >= deadline_ms) {
       scheduler_.Expire(slot);
     }
     if (scheduler_.IsRunning(slot)) round_slots_.push_back(slot);
   }
 
-  // 3. One coalesced round; its prune outcome feeds the width EMA.
-  HsRoundScheduler::RoundStats round;
-  scheduler_.Step(pool_.get(), &round);
+  // 3. One coalesced round.
+  scheduler_.Step(pool_.get());
   for (const std::size_t slot : round_slots_) ++inflight_[slot]->rounds;
-  const std::uint64_t leaf_work = round.pruned + round.scored;
-  if (leaf_work > 0) {
-    const double rate = static_cast<double>(round.pruned) /
-                        static_cast<double>(leaf_work);
-    ema_prune_ = kPruneEmaAlpha * rate + (1.0 - kPruneEmaAlpha) * ema_prune_;
-  }
 
   // 4. Resolve everything that finished or expired this round.
   for (std::size_t slot = 0; slot < inflight_.size(); ++slot) {
@@ -189,7 +145,6 @@ void QueryService::PumpOnce() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++metrics_.rounds;
-    metrics_.ema_prune_rate = ema_prune_;
   }
 }
 

@@ -17,14 +17,11 @@
 //     weighted dequeue: interactive work goes first, but after
 //     `interactive_weight` consecutive interactive admissions a waiting
 //     bulk query is admitted, so neither class starves.
-//   * Adaptive batch formation — instead of the fixed round expander
-//     (closed batches of max_batch run to completion, the pre-service
-//     QueryBatch shape), the service admits BETWEEN rounds into a round
-//     width sized from observed queue depth and the EMA of recent prune
-//     rates: cheap (well-pruning) rounds widen toward max_batch,
-//     expensive ones narrow toward min_batch. Continuous admission is
-//     what stops convoying — a cheap interactive query joins the very
-//     next round instead of waiting behind a bulk scan's whole batch.
+//   * Continuous admission — the service admits waiting queries
+//     BETWEEN rounds until max_batch are in flight, rather than running
+//     closed batches to completion (the QueryBatch shape). That is what
+//     stops convoying: a cheap interactive query joins the very next
+//     round instead of waiting behind a bulk scan's whole batch.
 //
 // Results are bit-identical to ParallelSearchEngine::QueryBatch (and
 // single-query HsKnn) whenever no deadline fires: a query's push/pop
@@ -72,7 +69,7 @@ struct ServiceQueryOptions {
   /// buffer hits + coalesced rides, summed over disks — see
   /// QueryCostAccumulator::TotalPagesTouched) reach this. 0 = none.
   std::uint64_t max_pages = 0;
-  /// Wall-clock deadline from Submit, in milliseconds. 0 = none.
+  /// Wall-clock deadline from Submit, in milliseconds. 0 or +inf = none.
   double deadline_ms = 0.0;
 };
 
@@ -102,14 +99,9 @@ struct ServiceOptions {
   /// Bound of the admission (waiting) queue across both classes; Submit
   /// beyond it returns kResourceExhausted.
   std::size_t max_queue = 256;
-  /// Round width bounds. max_batch is also the fixed mode's batch size.
+  /// Most queries in flight at once: between rounds the service admits
+  /// min(waiting, max_batch - in flight) queries.
   std::size_t max_batch = 64;
-  std::size_t min_batch = 4;
-  /// true: continuous admission with the adaptive width (the service's
-  /// raison d'etre). false: the fixed round expander baseline — closed
-  /// FIFO batches of max_batch run to completion, the convoying-prone
-  /// shape QueryBatch has always had.
-  bool adaptive_batch = true;
   /// Consecutive interactive admissions allowed while bulk work waits.
   std::size_t interactive_weight = 4;
   /// Worker threads for the round expansion phase (0 or 1 = serial).
@@ -123,9 +115,9 @@ struct ServiceMetrics {
   std::uint64_t completed = 0;  // resolved, including expired
   std::uint64_t expired = 0;    // resolved as kDeadlineExceeded
   std::uint64_t rounds = 0;     // scheduler rounds run
-  /// Width the last admission round targeted (adaptive mode).
-  std::size_t last_width = 0;
-  /// Current EMA of the per-round leaf prune rate in [0, 1].
+  /// Always 1.0; the service never sets it. Its only reader is
+  /// bench/ledger/perf_ledger.cc, which reports it as a layer metric,
+  /// and it goes once that file drops the metric.
   double ema_prune_rate = 1.0;
 };
 
@@ -179,8 +171,6 @@ class QueryService {
   struct InFlight {
     Pending pending;
     Clock::time_point admit;
-    /// Absolute wall deadline; Clock::time_point::max() when none.
-    Clock::time_point deadline;
     std::unique_ptr<QueryCostAccumulator> acc;
     std::size_t rounds = 0;
   };
@@ -190,8 +180,6 @@ class QueryService {
   void PumpOnce();
   /// Admits up to `budget` queries by weighted priority (mutex_ held).
   void AdmitLocked(std::size_t budget, std::vector<Pending>* admitted);
-  /// Adaptive round width from queue depth and the prune-rate EMA.
-  std::size_t TargetWidth(std::size_t waiting) const;
   void Resolve(std::size_t slot);
   std::size_t PendingLocked() const {
     return queues_[0].size() + queues_[1].size();
@@ -214,7 +202,6 @@ class QueryService {
   std::vector<std::unique_ptr<InFlight>> inflight_;  // by scheduler slot
   std::vector<std::size_t> round_slots_;  // slots active in this round
   std::size_t interactive_credit_ = 0;
-  double ema_prune_ = 1.0;
   std::uint64_t finish_seq_ = 0;
 };
 

@@ -7,14 +7,8 @@
 // distance. These tests pin that clause directly (hand-built duplicate
 // distances at the cut line), check the scorer against plain id
 // intersection whenever distances are distinct (where the two
-// definitions must coincide), and exercise the ground-truth disk cache:
-// round trip, content-keyed invalidation, and corrupt-file recovery.
+// definitions must coincide), and check the oracle ground truth.
 
-#include <unistd.h>
-
-#include <cstdio>
-#include <cstring>
-#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -144,144 +138,6 @@ TEST(GroundTruth, ParallelOracleMatchesSerial) {
       EXPECT_EQ(serial[qi][i].id, parallel[qi][i].id);
       EXPECT_EQ(serial[qi][i].distance, parallel[qi][i].distance);
     }
-  }
-}
-
-class GroundTruthCacheTest : public ::testing::Test {
- protected:
-  std::string CachePath() const {
-    return ::testing::TempDir() + "parsim_recall_cache_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-           ".bin";
-  }
-  void TearDown() override { std::remove(CachePath().c_str()); }
-};
-
-TEST_F(GroundTruthCacheTest, RoundTrip) {
-  const PointSet data = GenerateUniform(200, 5, 17);
-  const PointSet queries = GenerateUniform(9, 5, 19);
-  const std::string path = CachePath();
-  std::remove(path.c_str());
-
-  bool from_cache = true;
-  const std::vector<KnnResult> computed =
-      LoadOrComputeGroundTruth(path, data, queries, 6, Metric(), nullptr,
-                               &from_cache);
-  EXPECT_FALSE(from_cache);
-
-  const std::vector<KnnResult> loaded =
-      LoadOrComputeGroundTruth(path, data, queries, 6, Metric(), nullptr,
-                               &from_cache);
-  EXPECT_TRUE(from_cache);
-  ASSERT_EQ(computed.size(), loaded.size());
-  for (std::size_t qi = 0; qi < computed.size(); ++qi) {
-    ASSERT_EQ(computed[qi].size(), loaded[qi].size());
-    for (std::size_t i = 0; i < computed[qi].size(); ++i) {
-      EXPECT_EQ(computed[qi][i].id, loaded[qi][i].id);
-      EXPECT_EQ(computed[qi][i].distance, loaded[qi][i].distance);
-    }
-  }
-}
-
-TEST_F(GroundTruthCacheTest, ContentChangeInvalidates) {
-  PointSet data = GenerateUniform(150, 4, 23);
-  const PointSet queries = GenerateUniform(5, 4, 29);
-  const std::string path = CachePath();
-  std::remove(path.c_str());
-
-  bool from_cache = true;
-  (void)LoadOrComputeGroundTruth(path, data, queries, 5, Metric(), nullptr,
-                                 &from_cache);
-  EXPECT_FALSE(from_cache);
-
-  // Different k: same file path, different content key.
-  (void)LoadOrComputeGroundTruth(path, data, queries, 6, Metric(), nullptr,
-                                 &from_cache);
-  EXPECT_FALSE(from_cache);
-
-  // Different metric.
-  (void)LoadOrComputeGroundTruth(path, data, queries, 6,
-                                 Metric(MetricKind::kL1), nullptr,
-                                 &from_cache);
-  EXPECT_FALSE(from_cache);
-
-  // A one-coordinate data perturbation.
-  data.Mutable(0)[0] += 0.25f;
-  (void)LoadOrComputeGroundTruth(path, data, queries, 6,
-                                 Metric(MetricKind::kL1), nullptr,
-                                 &from_cache);
-  EXPECT_FALSE(from_cache);
-
-  // Unchanged inputs: the rewrite from the last call is now valid.
-  const std::vector<KnnResult> again = LoadOrComputeGroundTruth(
-      path, data, queries, 6, Metric(MetricKind::kL1), nullptr, &from_cache);
-  EXPECT_TRUE(from_cache);
-  EXPECT_EQ(again.size(), queries.size());
-}
-
-TEST_F(GroundTruthCacheTest, CorruptFileIsRecomputedAndRepaired) {
-  const PointSet data = GenerateUniform(100, 3, 31);
-  const PointSet queries = GenerateUniform(4, 3, 37);
-  const std::string path = CachePath();
-  std::remove(path.c_str());
-
-  bool from_cache = true;
-  const std::vector<KnnResult> truth = LoadOrComputeGroundTruth(
-      path, data, queries, 5, Metric(), nullptr, &from_cache);
-  ASSERT_FALSE(from_cache);
-
-  struct Corruption {
-    const char* name;
-    void (*apply)(const std::string&);
-  };
-  const Corruption corruptions[] = {
-      {"truncated",
-       [](const std::string& p) {
-         std::FILE* f = std::fopen(p.c_str(), "rb+");
-         ASSERT_NE(f, nullptr);
-         // Keep the valid header but cut the records short.
-         std::fseek(f, 0, SEEK_END);
-         const long size = std::ftell(f);
-         std::fclose(f);
-         ASSERT_EQ(::truncate(p.c_str(), size / 2), 0);
-       }},
-      {"garbage",
-       [](const std::string& p) {
-         std::FILE* f = std::fopen(p.c_str(), "wb");
-         ASSERT_NE(f, nullptr);
-         std::fputs("not a ground-truth cache", f);
-         std::fclose(f);
-       }},
-      {"bit-flip in hash",
-       [](const std::string& p) {
-         std::FILE* f = std::fopen(p.c_str(), "rb+");
-         ASSERT_NE(f, nullptr);
-         std::fseek(f, 8, SEEK_SET);  // first hash byte
-         int c = std::fgetc(f);
-         std::fseek(f, 8, SEEK_SET);
-         std::fputc(c ^ 0xff, f);
-         std::fclose(f);
-       }},
-  };
-  for (const Corruption& corruption : corruptions) {
-    SCOPED_TRACE(corruption.name);
-    corruption.apply(path);
-    const std::vector<KnnResult> recovered = LoadOrComputeGroundTruth(
-        path, data, queries, 5, Metric(), nullptr, &from_cache);
-    EXPECT_FALSE(from_cache);  // corrupt cache never trusted
-    ASSERT_EQ(recovered.size(), truth.size());
-    for (std::size_t qi = 0; qi < truth.size(); ++qi) {
-      ASSERT_EQ(recovered[qi].size(), truth[qi].size());
-      for (std::size_t i = 0; i < truth[qi].size(); ++i) {
-        EXPECT_EQ(recovered[qi][i].id, truth[qi][i].id);
-        EXPECT_EQ(recovered[qi][i].distance, truth[qi][i].distance);
-      }
-    }
-    // ... and the recompute repaired the file in place.
-    const std::vector<KnnResult> reread = LoadOrComputeGroundTruth(
-        path, data, queries, 5, Metric(), nullptr, &from_cache);
-    EXPECT_TRUE(from_cache);
-    EXPECT_EQ(reread.size(), truth.size());
   }
 }
 

@@ -117,21 +117,19 @@ std::string RenderActualStats(Counters* rendered) {
       << " avg_latency_ms=" << FormatDouble(batch.avg_latency_ms)
       << " degraded_queries=" << batch.degraded_queries << "\n";
 
-  // Buffered accounting in deterministic mode: the sharded page-buffer
-  // pool is order-dependent by design, so QueryBatch replays the batch
-  // serially (whatever thread count is requested) and per-query hit /
-  // miss numbers stay golden-able.
+  // Buffered accounting on one thread: the sharded page-buffer pool is
+  // order-dependent by design, so the batch runs serially and per-query
+  // hit / miss numbers stay golden-able.
   EngineOptions buffered = options;
   buffered.buffer_pages_per_disk = 32;
-  buffered.deterministic_batch = true;
   ParallelSearchEngine buffered_engine(
       dim, std::make_unique<NearOptimalDeclusterer>(dim, disks), buffered);
   EXPECT_TRUE(buffered_engine.Build(data).ok());
   std::vector<QueryStats> batch_stats;
   unsigned effective_threads = 0;
   (void)buffered_engine.QueryBatch(queries, k, &batch_stats,
-                                   /*threads=*/8, &effective_threads);
-  out << "[buffered deterministic pages_per_disk=32 threads_requested=8]\n";
+                                   /*threads=*/1, &effective_threads);
+  out << "[buffered serial pages_per_disk=32 threads_requested=1]\n";
   out << "effective_threads=" << effective_threads
       << " pool_hit_pages=" << buffered_engine.buffer_pool()->TotalHitPages()
       << " pool_miss_pages=" << buffered_engine.buffer_pool()->TotalMissPages()

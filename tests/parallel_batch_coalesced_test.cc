@@ -25,7 +25,6 @@ std::unique_ptr<ParallelSearchEngine> MakeEngine(
   options.bulk_load = true;
   options.coalesced_batch = coalesced;
   options.buffer_pages_per_disk = buffer_pages;
-  options.deterministic_batch = buffer_pages > 0;
   options.enable_replicas = replicas;
   auto engine = std::make_unique<ParallelSearchEngine>(
       data.dim(), std::make_unique<NearOptimalDeclusterer>(data.dim(), disks),

