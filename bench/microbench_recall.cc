@@ -11,11 +11,12 @@
 // One engine per epsilon in the sweep, all through the production
 // QueryBatch path (coalesced rounds, one thread):
 //
-//   exact      — approx tier off. Scored recall must be 1.0: this is
+//   exact      — approx_epsilon = 0. Scored recall must be 1.0: this is
 //                the curve's anchor point, QPS_exact at recall 1.0.
-//   eps = 0    — approx tier ON with zero slack. Must be bit-identical
-//                to exact: same results, distances, and per-query page
-//                counts (asserted; exit 1 on violation).
+//   eps = 0    — the same configuration built again, the sweep's first
+//                point. Must be bit-identical to exact: same results,
+//                distances, and per-query page counts (asserted; exit 1
+//                on violation).
 //   eps > 0    — both mechanisms (bound relaxation + early
 //                termination). Every query's reported k-th distance
 //                must obey the (1+eps) contract against the true k-th
@@ -167,7 +168,6 @@ PointSet MakeHotSpotQueries(const PointSet& centers, std::size_t dim,
 
 std::unique_ptr<ParallelSearchEngine> MakeEngine(const PointSet& data,
                                                  std::size_t disks,
-                                                 bool approx_enabled,
                                                  double epsilon) {
   EngineOptions options;
   options.architecture = Architecture::kSharedTree;
@@ -175,8 +175,7 @@ std::unique_ptr<ParallelSearchEngine> MakeEngine(const PointSet& data,
   options.bulk_load_fill = 1.0;
   options.coalesced_batch = true;
   options.quantized_leaf_blocks = true;
-  options.approx.enabled = approx_enabled;
-  options.approx.epsilon = epsilon;
+  options.approx_epsilon = epsilon;
   auto engine = std::make_unique<ParallelSearchEngine>(
       data.dim(), std::make_unique<NearOptimalDeclusterer>(data.dim(), disks),
       options);
@@ -304,7 +303,7 @@ int Run(bool smoke) {
   std::vector<QueryStats> exact_stats;
   double exact_qps = 0.0;
   {
-    const auto engine = MakeEngine(data, disks, /*approx_enabled=*/false, 0.0);
+    const auto engine = MakeEngine(data, disks, 0.0);
     exact_results = engine->QueryBatch(queries, k, &exact_stats, 1);
     const RecallStats r = ScoreRecall(exact_results, truth, k);
     CurvePoint p;
@@ -337,7 +336,7 @@ int Run(bool smoke) {
 
   // --- Epsilon sweep -------------------------------------------------------
   for (const double eps : epsilons) {
-    const auto engine = MakeEngine(data, disks, /*approx_enabled=*/true, eps);
+    const auto engine = MakeEngine(data, disks, eps);
     std::vector<QueryStats> stats;
     const std::vector<KnnResult> results =
         engine->QueryBatch(queries, k, &stats, 1);

@@ -12,7 +12,11 @@
 //                  open-loop run reporting per-class p50/p95/p99
 //                  latency, queueing delay, rejections, and
 //                  expirations. The latencies are reported, not gated:
-//                  wall clock on a shared machine is too noisy to gate;
+//                  wall clock on a shared machine is too noisy to gate.
+//                  A row that achieved under 95% of its offered rate is
+//                  marked "saturated": a backlog built up, so its
+//                  latencies measure the queue, not the admission rule,
+//                  and are not latency evidence;
 //   * deadline   — per-query page budgets provably stop work early:
 //                  budgeted runs expire with page counters strictly
 //                  below the unbudgeted run of the same query.
@@ -96,6 +100,11 @@ struct SweepRow {
   double offered_qps = 0.0;
   OpenLoopResult open_loop;
   std::uint64_t service_rounds = 0;
+
+  /// The service fell behind the arrivals (see the file comment).
+  bool saturated() const {
+    return open_loop.achieved_qps < 0.95 * offered_qps;
+  }
 };
 
 }  // namespace
@@ -191,11 +200,13 @@ int Run(bool smoke) {
     rows.push_back(row);
     const OpenLoopResult& r = row.open_loop;
     std::printf(
-        "  load=%.2f (%6.0f qps): interactive p50/p95/p99 = "
+        "  load=%.2f (%6.0f qps, achieved %6.0f): interactive p50/p95/p99 = "
         "%7.2f/%7.2f/%7.2f ms  bulk p95 = %8.2f ms  queue %7.2f ms  "
-        "rejected %zu\n",
-        load, row.offered_qps, r.interactive.p50_ms, r.interactive.p95_ms,
-        r.interactive.p99_ms, r.bulk.p95_ms, r.mean_queue_ms, r.rejected);
+        "rejected %zu%s\n",
+        load, row.offered_qps, r.achieved_qps, r.interactive.p50_ms,
+        r.interactive.p95_ms, r.interactive.p99_ms, r.bulk.p95_ms,
+        r.mean_queue_ms, r.rejected,
+        row.saturated() ? "  SATURATED (backlog, not latency evidence)" : "");
   }
 
   // --- Deadline / budget early termination ------------------------------
@@ -265,7 +276,7 @@ int Run(bool smoke) {
         json,
         "    {\"load_fraction\": %.2f, \"offered_qps\": %.1f, "
         "\"accepted\": %zu, \"rejected\": %zu, "
-        "\"expired\": %zu, \"achieved_qps\": %.1f, "
+        "\"expired\": %zu, \"achieved_qps\": %.1f, \"saturated\": %s, "
         "\"mean_queue_ms\": %.3f, \"mean_rounds\": %.2f, "
         "\"service_rounds\": %llu, "
         "\"interactive\": {\"count\": %zu, \"p50_ms\": %.3f, "
@@ -273,7 +284,8 @@ int Run(bool smoke) {
         "\"bulk\": {\"count\": %zu, \"p50_ms\": %.3f, \"p95_ms\": %.3f, "
         "\"p99_ms\": %.3f, \"max_ms\": %.3f}}%s\n",
         row.load_fraction, row.offered_qps, r.accepted, r.rejected,
-        r.expired, r.achieved_qps, r.mean_queue_ms, r.mean_rounds,
+        r.expired, r.achieved_qps, row.saturated() ? "true" : "false",
+        r.mean_queue_ms, r.mean_rounds,
         static_cast<unsigned long long>(row.service_rounds),
         r.interactive.count, r.interactive.p50_ms,
         r.interactive.p95_ms, r.interactive.p99_ms, r.interactive.max_ms,

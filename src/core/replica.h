@@ -58,13 +58,10 @@ class ReplicaPlacement {
   std::uint32_t num_disks() const { return num_disks_; }
   const Bucketizer& bucketizer() const { return bucketizer_; }
 
-  /// The replica disk of a color / bucket / point; O(1) table lookups.
+  /// The replica disk of a color / bucket; O(1) table lookups.
   DiskId ReplicaOfColor(Color color) const;
   DiskId ReplicaOfBucket(BucketId bucket) const {
     return ReplicaOfColor(ColorOf(bucket));
-  }
-  DiskId ReplicaOfPoint(PointView p) const {
-    return ReplicaOfBucket(bucketizer_.BucketOf(p));
   }
 
   /// Replica disk for a bucket whose actual primary is `primary`. Equal

@@ -74,9 +74,9 @@ struct Sq8Mirror {
   const std::uint8_t* row(std::size_t i) const { return codes.data() + i * dim; }
 
   /// The lattice point of code `c` in dimension `j`. Every consumer of
-  /// the mirror (encode, error measurement, query prep, range prefilter)
-  /// evaluates this identical double expression, so "reconstruction"
-  /// means one well-defined value.
+  /// the mirror (encode, error measurement, query prep) evaluates this
+  /// identical double expression, so "reconstruction" means one
+  /// well-defined value.
   double Recon(std::uint8_t c, std::size_t j) const {
     return lo[j] + static_cast<double>(c) * scale;
   }

@@ -41,12 +41,14 @@ class HsSearch {
   /// Starts a k-NN search at `root` (kInvalidNodeId: an empty tree, the
   /// search finishes at once). `metric` must outlive the search; the
   /// storage of the previous search is reused.
+  /// `approx_factor` > 1 is the approximate tier's comparable-scale
+  /// factor (see HsKnn in src/index/knn.h); 1.0 searches exactly.
   void Start(NodeId root, std::size_t k, const Metric& metric,
-             const ApproxContext& approx) {
+             double approx_factor) {
     PARSIM_CHECK(k >= 1);
     k_ = k;
     metric_ = &metric;
-    approx_ = approx;
+    approx_factor_ = approx_factor;
     heap_.clear();
     bound_.clear();
     bound_.reserve(k);
@@ -59,14 +61,14 @@ class HsSearch {
   /// returns that node's id; points pop into `result` on the way. Returns
   /// kInvalidNodeId once k points have popped or the frontier is empty.
   ///
-  /// Approximate tier (node_factor > 1): a popped node whose key exceeds
-  /// the relaxed cutoff bound/node_factor is dropped instead of read.
-  /// The bound tightens between a node's push and its pop, so this saves
-  /// pages the push-time test in ExpandDirectory could not. Dropping a
-  /// node can only lose points, and the surviving bound is never tighter
-  /// than the exact search's at the same pops, so the (1+eps) contract of
-  /// ApproxContext holds. A skip needs a full bound (k point keys
-  /// pushed), and those k points still pop, so the answer keeps k
+  /// Approximate tier (approx_factor > 1): a popped node whose key
+  /// exceeds the relaxed cutoff bound/approx_factor is dropped instead of
+  /// read. The bound tightens between a node's push and its pop, so this
+  /// saves pages the push-time test in ExpandDirectory could not.
+  /// Dropping a node can only lose points, and the surviving bound is
+  /// never tighter than the exact search's at the same pops, so the
+  /// (1+eps) contract of HsKnn holds. A skip needs a full bound (k point
+  /// keys pushed), and those k points still pop, so the answer keeps k
   /// entries. On the exact path this never fires: a node whose key
   /// strictly exceeds the bound cannot pop before the k-th point.
   NodeId Next() {
@@ -80,8 +82,8 @@ class HsSearch {
         result.push_back(Neighbor{item.ref, metric_->FromComparable(item.key)});
         continue;
       }
-      if (approx_.node_factor > 1.0 && bound_.size() >= k_ &&
-          item.key > bound_.front() / approx_.node_factor) {
+      if (approx_factor_ > 1.0 && bound_.size() >= k_ &&
+          item.key > bound_.front() / approx_factor_) {
         ++frontier.approx_skipped_nodes;
         continue;
       }
@@ -110,9 +112,9 @@ class HsSearch {
     const std::size_t n = image.count();
     if (keys_.size() < n) keys_.resize(n);
     metric_->MinDistMany(query, image.lo(), image.hi(), n, n, keys_.data());
-    const bool node_approx = approx_.node_factor > 1.0;
+    const bool node_approx = approx_factor_ > 1.0;
     const double cut = Cutoff();
-    const double rcut = node_approx ? cut / approx_.node_factor : cut;
+    const double rcut = cut / approx_factor_;
     for (std::size_t j = 0; j < n; ++j) {
       const double key = keys_[j];
       if (key > cut) {
@@ -184,7 +186,7 @@ class HsSearch {
 
   std::size_t k_ = 0;
   const Metric* metric_ = nullptr;
-  ApproxContext approx_;
+  double approx_factor_ = 1.0;
   /// Min-heap on key through push_heap/pop_heap with GreaterKey, the
   /// algorithm std::priority_queue runs, in storage that Start reuses.
   std::vector<Item> heap_;

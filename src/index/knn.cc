@@ -136,11 +136,11 @@ class TopK {
 }  // namespace
 
 KnnResult HsKnn(const TreeBase& tree, PointView query, std::size_t k,
-                const Metric& metric, const ApproxContext& approx) {
+                const Metric& metric, double approx_factor) {
   PARSIM_CHECK(query.size() == tree.dim());
   // One search per thread, its frontier storage reused across queries.
   thread_local HsSearch search;
-  search.Start(tree.root_id(), k, metric, approx);
+  search.Start(tree.root_id(), k, metric, approx_factor);
   for (NodeId id = search.Next(); id != kInvalidNodeId; id = search.Next()) {
     const Node* node;
     TreeBase::DiskRoute route;
@@ -159,7 +159,7 @@ KnnResult HsKnn(const TreeBase& tree, PointView query, std::size_t k,
                    [&](std::size_t i, double key) {
                      search.PushPoint(key, block.ids[i]);
                    },
-                   approx.sweep_factor));
+                   approx_factor));
   }
   tree.disk()->Record(search.frontier);
   return std::move(search.result);

@@ -40,38 +40,24 @@ struct Neighbor {
 /// Result of a k-NN query: at most k neighbors, ascending by distance.
 using KnnResult = std::vector<Neighbor>;
 
-/// Resolved (1+eps)-approximate search parameters in the metric's
-/// Comparable scale. Both factors are contraction divisors applied to
-/// the running k-th-best bound: a node (or SQ8 leaf candidate) whose
-/// lower bound exceeds bound/factor is dropped even though it might
-/// still hold a true neighbor. The engine derives them from
-/// EngineOptions::approx as Metric::ToComparable(1 + epsilon) —
-/// (1+eps)^2 for L2, whose comparable scale is squared distance, and
-/// (1+eps) for L1/Lmax — so a dropped candidate always has REAL
-/// distance > d_k / (1+eps).
-///
-/// Guarantee (see DESIGN.md "Approximate tier"): because the bound only
-/// tightens and finishes equal to the reported k-th distance D_k, every
-/// true neighbor missed by the search has distance > D_k/(1+eps). Two
-/// testable corollaries: every true neighbor within d_true_k/(1+eps) is
-/// returned, and D_k <= (1+eps) * d_true_k.
-///
-/// The default (both factors 1.0) is EXACT search: every approx branch
-/// is gated on factor > 1.0, so results, stats, and page counts are
-/// bit-identical to the pre-approx code paths.
-struct ApproxContext {
-  /// Early-termination divisor for HS descent/pop node skips.
-  double node_factor = 1.0;
-  /// Bound-relaxation divisor for the SQ8 PruneCutoff guard.
-  double sweep_factor = 1.0;
-};
-
 /// Best-first (Hjaltason-Samet) k-NN. Charges page reads and distance
 /// computations to the tree's disk. Supports L1, L2 and Lmax.
-/// `approx` (default: exact) enables the (1+eps)-approximate tier.
+///
+/// `approx_factor` > 1 runs the (1+eps)-approximate tier (DESIGN.md
+/// "Approximate tier"). It is Metric::ToComparable(1 + eps) — (1+eps)^2
+/// on L2's squared scale, (1+eps) on L1/Lmax — and divides the running
+/// k-th-best bound in two places at once: a frontier node whose MINDIST
+/// exceeds bound/factor is not read, and an SQ8 leaf candidate whose
+/// lower bound exceeds it is not re-ranked. A dropped item therefore
+/// always has REAL distance > d_k / (1+eps). Because the bound only
+/// tightens and finishes equal to the reported k-th distance D_k, every
+/// true neighbor the search misses has distance > D_k/(1+eps); two
+/// testable corollaries are that every true neighbor within
+/// d_true_k/(1+eps) is returned and that D_k <= (1+eps) * d_true_k.
+/// The default 1.0 is the exact search: every approx branch is gated on
+/// factor > 1.
 KnnResult HsKnn(const TreeBase& tree, PointView query, std::size_t k,
-                const Metric& metric = Metric(),
-                const ApproxContext& approx = ApproxContext());
+                const Metric& metric = Metric(), double approx_factor = 1.0);
 
 /// Branch-and-bound (RKV) k-NN with MINDIST ordering; MINMAXDIST pruning
 /// is applied for k == 1 (its classic form). L2 only.

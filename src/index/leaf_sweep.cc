@@ -1,6 +1,5 @@
 #include "src/index/leaf_sweep.h"
 
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -19,6 +18,9 @@ LeafSweepScratch& SweepScratch() {
 }
 
 std::uint32_t IntCutoff(double cutoff) {
+  // A negative cutoff means "prune everything", which no uint32 cutoff
+  // can say; NaN passes here and saturates below.
+  PARSIM_DCHECK(!(cutoff < 0.0));
   // Truncation is floor for non-negative values, and for integer r,
   // double(r) > cutoff  <=>  r > floor(cutoff), so the double compare in
   // PruneCutoff's contract becomes an exact integer compare. Reductions
@@ -99,121 +101,6 @@ std::size_t CountSurvivors(const std::uint32_t* reductions, std::size_t count,
   return n;
 }
 
-namespace {
-
-// Largest code c with Recon(c) <= bound, or -1 if even code 0 exceeds it
-// (clamped to 255 when every code qualifies). The division is only a
-// guess — scale is tiny and |lo| can be large, so the quotient may be
-// off by an ulp-induced step in either direction; the walk afterwards
-// settles on the exact answer of the same Recon expression the encoder
-// measured errors against, which is what keeps the interval
-// conservative without a second guard term.
-int CodeFloor(const Sq8Mirror& sq8, std::size_t j, double bound) {
-  const double lo = sq8.lo[j];
-  const double scale = sq8.scale;
-  double guess = std::floor((bound - lo) / scale);
-  if (guess < -2.0) guess = -2.0;
-  if (guess > 257.0) guess = 257.0;
-  int c = static_cast<int>(guess);
-  while (c < 255 && sq8.Recon(static_cast<std::uint8_t>(c + 1), j) <= bound) {
-    ++c;
-  }
-  while (c >= 0 && sq8.Recon(static_cast<std::uint8_t>(c), j) > bound) {
-    --c;
-  }
-  return c < 255 ? c : 255;
-}
-
-// Smallest code c with Recon(c) >= bound, or 256 if even code 255 falls
-// short (clamped to 0 when every code qualifies).
-int CodeCeil(const Sq8Mirror& sq8, std::size_t j, double bound) {
-  const double lo = sq8.lo[j];
-  const double scale = sq8.scale;
-  double guess = std::ceil((bound - lo) / scale);
-  if (guess < -2.0) guess = -2.0;
-  if (guess > 257.0) guess = 257.0;
-  int c = static_cast<int>(guess);
-  while (c > 0 && sq8.Recon(static_cast<std::uint8_t>(c - 1), j) >= bound) {
-    --c;
-  }
-  while (c <= 255 && sq8.Recon(static_cast<std::uint8_t>(c), j) < bound) {
-    ++c;
-  }
-  return c > 0 ? c : 0;
-}
-
-}  // namespace
-
 }  // namespace detail
-
-Counters SweepLeafRange(const LeafBlock& block, const Rect& query,
-                        std::vector<PointId>* out) {
-  Counters sweep;
-  // Containment sweeps never charged simulated distance computations
-  // before quantization and still don't: distance_computations stays 0
-  // on both paths; only the byte/prune counters differ.
-  if (!block.has_sq8 || block.sq8.scale <= 0.0) {
-    // scale == 0 means a constant/empty block whose codes carry no
-    // information — the code intervals would be all-pass anyway.
-    for (std::size_t i = 0; i < block.count; ++i) {
-      if (query.Contains(block.row(i))) out->push_back(block.ids[i]);
-    }
-    sweep.leaf_bytes_scanned = block.count * block.dim * sizeof(Scalar);
-    return sweep;
-  }
-  const Sq8Mirror& sq8 = block.sq8;
-  const std::size_t dim = block.dim;
-  // Per-dimension code interval [clo_j, chi_j]: any point v with
-  // v_j in [query.lo(j), query.hi(j)] has a code c_j whose Recon lies
-  // within err[j] of v_j, so c_j's Recon lies in the widened window
-  // [lo - err - g, hi + err + g]; g absorbs the float->double read of
-  // the rect bounds. A code outside the interval therefore certifies
-  // the point is outside the rect in that dimension.
-  detail::LeafSweepScratch& scratch = detail::SweepScratch();
-  scratch.reductions.resize(2 * dim);  // reuse as [clo..., chi...]
-  std::uint32_t* clo = scratch.reductions.data();
-  std::uint32_t* chi = scratch.reductions.data() + dim;
-  bool empty = false;
-  for (std::size_t j = 0; j < dim; ++j) {
-    const double qlo = static_cast<double>(query.lo(j));
-    const double qhi = static_cast<double>(query.hi(j));
-    const double g_lo = 1e-9 * (std::abs(qlo) + 1.0);
-    const double g_hi = 1e-9 * (std::abs(qhi) + 1.0);
-    const int lo_c = detail::CodeCeil(sq8, j, qlo - sq8.err[j] - g_lo);
-    const int hi_c = detail::CodeFloor(sq8, j, qhi + sq8.err[j] + g_hi);
-    if (lo_c > hi_c) {
-      empty = true;
-      break;
-    }
-    clo[j] = static_cast<std::uint32_t>(lo_c);
-    chi[j] = static_cast<std::uint32_t>(hi_c);
-  }
-  if (!empty) {
-    for (std::size_t i = 0; i < block.count; ++i) {
-      const std::uint8_t* codes = sq8.row(i);
-      bool maybe = true;
-      for (std::size_t j = 0; j < dim; ++j) {
-        const std::uint32_t c = codes[j];
-        if (c < clo[j] || c > chi[j]) {
-          maybe = false;
-          break;
-        }
-      }
-      if (!maybe) {
-        ++sweep.quantized_pruned;
-        continue;
-      }
-      ++sweep.reranked;
-      if (query.Contains(block.row(i))) out->push_back(block.ids[i]);
-    }
-  } else {
-    sweep.quantized_pruned = block.count;
-  }
-  // The code-interval prefilter is this sweep's SQ8 stage.
-  sweep.sq8_pruned = sweep.quantized_pruned;
-  sweep.leaf_bytes_scanned =
-      block.count * dim + sweep.reranked * dim * sizeof(Scalar);
-  return sweep;
-}
 
 }  // namespace parsim

@@ -1,13 +1,16 @@
-// The one place every leaf-page sweep goes through.
+// The one place every distance-threshold leaf sweep goes through.
 //
-// There are three sweeps: SweepLeafBlockMany for distance-threshold
+// There are two sweeps: SweepLeafBlockMany for distance-threshold
 // queries (k-NN and ball; the single-query SweepLeafDistances is its
 // one-member case, so HsKnn, RkvKnn, BallQuery and the round scheduler
-// share one implementation), SweepLeafRange for containment queries,
-// and SweepLeafBlockSelf for the exact self-join (a quantized join
-// sweeps its own group codebooks, src/parallel/join.cc). The first two
-// hold the quantized/exact decision once: on a plain block the sweep is the
-// familiar ComparableBlock / Contains pass; on a quantized block
+// share one implementation), and SweepLeafBlockSelf for the exact
+// self-join (a quantized join sweeps its own group codebooks,
+// src/parallel/join.cc). Containment queries (range, partial match) run
+// the float Contains pass in TreeBase::RangeQuery on every block: an SQ8
+// code-interval prefilter there measured 1.02-1.25x the float pass.
+//
+// SweepLeafBlockMany holds the quantized/exact decision once: on a plain
+// block it is the familiar ComparableBlock pass; on a quantized block
 // (LeafBlock::has_sq8) it first runs one full-width integer SQ8
 // reduction over the uint8 mirror, prunes every candidate whose
 // comparable-space lower bound (Sq8Bound::LowerBound, applied through
@@ -21,21 +24,19 @@
 //
 // Each sweep returns (or fills) the Counters it moved (src/io/counters.h);
 // callers forward them to TreeBase::ChargeLeafSweep so exact re-ranks
-// meter simulated CPU (distance_computations; containment sweeps charge
-// none) and the prune/re-rank/bytes counters reach the per-query stats.
-// The integer bound computations charge no simulated CPU: they are the
-// cost the quantized path removes, and the counters make the removal
-// auditable instead of invisible.
+// meter simulated CPU (distance_computations) and the
+// prune/re-rank/bytes counters reach the per-query stats. The integer
+// bound computations charge no simulated CPU: they are the cost the
+// quantized path removes, and the counters make the removal auditable
+// instead of invisible.
 
 #ifndef PARSIM_SRC_INDEX_LEAF_SWEEP_H_
 #define PARSIM_SRC_INDEX_LEAF_SWEEP_H_
 
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "src/geometry/metric.h"
-#include "src/geometry/rect.h"
 #include "src/geometry/sq8.h"
 #include "src/index/node.h"
 #include "src/io/counters.h"
@@ -64,8 +65,6 @@ struct LeafSweepScratch {
   std::vector<std::uint8_t> qcodes;    // members x dim
   std::vector<Sq8Bound> bounds;        // one per member
   std::vector<std::uint32_t> survivors;  // bound survivors of one sweep
-  std::vector<std::uint32_t> active;   // members surviving the base prune
-  std::vector<double> active_cuts;     // their PruneCutoff at block entry
 };
 
 LeafSweepScratch& SweepScratch();
@@ -73,8 +72,10 @@ LeafSweepScratch& SweepScratch();
 /// Reduction-space prune cutoff as an exact integer: for any uint32
 /// reduction r, double(r) > cutoff <=> r > IntCutoff(cutoff) (truncation
 /// is floor for the non-negative values PruneCutoff returns; cutoffs at
-/// or past 2^32 - 1, including +infinity, saturate to UINT32_MAX which
-/// prunes nothing).
+/// or past 2^32 - 1, including +infinity, and NaN saturate to UINT32_MAX
+/// which prunes nothing). A negative cutoff — PruneCutoff's "the base
+/// term alone prunes everything" — has no integer form: callers guard
+/// it, and a debug build fails a PARSIM_DCHECK if one slips through.
 std::uint32_t IntCutoff(double cutoff);
 
 /// Appends to `out` (capacity >= count) every index i with
@@ -95,14 +96,6 @@ std::size_t CountSurvivors(const std::uint32_t* reductions,
                            std::size_t count, std::uint32_t cutoff);
 
 }  // namespace detail
-
-/// Sweeps one leaf block for a containment query (range / partial
-/// match), appending matching ids to `out`. On a quantized block a
-/// conservative per-dimension code-interval prefilter runs over the
-/// uint8 mirror first; survivors go through the exact float Contains, so
-/// the id set matches the exact sweep exactly.
-Counters SweepLeafRange(const LeafBlock& block, const Rect& query,
-                        std::vector<PointId>* out);
 
 /// Sweeps one leaf block for `members` distance-threshold queries (k-NN,
 /// ball) at once: `queries` is row-major, members x block.dim scalars,
@@ -134,7 +127,6 @@ void SweepLeafBlockMany(const LeafBlock& block, const Scalar* queries,
                         Counters* stats, double approx_factor = 1.0) {
   detail::LeafSweepScratch& scratch = detail::SweepScratch();
   const std::size_t dim = block.dim;
-  const bool approx = approx_factor > 1.0;
   if (!block.has_sq8) {
     ScopedPhase phase(Phase::kSweepRerank);
     detail::GrowTo(scratch.dists, members * block.count);
@@ -157,53 +149,36 @@ void SweepLeafBlockMany(const LeafBlock& block, const Scalar* queries,
     PrepareSq8QueryMany(block.sq8, queries, members, metric.kind(),
                         scratch.qcodes.data(), scratch.bounds.data());
   }
-  // Member-level base prune: a member whose candidate-independent `base`
-  // term already exceeds its threshold (PruneCutoff's negative sentinel)
-  // prunes the whole block before the integer kernel runs. Survivors are
-  // compacted in place (ascending, so each code row moves down or stays
-  // put) and one many-to-many kernel call covers just them — on hot-spot
-  // batches most member/block pairs end here, at the cost of one query
-  // preparation and one compare.
-  scratch.active.clear();
-  scratch.active_cuts.clear();
-  for (std::size_t m = 0; m < members; ++m) {
-    const double t = threshold(m);
-    const double dcut =
-        scratch.bounds[m].PruneCutoff(approx ? t / approx_factor : t);
-    if (dcut < 0.0) {
-      stats[m].quantized_pruned += block.count;
-      stats[m].base_pruned += block.count;
-      if (approx && scratch.bounds[m].PruneCutoff(t) < 0.0) {
-        stats[m].approx_pruned_exactly += block.count;
-      }
-    } else {
-      scratch.active.push_back(static_cast<std::uint32_t>(m));
-      scratch.active_cuts.push_back(dcut);
-    }
-  }
-  const std::size_t nactive = scratch.active.size();
-  if (nactive == 0) {
-    return;
-  }
-  for (std::size_t a = 0; a < nactive; ++a) {
-    const std::size_t m = scratch.active[a];
-    if (m != a) {
-      std::memcpy(scratch.qcodes.data() + a * dim,
-                  scratch.qcodes.data() + m * dim, dim);
-    }
-  }
   {
     ScopedPhase phase(Phase::kSweepFull);
-    detail::GrowTo(scratch.reductions, nactive * block.count);
-    metric.Sq8Block(scratch.qcodes.data(), nactive, block.sq8.codes.data(),
+    detail::GrowTo(scratch.reductions, members * block.count);
+    metric.Sq8Block(scratch.qcodes.data(), members, block.sq8.codes.data(),
                     block.count, dim, scratch.reductions.data());
   }
+  // Dividing by 1.0 is exact, so the exact sweep needs no branch of its
+  // own: threshold / approx_factor is the threshold itself there.
+  const bool approx = approx_factor > 1.0;
   const ComparableFn exact = metric.comparable_fn();
   detail::GrowTo(scratch.survivors, block.count);
-  for (std::size_t a = 0; a < nactive; ++a) {
-    const std::size_t m = scratch.active[a];
-    const std::uint32_t* row = scratch.reductions.data() + a * block.count;
+  for (std::size_t m = 0; m < members; ++m) {
+    const Sq8Bound& bound = scratch.bounds[m];
+    const std::uint32_t* row = scratch.reductions.data() + m * block.count;
     const Scalar* qrow = queries + m * dim;
+    double last_threshold = threshold(m);
+    double dcut = bound.PruneCutoff(last_threshold / approx_factor);
+    if (dcut < 0.0) {
+      // The entry guard: the base term alone exceeds the (relaxed)
+      // threshold, and IntCutoff must never see the negative cutoff that
+      // says so. The tree searches read a leaf only while its MINDIST is
+      // within that threshold, and `base` is a guard-deflated lower bound
+      // on the MINDIST, so they do not reach this branch.
+      stats[m].quantized_pruned += block.count;
+      stats[m].base_pruned += block.count;
+      if (approx && bound.PruneCutoff(last_threshold) < 0.0) {
+        stats[m].approx_pruned_exactly += block.count;
+      }
+      continue;
+    }
     Counters sweep;
     // One SIMD pass compresses the survivor indices under the cutoff in
     // force at block entry; the emit loop then re-checks each survivor
@@ -213,10 +188,6 @@ void SweepLeafBlockMany(const LeafBlock& block, const Scalar* queries,
     // under any later (tighter) cutoff too, and one that entry-survives
     // but reaches the emit loop after a tightening is caught by the
     // re-check — at one compare per candidate plus one per survivor.
-    // Only m's own emits move threshold(m), and none came since the base
-    // prune, so its cutoff from there still holds (and is >= 0).
-    double last_threshold = threshold(m);
-    double dcut = scratch.active_cuts[a];
     std::uint32_t cutoff = detail::IntCutoff(dcut);
     // Exact-attribution twin of `cutoff` (approx only): the integer
     // cutoff the lossless contract would use at the same threshold.
@@ -225,7 +196,7 @@ void SweepLeafBlockMany(const LeafBlock& block, const Scalar* queries,
     // the exactly-proven prunes are a subset of the relaxed prunes.
     std::uint32_t ecut = 0;
     if (approx) {
-      ecut = detail::IntCutoff(scratch.bounds[m].PruneCutoff(last_threshold));
+      ecut = detail::IntCutoff(bound.PruneCutoff(last_threshold));
     }
     std::size_t nsurv;
     {
@@ -255,14 +226,16 @@ void SweepLeafBlockMany(const LeafBlock& block, const Scalar* queries,
       const double t = threshold(m);
       if (t != last_threshold) {
         last_threshold = t;
-        dcut = scratch.bounds[m].PruneCutoff(approx ? t / approx_factor : t);
+        dcut = bound.PruneCutoff(t / approx_factor);
         if (dcut < 0.0) {
+          // Only a relaxed threshold can fall below the base term here:
+          // an exact one is at least the emitted distance.
           sweep.base_pruned += nsurv - s - 1;
           if (approx) {
             // Exact attribution of the rest-of-block drop: the exact
             // base may not have crossed yet, in which case each
             // remaining survivor's already-computed reduction decides.
-            const double ed = scratch.bounds[m].PruneCutoff(t);
+            const double ed = bound.PruneCutoff(t);
             if (ed < 0.0) {
               sweep.approx_pruned_exactly += nsurv - s - 1;
             } else {
@@ -277,9 +250,7 @@ void SweepLeafBlockMany(const LeafBlock& block, const Scalar* queries,
           break;
         }
         cutoff = detail::IntCutoff(dcut);
-        if (approx) {
-          ecut = detail::IntCutoff(scratch.bounds[m].PruneCutoff(t));
-        }
+        if (approx) ecut = detail::IntCutoff(bound.PruneCutoff(t));
       }
     }
     sweep.quantized_pruned = sweep.base_pruned + sweep.sq8_pruned;

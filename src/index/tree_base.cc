@@ -945,7 +945,16 @@ std::vector<PointId> TreeBase::RangeQuery(const Rect& query) const {
       // Sweep the SoA block instead of the AoS entries: a leaf entry's
       // rect is the degenerate rect of its point, so Intersects(e.rect)
       // is exactly Contains(point), and the block preserves entry order.
-      ChargeLeafSweep(route, SweepLeafRange(node.block, query, &out));
+      // The float pass serves quantized blocks too (an SQ8 code-interval
+      // prefilter measured slower than it), and a containment test
+      // charges no simulated distance computation.
+      const LeafBlock& block = node.block;
+      for (std::size_t i = 0; i < block.count; ++i) {
+        if (query.Contains(block.row(i))) out.push_back(block.ids[i]);
+      }
+      Counters sweep;
+      sweep.leaf_bytes_scanned = block.count * block.dim * sizeof(Scalar);
+      ChargeLeafSweep(route, sweep);
       continue;
     }
     for (const NodeEntry& e : node.entries) {

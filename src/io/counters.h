@@ -49,17 +49,18 @@ namespace parsim {
     "leaf candidates the SQ8 lower bound eliminated before exact work; "     \
     "always base_pruned + sq8_pruned")                                       \
   X(base_pruned,                                                             \
-    "of quantized_pruned, killed by the query's base term with no kernel "   \
-    "work; 0 on exact k-NN (a leaf is swept only within the threshold), "    \
-    "fires under approx without early termination and in multi-group SQ8 "   \
-    "joins")                                                                 \
+    "of quantized_pruned, killed by a base term with no per-candidate "      \
+    "test: the self-join's codebook-row and run-box prunes, the k-NN "       \
+    "sweep's entry guard (no search reaches it: a leaf is swept only "       \
+    "within its cutoff), and under approx the rest of a leaf once the "      \
+    "relaxed cutoff falls below the base term")                              \
   X(sq8_pruned,                                                              \
-    "of quantized_pruned, killed by the integer SQ8 reduction (or the "      \
-    "range sweep's code-interval prefilter)")                                \
+    "of quantized_pruned, killed by the integer SQ8 reduction")              \
   X(reranked, "SQ8 bound survivors re-ranked by the exact float kernel")     \
   X(leaf_bytes_scanned,                                                      \
-    "bytes leaf sweeps streamed: float rows exact, code rows plus "          \
-    "re-ranked float rows on the SQ8 path")                                  \
+    "bytes leaf sweeps streamed: float rows on exact blocks and in every "   \
+    "containment sweep, code rows plus re-ranked float rows on the SQ8 "     \
+    "distance path")                                                         \
   X(frontier_pushes, "items (nodes and points) pushed on an HS frontier")    \
   X(frontier_pops, "items popped from an HS frontier")                       \
   X(cutoff_skipped_nodes,                                                    \

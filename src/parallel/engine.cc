@@ -84,17 +84,15 @@ ParallelSearchEngine::ParallelSearchEngine(
     // leaf blocks, so the loop is empty there and the flag is a no-op.
     for (auto& t : trees_) t->set_quantized_leaf_blocks(true);
   }
-  if (options_.approx.enabled && options_.approx.epsilon > 0.0) {
-    PARSIM_CHECK(options_.approx.epsilon < 1e9);  // catch garbage knobs
-    // One comparable-scale factor serves both mechanisms: ToComparable
-    // is multiplicative for every supported kind ((1+eps)^2 on L2's
-    // squared scale, (1+eps) on L1/Lmax), so dividing a comparable
-    // bound by it divides the real-distance bound by exactly (1+eps).
-    const double factor =
-        options_.metric.ToComparable(1.0 + options_.approx.epsilon);
-    if (options_.approx.early_termination) approx_.node_factor = factor;
-    if (options_.approx.relax_bounds) approx_.sweep_factor = factor;
-  }
+  // Written so that NaN fails too.
+  PARSIM_CHECK(options_.approx_epsilon >= 0.0 &&
+               options_.approx_epsilon < 1e9);
+  // One comparable-scale factor serves both mechanisms: ToComparable
+  // is multiplicative for every supported kind ((1+eps)^2 on L2's
+  // squared scale, (1+eps) on L1/Lmax), so dividing a comparable
+  // bound by it divides the real-distance bound by exactly (1+eps).
+  // At epsilon 0 it is exactly 1.0, the exact search.
+  approx_factor_ = options_.metric.ToComparable(1.0 + options_.approx_epsilon);
 }
 
 ParallelSearchEngine::~ParallelSearchEngine() = default;
@@ -365,7 +363,7 @@ KnnResult ParallelSearchEngine::RunKnn(const TreeBase& tree, PointView query,
     // for the HS best-first search only.
     return RkvKnn(tree, query, k, options_.metric);
   }
-  return HsKnn(tree, query, k, options_.metric, approx_);
+  return HsKnn(tree, query, k, options_.metric, approx_factor_);
 }
 
 QueryStats ParallelSearchEngine::StatsFromAccumulator(
@@ -699,7 +697,7 @@ std::vector<KnnResult> ParallelSearchEngine::QueryBatch(
     PhaseAccumulator phase_acc;
     // A closed schedule: every query is admitted up front, in query
     // order, so the rounds' (node, slot) fetch order is (node, query).
-    HsRoundScheduler scheduler(*trees_[0], options_.metric, approx_,
+    HsRoundScheduler scheduler(*trees_[0], options_.metric, approx_factor_,
                                options_.profile_phases ? &phase_acc : nullptr);
     for (std::size_t i = 0; i < queries.size(); ++i) {
       const std::size_t slot = scheduler.Add(queries[i], k, &accs[i]);

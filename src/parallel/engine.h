@@ -78,37 +78,6 @@ enum class Architecture {
   kFederatedScan,
 };
 
-/// Opt-in (1+eps)-approximate k-NN tier (see DESIGN.md "Approximate
-/// tier & recall harness"). Applies to HS best-first k-NN searches only
-/// — Query/TryQuery/QueryBatch under KnnAlgorithm::kHs, single-query
-/// and coalesced alike, and composing with batching, buffering,
-/// replicas, and fault injection; RKV, ball, and range queries stay
-/// exact, as does everything at epsilon == 0 (asserted bit-identical in
-/// tests/index_approx_knn_test.cc).
-///
-/// Contract: every returned distance D_k satisfies
-/// D_k <= (1+eps) * d_k_true, and every true neighbor within
-/// d_k_true/(1+eps) is returned. Recall@k is NOT directly bounded —
-/// that is what the ground-truth harness (src/eval/recall.h,
-/// bench/microbench_recall) measures; eps is the knob that trades
-/// recall for QPS along the measured curve.
-struct ApproxOptions {
-  bool enabled = false;
-  /// The (1+eps) slack. 0 keeps the search exact even when enabled.
-  double epsilon = 0.0;
-  /// Mechanism (a), bound relaxation: scale the SQ8 PruneCutoff guard
-  /// so leaf candidates whose lower bound clears the exact threshold but
-  /// not threshold/(1+eps) are dropped without a re-rank.
-  /// Needs quantized_leaf_blocks (the exact sweep has no cutoff).
-  bool relax_bounds = true;
-  /// Mechanism (b), early termination: stop descending once a frontier
-  /// node's MINDIST exceeds dist_k/(1+eps) — implemented as a per-node
-  /// skip against the relaxed bound at push and pop time, which is
-  /// equivalent (the frontier pops in ascending MINDIST order) and also
-  /// saves the skipped nodes' page reads.
-  bool early_termination = true;
-};
-
 /// Engine configuration.
 struct EngineOptions {
   Architecture architecture = Architecture::kSharedTree;
@@ -164,9 +133,11 @@ struct EngineOptions {
   /// Attribute wall-clock time to query phases (descent, frontier ops,
   /// simulated-I/O accounting, leaf-sweep stages; see
   /// src/util/phase_timer.h) and report it in QueryStats::phases /
-  /// ThroughputResult::phases. Off by default: the timer is cheap (two
-  /// steady_clock reads per scope) but not free, so timed benchmark runs
-  /// keep it off and take the breakdown from a separate profiled pass.
+  /// ThroughputResult::phases. Governs Query, TryQuery and QueryBatch
+  /// only: a join profiles exactly when its JoinOptions::profile_phases
+  /// is set. Off by default: the timer is cheap (two steady_clock reads
+  /// per scope) but not free, so timed benchmark runs keep it off and
+  /// take the breakdown from a separate profiled pass.
   bool profile_phases = false;
   /// Leaf fill fraction handed to BulkLoad (TreeOptions::bulk_load_fill).
   /// The R*-style 0.7 leaves headroom for later inserts; a read-only
@@ -174,8 +145,23 @@ struct EngineOptions {
   /// count and the per-row share of descent/frontier work. Only used
   /// when bulk_load is set.
   double bulk_load_fill = 0.7;
-  /// The approximate search tier (off = exact, the default).
-  ApproxOptions approx{};
+  /// The (1+eps) slack of the approximate k-NN tier (DESIGN.md
+  /// "Approximate tier"); 0, the default, is the exact search. It
+  /// applies to HS best-first k-NN only — Query, TryQuery, QueryBatch
+  /// and QueryService under KnnAlgorithm::kHs, single-query and
+  /// coalesced alike — and composes with batching, buffering, replicas
+  /// and fault injection; RKV, ball and range queries stay exact. Both
+  /// mechanisms run at once: a frontier node whose MINDIST exceeds
+  /// d_k/(1+eps) is not read, and an SQ8 leaf candidate (quantized
+  /// blocks only) whose lower bound exceeds it is not re-ranked.
+  ///
+  /// Contract: every returned k-th distance D_k satisfies
+  /// D_k <= (1+eps) * d_k_true, and every true neighbor within
+  /// d_k_true/(1+eps) is returned. Recall@k is NOT directly bounded —
+  /// that is what the ground-truth harness (src/eval/recall.h,
+  /// bench/microbench_recall) measures. A negative, NaN or huge (>= 1e9)
+  /// epsilon fails a PARSIM_CHECK at construction.
+  double approx_epsilon = 0.0;
   DiskParameters disk_parameters{};
   Metric metric{};
 };
@@ -389,7 +375,7 @@ class ParallelSearchEngine {
   // The query service front-end (src/service/query_service.h) drives the
   // round scheduler directly and reuses the engine's accumulator-derived
   // accounting (StatsFromAccumulator / MergeAccumulator), pool, and
-  // resolved approx context.
+  // resolved approx factor.
   friend class QueryService;
 
   std::unique_ptr<TreeBase> MakeTree(SimulatedDisk* disk) const;
@@ -446,10 +432,10 @@ class ParallelSearchEngine {
   std::size_t dim_;
   std::unique_ptr<Declusterer> declusterer_;
   EngineOptions options_;
-  /// options_.approx resolved to comparable-scale factors once at
-  /// construction: Metric::ToComparable(1 + epsilon) per enabled
-  /// mechanism, 1.0 (exact) otherwise. See ApproxContext.
-  ApproxContext approx_;
+  /// options_.approx_epsilon resolved once at construction to the
+  /// comparable-scale factor Metric::ToComparable(1 + epsilon), which is
+  /// 1.0 (exact) at epsilon 0. See HsKnn.
+  double approx_factor_ = 1.0;
   std::unique_ptr<ReplicaPlacement> replicas_;
   /// kSharedTree: the route of every non-empty leaf, indexed by node id
   /// (dissolved leaves keep a stale entry no query reads). Computing a

@@ -767,7 +767,7 @@ JoinResult ParallelSearchEngine::SelfJoin(double epsilon,
   JoinResult result;
   QueryCostAccumulator acc(disks_.size() + 1);
   PhaseAccumulator phase_acc;
-  const bool profile = options_.profile_phases || options.profile_phases;
+  const bool profile = options.profile_phases;
   const unsigned threads =
       options.threads != 0 ? options.threads : options_.parallel_workers;
   std::shared_ptr<ThreadPool> pool;

@@ -95,8 +95,10 @@ struct JoinOptions {
   /// parallel_workers, 1 = serial. Results and stats are identical at
   /// any value.
   unsigned threads = 0;
-  /// Attribute wall-clock time to phases for this join even when the
-  /// engine was built without profile_phases.
+  /// Attribute wall-clock time to phases for this join
+  /// (JoinStats::phases). This flag alone decides: the engine's
+  /// EngineOptions::profile_phases governs Query and QueryBatch only, so
+  /// a profiled engine still runs an unprofiled join unless this is set.
   bool profile_phases = false;
 };
 
@@ -143,7 +145,7 @@ struct JoinStats : Counters {
   double sum_ms = 0.0;
   double balance = 1.0;
 
-  /// Wall-clock phase breakdown (zero unless profiling was requested).
+  /// Wall-clock phase breakdown (zero unless JoinOptions::profile_phases).
   PhaseBreakdown phases;
 };
 

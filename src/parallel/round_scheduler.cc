@@ -9,11 +9,11 @@
 namespace parsim {
 
 HsRoundScheduler::HsRoundScheduler(const TreeBase& tree, const Metric& metric,
-                                   const ApproxContext& approx,
+                                   double approx_factor,
                                    PhaseAccumulator* phases)
     : tree_(tree),
       metric_(metric),
-      approx_(approx),
+      approx_factor_(approx_factor),
       phases_(phases),
       dim_(tree.dim()) {}
 
@@ -32,7 +32,7 @@ std::size_t HsRoundScheduler::Add(PointView query, std::size_t k,
     states_.emplace_back();
   }
   QueryState& s = states_[slot];
-  s.search.Start(tree_.root_id(), k, metric_, approx_);
+  s.search.Start(tree_.root_id(), k, metric_, approx_factor_);
   s.query.assign(query.begin(), query.end());
   s.acc = acc;
   s.max_pages = max_pages;
@@ -166,7 +166,7 @@ std::size_t HsRoundScheduler::Step(ThreadPool* pool) {
             states_[requests_[g.begin + m].second].search.PushPoint(
                 key, block.ids[i]);
           },
-          sweeps.data(), approx_.sweep_factor);
+          sweeps.data(), approx_factor_);
       for (std::size_t m = 0; m < members; ++m) {
         const std::size_t qi = requests_[g.begin + m].second;
         DiskStats& s = states_[qi].acc->slot(slot);

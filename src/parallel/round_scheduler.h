@@ -64,11 +64,13 @@ namespace parsim {
 
 class HsRoundScheduler {
  public:
-  /// `tree`, `metric`, `approx` and `phases` must outlive the scheduler;
-  /// `phases` (nullable) receives the wall-clock phase breakdown of all
-  /// scheduling and expansion work, summed over worker threads.
+  /// `tree`, `metric` and `phases` must outlive the scheduler;
+  /// `approx_factor` is the approximate tier's comparable-scale factor
+  /// (1.0 = exact; see HsKnn); `phases` (nullable) receives the
+  /// wall-clock phase breakdown of all scheduling and expansion work,
+  /// summed over worker threads.
   HsRoundScheduler(const TreeBase& tree, const Metric& metric,
-                   const ApproxContext& approx = ApproxContext(),
+                   double approx_factor = 1.0,
                    PhaseAccumulator* phases = nullptr);
 
   /// Admits one k-NN query. The coordinates are copied into the slot;
@@ -127,7 +129,7 @@ class HsRoundScheduler {
 
   const TreeBase& tree_;
   const Metric& metric_;
-  const ApproxContext& approx_;
+  const double approx_factor_;
   PhaseAccumulator* phases_;
   std::size_t dim_;
   std::vector<QueryState> states_;

@@ -20,7 +20,7 @@ QueryService::QueryService(const ParallelSearchEngine& engine,
                            ServiceOptions options)
     : engine_(engine),
       options_(options),
-      scheduler_(engine.tree(), engine.options().metric, engine.approx_,
+      scheduler_(engine.tree(), engine.options().metric, engine.approx_factor_,
                  nullptr) {
   // The round scheduler exists only where one shared tree serves every
   // query with the pausable HS search — the same gate QueryBatch's

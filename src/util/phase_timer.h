@@ -102,10 +102,6 @@ class PhaseAccumulator {
         std::memory_order_relaxed);
   }
 
-  void Reset() {
-    for (auto& n : ns_) n.store(0, std::memory_order_relaxed);
-  }
-
  private:
   std::array<std::atomic<std::uint64_t>, kNumPhases> ns_{};
 };

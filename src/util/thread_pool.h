@@ -20,42 +20,31 @@
 #include <deque>
 #include <exception>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 namespace parsim {
 
-/// A fixed-size pool of worker threads with a shared FIFO task queue.
+/// A fixed-size pool of worker threads with a shared FIFO task queue,
+/// fed by ParallelFor.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (0 = std::thread::hardware_concurrency,
   /// at least 1). The workers live until destruction.
   explicit ThreadPool(unsigned num_threads = 0);
 
-  /// Drains every queued task, then joins the workers.
+  /// Joins the workers. Every task is a ParallelFor helper, and
+  /// ParallelFor returns only after its helpers ran, so no task is
+  /// queued by then.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   unsigned size() const { return static_cast<unsigned>(workers_.size()); }
-
-  /// Enqueues `fn` and returns a future for its result; exceptions thrown
-  /// by `fn` surface through the future.
-  template <typename F>
-  auto Submit(F&& fn) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
-    using R = std::invoke_result_t<std::decay_t<F>>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> result = task->get_future();
-    Enqueue([task]() { (*task)(); });
-    return result;
-  }
 
   /// Runs body(i) for every i in [begin, end), distributing iterations
   /// over the workers *and* the calling thread; returns when all

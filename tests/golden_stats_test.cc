@@ -194,8 +194,7 @@ std::string RenderActualStats(Counters* rendered) {
   // skip conditions — however plausible — shows up as a diff here.
   EngineOptions approx = options;
   approx.quantized_leaf_blocks = true;
-  approx.approx.enabled = true;
-  approx.approx.epsilon = 0.25;
+  approx.approx_epsilon = 0.25;
   ParallelSearchEngine approx_engine(
       dim, std::make_unique<NearOptimalDeclusterer>(dim, disks), approx);
   EXPECT_TRUE(approx_engine.Build(data).ok());
@@ -291,8 +290,8 @@ std::string RenderActualStats(Counters* rendered) {
       << " data_pages=" << str_tree.DataPages() << "\n";
   append_tree_levels(str_tree);
 
-  // The three sections below each make one counter move that no
-  // scenario above does.
+  // The two sections below, and the small-epsilon join at the end, each
+  // make one counter move that no scenario above does.
   //
   // unavailable_pages: with replicas off, the pages of failed disk 0 have
   // no healthy copy, and TryQuery reports kUnavailable.
@@ -325,23 +324,6 @@ std::string RenderActualStats(Counters* rendered) {
     QueryStats stats;
     (void)big_engine.Query(queries[qi], k, &stats);
     out << "query " << qi << ": ";
-    AppendQueryStats(&out, stats, rendered);
-  }
-
-  // base_pruned: without early termination the approx tier sweeps leaves
-  // whose MINDIST exceeds the relaxed threshold, and the query's base
-  // term prunes them whole.
-  EngineOptions no_early = approx;
-  no_early.approx.early_termination = false;
-  ParallelSearchEngine no_early_engine(
-      dim, std::make_unique<NearOptimalDeclusterer>(dim, disks), no_early);
-  EXPECT_TRUE(no_early_engine.Build(data).ok());
-  out << "[approx eps=0.25 quantized no_early_termination]\n";
-  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
-    QueryStats stats;
-    const KnnResult got = no_early_engine.Query(queries[qi], k, &stats);
-    out << "query " << qi
-        << ": recall=" << FormatDouble(RecallAtK(got, truth[qi], k)) << " ";
     AppendQueryStats(&out, stats, rendered);
   }
 
@@ -417,6 +399,21 @@ std::string RenderActualStats(Counters* rendered) {
       AppendQueryStats(&out, batch_stats[qi], rendered);
     }
   }
+
+  // base_pruned: at a small epsilon the quantized self-join drops whole
+  // codebook rows whose base term, or whose distance to the run's box,
+  // already exceeds epsilon. No k-NN scenario above does: a search reads
+  // a leaf only within its cutoff. No epsilon on this data does that and
+  // emits a pair too (the closest pair is about 0.06 apart, and from
+  // 0.04 on every block pair is swept with no base prune), so this join
+  // emits none; the exact engine must agree.
+  const double small_join_eps = 0.02;
+  const JoinResult small_exact = engine.SelfJoin(small_join_eps);
+  const JoinResult small_quant = quant_engine.SelfJoin(small_join_eps);
+  EXPECT_TRUE(small_exact.pairs == small_quant.pairs);
+  EXPECT_GT(small_quant.stats.base_pruned, 0u);
+  out << "[join eps=" << small_join_eps << " quantized]\n";
+  append_join_stats(small_quant.stats);
   return out.str();
 }
 

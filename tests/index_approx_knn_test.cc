@@ -1,28 +1,26 @@
 // The approximate search tier vs the exact path it relaxes.
 //
-// Two properties carry the whole tier and both are testable without any
-// tolerance for hand-waving:
+// The tier is one knob, EngineOptions::approx_epsilon, and 0 is the
+// exact engine by construction: the engine resolves it to the
+// comparable-scale factor ToComparable(1 + 0) = 1.0, at which every
+// approx branch is dead. What is left to test is eps > 0, which must
+// honor the (1+eps) contract. The HS bound only tightens and finishes
+// equal to the reported k-th distance D_k, so every skipped candidate
+// has true distance > D_k/(1+eps). Corollaries pinned here per query:
+// D_k <= (1+eps) * d_true_k, every true neighbor with d * (1+eps) < D_k
+// is returned, and measured recall is at least the analytic floor
+// |{i : d_i * (1+eps) <= d_true_k}| / k.
 //
-//   1. eps = 0 is EXACT — not "close", bit-identical: results,
-//      distances, page counts, per-disk page spreads, and every
-//      quantized-prune counter, because each approx branch is gated on
-//      factor > 1.0 and therefore compiled-in but never taken.
-//   2. eps > 0 honors the (1+eps) contract. The HS bound only tightens
-//      and finishes equal to the reported k-th distance D_k, so every
-//      skipped candidate has true distance > D_k/(1+eps). Corollaries
-//      pinned here per query: D_k <= (1+eps) * d_true_k, every true
-//      neighbor with d * (1+eps) < D_k is returned, and measured recall
-//      is at least the analytic floor |{i : d_i * (1+eps) <= d_true_k}|
-//      / k.
-//
-// Both are checked across metrics, both approx mechanisms in isolation
-// (bound relaxation without early termination and vice versa), the
-// single-query and coalesced-batch paths, and thread counts (the skip
+// The contract is checked across metrics and epsilons with both
+// mechanisms (early termination and bound relaxation) on together, as
+// the engine always runs them, and across thread counts (the skip
 // decisions depend only on each query's own frontier state, so the
-// batch must stay deterministic under any worker count).
+// batch must stay deterministic under any worker count). An epsilon
+// below 0, or NaN, fails the engine's check.
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -42,11 +40,7 @@ constexpr MetricKind kAllKinds[] = {MetricKind::kL1, MetricKind::kL2,
 
 struct EngineConfig {
   MetricKind metric = MetricKind::kL2;
-  bool approx = false;
   double epsilon = 0.0;
-  bool relax_bounds = true;
-  bool early_termination = true;
-  bool coalesced = true;
 };
 
 std::unique_ptr<ParallelSearchEngine> MakeEngine(const PointSet& data,
@@ -55,41 +49,14 @@ std::unique_ptr<ParallelSearchEngine> MakeEngine(const PointSet& data,
   options.architecture = Architecture::kSharedTree;
   options.bulk_load = true;
   options.metric = Metric(config.metric);
-  options.coalesced_batch = config.coalesced;
+  options.coalesced_batch = true;
   options.quantized_leaf_blocks = true;
-  options.approx.enabled = config.approx;
-  options.approx.epsilon = config.epsilon;
-  options.approx.relax_bounds = config.relax_bounds;
-  options.approx.early_termination = config.early_termination;
+  options.approx_epsilon = config.epsilon;
   auto engine = std::make_unique<ParallelSearchEngine>(
       data.dim(), std::make_unique<NearOptimalDeclusterer>(data.dim(), 4),
       options);
   EXPECT_TRUE(engine->Build(data).ok());
   return engine;
-}
-
-void ExpectRunsBitIdentical(const std::vector<KnnResult>& a,
-                            const std::vector<KnnResult>& b,
-                            const std::vector<QueryStats>& sa,
-                            const std::vector<QueryStats>& sb) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t qi = 0; qi < a.size(); ++qi) {
-    ASSERT_EQ(a[qi].size(), b[qi].size()) << "query " << qi;
-    for (std::size_t i = 0; i < a[qi].size(); ++i) {
-      EXPECT_EQ(a[qi][i].id, b[qi][i].id) << "query " << qi << " rank " << i;
-      EXPECT_EQ(a[qi][i].distance, b[qi][i].distance)
-          << "query " << qi << " rank " << i;
-    }
-    EXPECT_EQ(sa[qi].total_pages, sb[qi].total_pages) << "query " << qi;
-    EXPECT_EQ(sa[qi].directory_pages, sb[qi].directory_pages) << "query "
-                                                              << qi;
-    EXPECT_EQ(sa[qi].pages_per_disk, sb[qi].pages_per_disk) << "query " << qi;
-    EXPECT_EQ(sa[qi].quantized_pruned, sb[qi].quantized_pruned)
-        << "query " << qi;
-    EXPECT_EQ(sa[qi].approx_skipped_nodes, 0u) << "query " << qi;
-    EXPECT_EQ(sb[qi].approx_skipped_nodes, 0u) << "query " << qi;
-    EXPECT_EQ(sa[qi].approx_pruned_exactly, 0u) << "query " << qi;
-  }
 }
 
 // Relative fp slop for contract checks across the float kernel / double
@@ -159,49 +126,6 @@ class ApproxKnnTest : public ::testing::Test {
   PointSet queries_;
 };
 
-TEST_F(ApproxKnnTest, EpsilonZeroIsBitIdenticalCoalesced) {
-  for (const MetricKind kind : kAllKinds) {
-    SCOPED_TRACE(MetricKindToString(kind));
-    EngineConfig exact_config{kind};
-    EngineConfig approx_config{kind};
-    approx_config.approx = true;
-    approx_config.epsilon = 0.0;
-    const auto exact = MakeEngine(data_, exact_config);
-    const auto approx = MakeEngine(data_, approx_config);
-    std::vector<QueryStats> exact_stats, approx_stats;
-    const auto exact_results =
-        exact->QueryBatch(queries_, 9, &exact_stats, 1);
-    const auto approx_results =
-        approx->QueryBatch(queries_, 9, &approx_stats, 1);
-    ExpectRunsBitIdentical(exact_results, approx_results, exact_stats,
-                           approx_stats);
-  }
-}
-
-TEST_F(ApproxKnnTest, EpsilonZeroIsBitIdenticalSingleQuery) {
-  for (const MetricKind kind : kAllKinds) {
-    SCOPED_TRACE(MetricKindToString(kind));
-    EngineConfig exact_config{kind};
-    exact_config.coalesced = false;
-    EngineConfig approx_config = exact_config;
-    approx_config.approx = true;
-    // enabled with epsilon == 0 must resolve to the exact context.
-    const auto exact = MakeEngine(data_, exact_config);
-    const auto approx = MakeEngine(data_, approx_config);
-    std::vector<QueryStats> exact_stats(queries_.size());
-    std::vector<QueryStats> approx_stats(queries_.size());
-    std::vector<KnnResult> exact_results, approx_results;
-    for (std::size_t qi = 0; qi < queries_.size(); ++qi) {
-      exact_results.push_back(
-          exact->Query(queries_[qi], 9, &exact_stats[qi]));
-      approx_results.push_back(
-          approx->Query(queries_[qi], 9, &approx_stats[qi]));
-    }
-    ExpectRunsBitIdentical(exact_results, approx_results, exact_stats,
-                           approx_stats);
-  }
-}
-
 TEST_F(ApproxKnnTest, ContractHoldsAcrossMetricsAndEpsilons) {
   const std::size_t k = 9;
   for (const MetricKind kind : kAllKinds) {
@@ -211,7 +135,6 @@ TEST_F(ApproxKnnTest, ContractHoldsAcrossMetricsAndEpsilons) {
     for (const double eps : {0.1, 0.5, 2.0}) {
       SCOPED_TRACE(eps);
       EngineConfig config{kind};
-      config.approx = true;
       config.epsilon = eps;
       const auto engine = MakeEngine(data_, config);
       const auto results = engine->QueryBatch(queries_, k, nullptr, 1);
@@ -220,44 +143,8 @@ TEST_F(ApproxKnnTest, ContractHoldsAcrossMetricsAndEpsilons) {
   }
 }
 
-TEST_F(ApproxKnnTest, ContractHoldsPerMechanism) {
-  const std::size_t k = 9;
-  const std::vector<KnnResult> truth = ComputeGroundTruth(data_, queries_, k);
-  for (const bool relax : {true, false}) {
-    EngineConfig config;
-    config.approx = true;
-    config.epsilon = 0.75;
-    config.relax_bounds = relax;
-    config.early_termination = !relax;
-    SCOPED_TRACE(relax ? "relax_bounds only" : "early_termination only");
-    const auto engine = MakeEngine(data_, config);
-    std::vector<QueryStats> stats;
-    const auto results = engine->QueryBatch(queries_, k, &stats, 1);
-    ExpectContractHolds(results, truth, k, 0.75);
-    std::uint64_t skipped = 0, pruned_exactly = 0, quantized = 0;
-    for (const QueryStats& s : stats) {
-      skipped += s.approx_skipped_nodes;
-      pruned_exactly += s.approx_pruned_exactly;
-      quantized += s.quantized_pruned;
-    }
-    if (relax) {
-      // Bound relaxation alone never skips frontier nodes...
-      EXPECT_EQ(skipped, 0u);
-      // ... and attributes its prunes: the exactly-attributed share can
-      // never exceed all quantized prunes.
-      EXPECT_LE(pruned_exactly, quantized);
-      EXPECT_GT(pruned_exactly, 0u);
-    } else {
-      // Early termination alone never relaxes the sweep cutoff.
-      EXPECT_EQ(pruned_exactly, 0u);
-      EXPECT_GT(skipped, 0u);
-    }
-  }
-}
-
 TEST_F(ApproxKnnTest, DeterministicAcrossThreadCounts) {
   EngineConfig config;
-  config.approx = true;
   config.epsilon = 0.6;
   const auto engine = MakeEngine(data_, config);
   std::vector<QueryStats> serial_stats;
@@ -285,7 +172,6 @@ TEST_F(ApproxKnnTest, DeterministicAcrossThreadCounts) {
 TEST_F(ApproxKnnTest, LargeEpsilonActuallySkipsWork) {
   EngineConfig exact_config;
   EngineConfig approx_config;
-  approx_config.approx = true;
   approx_config.epsilon = 1.0;
   const auto exact = MakeEngine(data_, exact_config);
   const auto approx = MakeEngine(data_, approx_config);
@@ -301,6 +187,19 @@ TEST_F(ApproxKnnTest, LargeEpsilonActuallySkipsWork) {
   // At eps = 1 on clustered data the skip must fire and save real pages.
   EXPECT_GT(skipped, 0u);
   EXPECT_LT(approx_pages, exact_pages);
+}
+
+TEST(ApproxKnnDeathTest, NegativeOrNanEpsilonFailsCheck) {
+  for (const double eps :
+       {-0.25, -1e-300, std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE(eps);
+    EngineOptions options;
+    options.approx_epsilon = eps;
+    EXPECT_DEATH(ParallelSearchEngine(
+                     4, std::make_unique<NearOptimalDeclusterer>(4, 4),
+                     options),
+                 "PARSIM_CHECK");
+  }
 }
 
 }  // namespace

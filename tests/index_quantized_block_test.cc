@@ -265,8 +265,8 @@ TEST_P(QuantizedBlockPropertyTest, QuantizedTreeMatchesOracles) {
       expect_matches_scan(Rect(std::move(lo), std::move(hi)));
     }
     {
-      // Partial match: every other dimension constrained — the range
-      // prefilter must pass unconstrained dims wholesale.
+      // Partial match: every other dimension constrained, the rest
+      // span the whole data range.
       std::vector<Scalar> lo(dim, 0.0f), hi(dim, 1.0f);
       for (std::size_t d = 0; d < dim; d += 2) {
         lo[d] = 0.15f;
@@ -275,6 +275,25 @@ TEST_P(QuantizedBlockPropertyTest, QuantizedTreeMatchesOracles) {
       expect_matches_scan(Rect(std::move(lo), std::move(hi)));
     }
   }
+}
+
+// detail::IntCutoff's contract: floor for non-negative cutoffs, and
+// UINT32_MAX (prunes nothing) at or past 2^32 - 1, at +inf and at NaN.
+// A negative cutoff (PruneCutoff's "the base term prunes all") has no
+// integer form: the sweeps guard it, and a build without NDEBUG (the
+// sanitizer lanes of tools/ci.sh) fails a DCHECK if one reaches it.
+TEST(LeafSweepTest, IntCutoffFloorsSaturatesAndRejectsNegative) {
+  EXPECT_EQ(detail::IntCutoff(0.0), 0u);
+  EXPECT_EQ(detail::IntCutoff(41.9), 41u);
+  EXPECT_EQ(detail::IntCutoff(4294967294.5), 4294967294u);
+  EXPECT_EQ(detail::IntCutoff(4294967295.0), 0xffffffffu);
+  EXPECT_EQ(detail::IntCutoff(std::numeric_limits<double>::infinity()),
+            0xffffffffu);
+  EXPECT_EQ(detail::IntCutoff(std::numeric_limits<double>::quiet_NaN()),
+            0xffffffffu);
+#ifndef NDEBUG
+  EXPECT_DEATH(detail::IntCutoff(-1.0), "PARSIM_CHECK");
+#endif
 }
 
 // Counter conservation between an exact and a quantized engine over the
@@ -349,7 +368,9 @@ TEST(QuantizedEngineTest, CountersConserveAgainstExactEngine) {
     // vacuous.
     EXPECT_GT(total_pruned, 0u);
 
-    // Range / similarity paths through the engine wrappers.
+    // Range queries through the engine wrapper: a containment sweep is
+    // the float pass on quantized blocks too, so it books the exact
+    // engine's bytes and no SQ8 work at all.
     std::vector<Scalar> lo(dim, 0.5f - half_width);
     std::vector<Scalar> hi(dim, 0.5f + half_width);
     const Rect window(std::move(lo), std::move(hi));
@@ -361,6 +382,11 @@ TEST(QuantizedEngineTest, CountersConserveAgainstExactEngine) {
     EXPECT_EQ(er, qr);
     EXPECT_FALSE(er.empty());
     EXPECT_EQ(qs.total_pages, es.total_pages);
+    EXPECT_GT(es.leaf_bytes_scanned, 0u);
+    EXPECT_EQ(qs.leaf_bytes_scanned, es.leaf_bytes_scanned);
+    EXPECT_EQ(qs.quantized_pruned, 0u);
+    EXPECT_EQ(qs.sq8_pruned, 0u);
+    EXPECT_EQ(qs.reranked, 0u);
   }
 }
 

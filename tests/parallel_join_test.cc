@@ -423,6 +423,31 @@ TEST(SimilarityJoinTest, QuantizedSweepAccountingTiesToExact) {
   EXPECT_LT(rq.stats.distance_computations, re.stats.distance_computations);
 }
 
+// A join profiles exactly when its JoinOptions ask: an engine built with
+// profile_phases profiles Query and QueryBatch, not joins, so a caller
+// can time a plain join on the same engine it profiles queries with.
+TEST(SimilarityJoinTest, ProfilesExactlyWhenTheJoinAsks) {
+  const PointSet data = GenerateClusteredGaussian(2500, 8, 8, 0.05, 5501);
+  EngineOptions options;
+  options.architecture = Architecture::kSharedTree;
+  options.bulk_load = true;
+  options.quantized_leaf_blocks = true;
+  options.profile_phases = true;
+  ParallelSearchEngine engine(
+      data.dim(), std::make_unique<NearOptimalDeclusterer>(data.dim(), 8),
+      options);
+  ASSERT_TRUE(engine.Build(data).ok());
+  JoinOptions join;
+  join.profile_phases = false;
+  const JoinResult plain = engine.SelfJoin(0.06, join);
+  for (const double ms : plain.stats.phases.ms) EXPECT_EQ(ms, 0.0);
+  join.profile_phases = true;
+  const JoinResult profiled = engine.SelfJoin(0.06, join);
+  EXPECT_GT(profiled.stats.phases.total_ms(), 0.0);
+  ExpectSamePairs(plain.pairs, profiled.pairs);
+  ExpectSameStats(plain.stats, profiled.stats);
+}
+
 TEST(SimilarityJoinTest, TinyInputs) {
   // n = 1: no pairs, but the join must run (one leaf, one self pair).
   PointSet one(4);

@@ -10,20 +10,6 @@
 namespace parsim {
 namespace {
 
-TEST(ThreadPoolTest, SubmitReturnsFutureValue) {
-  ThreadPool pool(2);
-  auto f1 = pool.Submit([] { return 41 + 1; });
-  auto f2 = pool.Submit([] { return std::string("done"); });
-  EXPECT_EQ(f1.get(), 42);
-  EXPECT_EQ(f2.get(), "done");
-}
-
-TEST(ThreadPoolTest, SubmitPropagatesExceptionThroughFuture) {
-  ThreadPool pool(2);
-  auto f = pool.Submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-}
-
 TEST(ThreadPoolTest, ParallelForRunsEveryIndexExactlyOnce) {
   ThreadPool pool(4);
   constexpr std::size_t kN = 10000;
@@ -97,17 +83,6 @@ TEST(ThreadPoolTest, ZeroRequestedThreadsStillWorks) {
   std::atomic<int> calls{0};
   pool.ParallelFor(0, 32, [&](std::size_t) { calls.fetch_add(1); });
   EXPECT_EQ(calls.load(), 32);
-}
-
-TEST(ThreadPoolTest, DestructorDrainsPendingSubmissions) {
-  std::atomic<int> done{0};
-  {
-    ThreadPool pool(1);
-    for (int i = 0; i < 20; ++i) {
-      pool.Submit([&done] { done.fetch_add(1); });
-    }
-  }  // destructor joins after the queue drains
-  EXPECT_EQ(done.load(), 20);
 }
 
 }  // namespace

@@ -18,7 +18,9 @@
 #      (-fno-sanitize-recover makes every UBSAN report fatal). GCC's
 #      -fsanitize=undefined leaves out float-cast-overflow, so it is
 #      named too: a double that does not fit the integer it is converted
-#      to (say, an infinite deadline cast to clock ticks) fails the run.
+#      to (say, an infinite deadline cast to clock ticks, or the SQ8
+#      sweep's -1 "base term prunes all" cutoff reaching
+#      detail::IntCutoff past its guard) fails the run.
 #   3. ThreadSanitizer build running the concurrency-sensitive tests:
 #      any data race in the cost-capture / thread-pool / QueryBatch path
 #      fails the run.
@@ -26,7 +28,9 @@
 #      -DNDEBUG), so every PARSIM_DCHECK is evaluated there; the Release
 #      lane compiles them out. CheckDeathTest.DcheckFiresWithoutNdebug
 #      (util_status_test) dies on a DCHECK in those builds and prints a
-#      "[ dcheck ]" skip line in the others.
+#      "[ dcheck ]" skip line in the others. detail::IntCutoff DCHECKs
+#      that its cutoff is not negative, so every SQ8 sweep in those
+#      lanes checks that the caller guarded it.
 #   4. Smoke run of every microbench (seconds-scale workloads): their
 #      built-in identity and invariant checks run on every CI pass, not
 #      just when someone regenerates the BENCH_*.json files.
@@ -91,9 +95,10 @@ echo "== [3/4] TSAN build + concurrency tests =="
 # alongside the concurrent engines, including a threaded coalesced SQ8
 # batch at d=16, a pooled engine build, and the
 # phase-profiled coalesced batch (thread-local capture install/remove
-# under a pool); index_approx_knn_test runs the approximate tier's
-# relaxed skips and their per-query counters on a multi-worker
-# coalesced batch;
+# under a pool); index_approx_knn_test runs the approximate tier (one
+# epsilon drives the frontier skips and the relaxed SQ8 cutoff
+# together) and its per-query counters on a multi-worker coalesced
+# batch;
 # parallel_service_test runs the query service's dispatcher thread
 # against concurrent submitters (deadlines, backpressure, priorities,
 # 8-worker determinism); util_parallel_sort_test and
