@@ -162,10 +162,8 @@ int Run(bool smoke) {
 
       // Simulated makespan and counters (deterministic on an unbuffered
       // engine, so one pass suffices).
-      const ThroughputResult sim_pq =
-          SimulateThroughput(*perquery, queries, k, 1);
-      const ThroughputResult sim_b =
-          SimulateThroughput(*batched, queries, k, 1);
+      const ThroughputResult sim_pq = SimulateThroughput(*perquery, queries, k);
+      const ThroughputResult sim_b = SimulateThroughput(*batched, queries, k);
 
       // Bit-identity and the page invariant, from one explicit pair of
       // batch runs with per-query stats.
@@ -235,9 +233,8 @@ int Run(bool smoke) {
     std::fprintf(stderr, "engine build failed (buffered)\n");
     return 1;
   }
-  const ThroughputResult sim_buf_pq =
-      SimulateThroughput(*buf_pq, bqueries, k, 1);
-  const ThroughputResult sim_buf_b = SimulateThroughput(*buf_b, bqueries, k, 1);
+  const ThroughputResult sim_buf_pq = SimulateThroughput(*buf_pq, bqueries, k);
+  const ThroughputResult sim_buf_b = SimulateThroughput(*buf_b, bqueries, k);
   std::vector<QueryStats> bstats_pq;
   std::vector<QueryStats> bstats_b;
   const bool buffered_identical =
@@ -282,9 +279,8 @@ int Run(bool smoke) {
       std::fprintf(stderr, "engine build failed (million)\n");
       return 1;
     }
-    const ThroughputResult sim_m_pq =
-        SimulateThroughput(*m_pq, mqueries, k, 1);
-    const ThroughputResult sim_m_b = SimulateThroughput(*m_b, mqueries, k, 1);
+    const ThroughputResult sim_m_pq = SimulateThroughput(*m_pq, mqueries, k);
+    const ThroughputResult sim_m_b = SimulateThroughput(*m_b, mqueries, k);
     std::vector<QueryStats> mstats_pq;
     std::vector<QueryStats> mstats_b;
     million_identical =

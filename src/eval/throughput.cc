@@ -3,39 +3,23 @@
 #include <algorithm>
 
 #include "src/util/check.h"
-#include "src/util/stopwatch.h"
 
 namespace parsim {
 
 ThroughputResult SimulateThroughput(const ParallelSearchEngine& engine,
-                                    const PointSet& queries, std::size_t k,
-                                    unsigned execution_threads) {
+                                    const PointSet& queries, std::size_t k) {
   PARSIM_CHECK(queries.dim() == engine.dim());
   PARSIM_CHECK(!queries.empty());
   const std::size_t disks = engine.num_disks();
   const double page_ms =
       engine.options().disk_parameters.PageAccessMs();
 
-  ThroughputResult out;
-  // Execute the batch (on the pool when execution_threads > 1) and time
-  // it. QueryBatch reports the worker count it actually ran on — never
-  // more than the number of queries — so wall_qps is never attributed to
-  // threads that never executed.
-  Stopwatch watch;
   std::vector<QueryStats> per_query;
-  unsigned effective_threads = 1;
-  (void)engine.QueryBatch(queries, k, &per_query,
-                          execution_threads == 0 ? 1 : execution_threads,
-                          &effective_threads, &out.phases);
-  const double wall_ms = watch.ElapsedMillis();
+  (void)engine.QueryBatch(queries, k, &per_query, /*threads=*/1);
 
+  ThroughputResult out;
   out.num_queries = queries.size();
   out.pages_per_disk.assign(disks, 0);
-  out.execution_threads = effective_threads;
-  out.wall_ms = wall_ms;
-  out.wall_qps = wall_ms > 0.0
-                     ? static_cast<double>(queries.size()) / (wall_ms / 1000.0)
-                     : 0.0;
   double host_ms_total = 0.0;
   for (std::size_t qi = 0; qi < queries.size(); ++qi) {
     const QueryStats& stats = per_query[qi];

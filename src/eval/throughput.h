@@ -48,37 +48,13 @@ struct ThroughputResult : Counters {
   double healthy_makespan_ms = 0.0;
   /// Queries that read a replica, retried a failed disk, or lost pages.
   std::size_t degraded_queries = 0;
-
-  /// Wall-clock phase breakdown of the batch execution (summed over all
-  /// workers; all zero unless the engine runs with profile_phases).
-  /// Real time — never compare against makespan_ms.
-  PhaseBreakdown phases;
-
-  /// Real (measured) wall-clock execution of the batch on this machine,
-  /// alongside the simulated makespan above.
-  double wall_ms = 0.0;
-  /// Queries per real second.
-  double wall_qps = 0.0;
-  /// Worker threads the batch actually executed on (1 = serial), as
-  /// reported by QueryBatch — not the requested count, so a batch of
-  /// fewer queries than requested threads reports the smaller number.
-  unsigned execution_threads = 1;
 };
 
-/// Runs every query as a k-NN search and aggregates the per-disk work
-/// into the closed-batch model above.
-///
-/// `execution_threads` controls the *real* execution only: > 1 fans the
-/// batch out over the engine's worker pool (QueryBatch) and reports
-/// genuine wall-clock throughput in wall_ms / wall_qps (0 or 1 = serial
-/// execution). On an unbuffered engine every simulated number stays
-/// bit-identical to the serial run; on a buffered engine the aggregate
-/// page totals (hits + misses per disk) stay exact but their hit/miss
-/// split — and thus the simulated makespan — can vary with thread
-/// interleaving; pass `execution_threads` = 1 when they must not.
+/// Runs every query as a k-NN search (one QueryBatch with threads = 1,
+/// so the simulated numbers are reproducible on a buffered engine too)
+/// and aggregates the per-disk work into the closed-batch model above.
 ThroughputResult SimulateThroughput(const ParallelSearchEngine& engine,
-                                    const PointSet& queries, std::size_t k,
-                                    unsigned execution_threads = 0);
+                                    const PointSet& queries, std::size_t k);
 
 }  // namespace parsim
 

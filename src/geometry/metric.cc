@@ -1306,18 +1306,4 @@ void Metric::Sq8Block(const std::uint8_t* queries, std::size_t num_queries,
   }
 }
 
-void Metric::Sq8BlockSelf(const std::uint8_t* queries,
-                          const std::uint8_t* codes, std::size_t count,
-                          std::size_t dim, std::uint32_t* out) const {
-  // Same row-tail structure as ComparableBlockSelf: query row i reduces
-  // against code rows i+1..count-1 only, one many-kernel launch per row.
-  // Integer reductions are evaluation-order independent, so every filled
-  // entry matches the corresponding Sq8Block value exactly.
-  const auto kernel = Row(kind_).sq8_many;
-  for (std::size_t i = 0; i + 1 < count; ++i) {
-    kernel(queries + i * dim, codes + (i + 1) * dim, count - i - 1, dim,
-           out + i * count + i + 1);
-  }
-}
-
 }  // namespace parsim

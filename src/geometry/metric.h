@@ -227,19 +227,6 @@ class Metric {
                 const std::uint8_t* codes, std::size_t count, std::size_t dim,
                 std::uint32_t* out) const;
 
-  /// Symmetric self-block variant of Sq8Block for the join's quantized
-  /// sweep: out[i * count + j] is the reduction of (queries + i * dim,
-  /// codes + j * dim) for j > i ONLY (diagonal and lower triangle
-  /// untouched). `queries` are the block's own prepared query codes and
-  /// `codes` its stored mirror rows — two arrays because the prepared
-  /// (clamped, rounded) codes feed the Sq8Bound contract while the
-  /// stored codes are what the bound's err[] terms were measured
-  /// against. Integer arithmetic, so each filled entry equals the
-  /// corresponding Sq8Block / Sq8Many value exactly.
-  void Sq8BlockSelf(const std::uint8_t* queries, const std::uint8_t* codes,
-                    std::size_t count, std::size_t dim,
-                    std::uint32_t* out) const;
-
   /// Fused prune scan for fixed-threshold sweeps (the similarity
   /// join): computes the same reductions as Sq8Many, compares each
   /// against `cutoff` in-register, writes the indices of surviving

@@ -4,11 +4,11 @@
 // PARSIM_COUNTERS lists each counter as X(name, doc). The list expands
 // into the fields of Counters, its operator+=, and its name/value
 // visitor ForEach. Every stats struct that reports work extends Counters
-// (DiskStats, QueryStats, ThroughputResult, JoinStats), and a leaf sweep
-// returns one, so a merge is one +=, an identity check one ==, and a
-// serializer one ForEach loop. A counter has the same name on every
-// surface, every counter merges by summing, and adding one is one line
-// here.
+// (DiskStats, QueryStats and through it JoinStats, ThroughputResult),
+// and a leaf sweep returns one, so a merge is one +=, an identity check
+// one ==, and a serializer one ForEach loop. A counter has the same name
+// on every surface, every counter merges by summing, and adding one is
+// one line here.
 //
 // Only distance_computations and failed_read_attempts enter simulated
 // time (ElapsedMs in src/io/disk_model.h); the rest audit the work. The

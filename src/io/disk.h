@@ -18,8 +18,8 @@
 #ifndef PARSIM_SRC_IO_DISK_H_
 #define PARSIM_SRC_IO_DISK_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 
 #include "src/io/buffer_pool.h"
 #include "src/io/cost_capture.h"
@@ -85,28 +85,9 @@ class SimulatedDisk {
   /// blocks are served without I/O charges. The buffer persists across
   /// ResetStats() — that is its purpose.
   void AttachBufferPool(BufferPool* pool, std::size_t shard) {
-    owned_pool_.reset();
     pool_ = pool;
     shard_ = pool != nullptr ? shard : 0;
   }
-
-  /// Convenience for a standalone disk: installs a private single-shard
-  /// pool of `pages` pages (0 removes any buffer, attached or owned).
-  void ConfigureBuffer(std::uint64_t pages) {
-    if (pages == 0) {
-      AttachBufferPool(nullptr, 0);
-      return;
-    }
-    owned_pool_ = std::make_unique<BufferPool>(/*num_shards=*/1, pages);
-    pool_ = owned_pool_.get();
-    shard_ = 0;
-  }
-
-  bool has_buffer() const { return pool_ != nullptr; }
-
-  /// The attached pool (nullptr without one) and this disk's shard in it.
-  const BufferPool* buffer_pool() const { return pool_; }
-  std::size_t buffer_shard() const { return shard_; }
 
   /// Buffered variant of ReadDataPages: `key` identifies the block (a
   /// node id); hits charge nothing but are counted.
@@ -145,18 +126,6 @@ class SimulatedDisk {
 
   const DiskStats& stats() const { return stats_; }
 
-  /// Simulated elapsed time for everything charged since the last reset,
-  /// scaled by the disk's fault state (a slow disk takes slow_factor
-  /// times longer for the same accesses).
-  double ElapsedMs() const {
-    return parsim::ElapsedMs(stats_, params_) * time_scale();
-  }
-
-  /// Elapsed time at healthy rates, ignoring the fault state.
-  double HealthyElapsedMs() const {
-    return parsim::HealthyElapsedMs(stats_, params_);
-  }
-
   void ResetStats() { stats_ = DiskStats{}; }
 
   /// Folds externally captured per-query counters into the cumulative
@@ -177,9 +146,6 @@ class SimulatedDisk {
   DiskParameters params_;
   DiskFault fault_;
   DiskStats stats_;
-  // ConfigureBuffer's private pool; empty when AttachBufferPool wired
-  // this disk into a shared (engine- or array-owned) pool.
-  std::unique_ptr<BufferPool> owned_pool_;
   BufferPool* pool_ = nullptr;
   std::size_t shard_ = 0;
 };

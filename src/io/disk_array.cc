@@ -1,7 +1,5 @@
 #include "src/io/disk_array.h"
 
-#include <algorithm>
-
 #include "src/util/check.h"
 
 namespace parsim {
@@ -24,75 +22,18 @@ const SimulatedDisk& DiskArray::disk(DiskId id) const {
   return disks_[id];
 }
 
-double DiskArray::ParallelElapsedMs() const {
-  double worst = 0.0;
-  for (const auto& d : disks_) worst = std::max(worst, d.ElapsedMs());
-  return worst;
-}
-
-double DiskArray::SequentialElapsedMs() const {
-  double total = 0.0;
-  for (const auto& d : disks_) total += d.ElapsedMs();
-  return total;
-}
-
-DiskId DiskArray::BusiestDisk() const {
-  DiskId best = 0;
-  double worst = -1.0;
-  for (const auto& d : disks_) {
-    if (d.ElapsedMs() > worst) {
-      worst = d.ElapsedMs();
-      best = d.id();
-    }
-  }
-  return best;
-}
-
-std::uint64_t DiskArray::MaxPagesRead() const {
-  std::uint64_t worst = 0;
-  for (const auto& d : disks_) {
-    worst = std::max(worst, d.stats().TotalPagesRead());
-  }
-  return worst;
-}
-
-std::uint64_t DiskArray::TotalPagesRead() const {
-  std::uint64_t total = 0;
-  for (const auto& d : disks_) total += d.stats().TotalPagesRead();
-  return total;
-}
-
 DiskStats DiskArray::TotalStats() const {
   DiskStats total;
   for (const auto& d : disks_) total += d.stats();
   return total;
 }
 
-double DiskArray::BalanceRatio() const {
-  const std::uint64_t max_pages = MaxPagesRead();
-  if (max_pages == 0) return 1.0;
-  const double avg = static_cast<double>(TotalPagesRead()) /
-                     static_cast<double>(disks_.size());
-  return avg / static_cast<double>(max_pages);
-}
-
 void DiskArray::ResetStats() {
   for (auto& d : disks_) d.ResetStats();
 }
 
-void DiskArray::ConfigureBufferPool(std::uint64_t pages_per_disk) {
-  if (pages_per_disk == 0) {
-    AttachBufferPool(nullptr);
-    return;
-  }
-  auto pool = std::make_unique<BufferPool>(disks_.size(), pages_per_disk);
-  AttachBufferPool(pool.get());
-  owned_pool_ = std::move(pool);  // after attach: AttachBufferPool resets it
-}
-
 void DiskArray::AttachBufferPool(BufferPool* pool) {
   PARSIM_CHECK(pool == nullptr || pool->num_shards() >= disks_.size());
-  owned_pool_.reset();
   for (std::size_t i = 0; i < disks_.size(); ++i) {
     disks_[i].AttachBufferPool(pool, i);
   }
@@ -113,18 +54,6 @@ void DiskArray::ApplyFaultPlan(const FaultPlan& plan) {
 void DiskArray::ClearFaults() {
   for (auto& d : disks_) d.set_fault(DiskFault{});
   fault_plan_ = FaultPlan{};
-}
-
-std::size_t DiskArray::NumFailedDisks() const {
-  std::size_t n = 0;
-  for (const auto& d : disks_) if (d.is_failed()) ++n;
-  return n;
-}
-
-std::size_t DiskArray::NumSlowDisks() const {
-  std::size_t n = 0;
-  for (const auto& d : disks_) if (d.is_slow()) ++n;
-  return n;
 }
 
 }  // namespace parsim

@@ -1,14 +1,15 @@
 // An array of n simulated disks served in parallel.
 //
-// The parallel-response-time rule is the paper's own: the elapsed time of
-// a parallel operation is the elapsed time of the *slowest* disk (all
-// disks work concurrently, the query completes when the last one does).
+// The array holds the disks, their cumulative counters and their fault
+// state. It does not turn charges into time: the paper's rule (a
+// parallel operation takes as long as its slowest disk) is applied in
+// one place, ParallelSearchEngine::StatsFromAccumulator, to each
+// operation's captured charges.
 
 #ifndef PARSIM_SRC_IO_DISK_ARRAY_H_
 #define PARSIM_SRC_IO_DISK_ARRAY_H_
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "src/io/buffer_pool.h"
@@ -28,46 +29,14 @@ class DiskArray {
   SimulatedDisk& disk(DiskId id);
   const SimulatedDisk& disk(DiskId id) const;
 
-  /// Elapsed time of a parallel operation: max over disks. This is the
-  /// paper's measurement rule (Section 5).
-  double ParallelElapsedMs() const;
-
-  /// Elapsed time if the same accesses were served by one disk: sum over
-  /// disks. ParallelElapsedMs()/SequentialElapsedMs() of the same access
-  /// trace bounds the achievable speed-up (ablation: "sum vs max").
-  double SequentialElapsedMs() const;
-
-  /// The id of the disk with the largest elapsed time.
-  DiskId BusiestDisk() const;
-
-  /// Total page reads of the busiest disk (the paper's raw metric).
-  std::uint64_t MaxPagesRead() const;
-
-  /// Total page reads across all disks.
-  std::uint64_t TotalPagesRead() const;
-
   /// Aggregated stats over all disks.
   DiskStats TotalStats() const;
 
-  /// Load-balance quality in [1/n, 1]: average load / max load. 1 means
-  /// perfectly even page distribution across disks.
-  double BalanceRatio() const;
-
   void ResetStats();
-
-  /// Creates an array-owned BufferPool with one shard of
-  /// `pages_per_disk` pages per disk and attaches disk i to shard i
-  /// (0 removes it). Standalone-array convenience; the engine instead
-  /// owns one pool covering the disks and the query host and wires it
-  /// in through AttachBufferPool.
-  void ConfigureBufferPool(std::uint64_t pages_per_disk);
 
   /// Attaches disk i to shard i of `pool` (not owned; must have at
   /// least size() shards and outlive the array). nullptr detaches.
   void AttachBufferPool(BufferPool* pool);
-
-  /// The array-owned pool (nullptr unless ConfigureBufferPool made one).
-  const BufferPool* buffer_pool() const { return owned_pool_.get(); }
 
   /// Applies `plan` to every disk. The plan must be empty (all healthy)
   /// or cover exactly size() disks. Do not race with in-flight queries:
@@ -80,13 +49,8 @@ class DiskArray {
   /// The plan last applied (empty if none / cleared).
   const FaultPlan& fault_plan() const { return fault_plan_; }
 
-  /// Number of currently failed / slow disks.
-  std::size_t NumFailedDisks() const;
-  std::size_t NumSlowDisks() const;
-
  private:
   std::vector<SimulatedDisk> disks_;
-  std::unique_ptr<BufferPool> owned_pool_;
   FaultPlan fault_plan_;
 };
 

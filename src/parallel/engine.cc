@@ -32,6 +32,13 @@ ParallelSearchEngine::ParallelSearchEngine(
             options.disk_parameters) {
   PARSIM_CHECK(dim >= 1);
   PARSIM_CHECK(declusterer_ != nullptr);
+  // Options a configuration cannot honour fail here instead of being
+  // ignored: the round scheduler needs the one shared tree, and the scan
+  // architecture has no leaf blocks to quantize.
+  PARSIM_CHECK(!options_.coalesced_batch ||
+               options_.architecture == Architecture::kSharedTree);
+  PARSIM_CHECK(!options_.quantized_leaf_blocks ||
+               options_.architecture != Architecture::kFederatedScan);
   if (options_.buffer_pages_per_disk > 0) {
     // One sharded pool for the whole engine: shard i buffers disk i, the
     // last shard buffers the query host's directory pages. Shard locks
@@ -80,8 +87,6 @@ ParallelSearchEngine::ParallelSearchEngine(
       break;
   }
   if (options_.quantized_leaf_blocks) {
-    // Tree architectures only: kFederatedScan sweeps packed pages, not
-    // leaf blocks, so the loop is empty there and the flag is a no-op.
     for (auto& t : trees_) t->set_quantized_leaf_blocks(true);
   }
   // Written so that NaN fails too.
@@ -356,16 +361,6 @@ KnnResult ParallelSearchEngine::ScanQuery(PointView query,
   return merged;
 }
 
-KnnResult ParallelSearchEngine::RunKnn(const TreeBase& tree, PointView query,
-                                       std::size_t k) const {
-  if (options_.knn_algorithm == KnnAlgorithm::kRkv) {
-    // RKV stays exact: the approximate tier is specified (and tested)
-    // for the HS best-first search only.
-    return RkvKnn(tree, query, k, options_.metric);
-  }
-  return HsKnn(tree, query, k, options_.metric, approx_factor_);
-}
-
 QueryStats ParallelSearchEngine::StatsFromAccumulator(
     const QueryCostAccumulator& acc) const {
   const std::size_t n = disks_.size();
@@ -566,7 +561,7 @@ KnnResult ParallelSearchEngine::Query(PointView query, std::size_t k,
     ScopedCostCapture capture(&acc);
     ScopedPhaseCapture phase_capture(phase_sink);
     if (options_.architecture == Architecture::kSharedTree) {
-      merged = RunKnn(*trees_[0], query, k);
+      merged = HsKnn(*trees_[0], query, k, options_.metric, approx_factor_);
     } else if (options_.architecture == Architecture::kFederatedScan) {
       merged = ScanQuery(query, k);
     } else {
@@ -589,7 +584,8 @@ KnnResult ParallelSearchEngine::Query(PointView query, std::size_t k,
                                  trees_[i]->DataPages())) {
                 return;
               }
-              local[i] = RunKnn(*trees_[i], query, k);
+              local[i] =
+                  HsKnn(*trees_[i], query, k, options_.metric, approx_factor_);
             });
       } else {
         for (std::size_t i = 0; i < trees_.size(); ++i) {
@@ -598,7 +594,8 @@ KnnResult ParallelSearchEngine::Query(PointView query, std::size_t k,
                              trees_[i]->DataPages())) {
             continue;
           }
-          local[i] = RunKnn(*trees_[i], query, k);
+          local[i] =
+              HsKnn(*trees_[i], query, k, options_.metric, approx_factor_);
         }
       }
       for (const KnnResult& r : local) {
@@ -676,15 +673,11 @@ std::vector<KnnResult> ParallelSearchEngine::QueryBatch(
   effective = std::max(1u, std::min<unsigned>(
                                effective,
                                static_cast<unsigned>(queries.size())));
-  // The coalesced path exists only where one shared tree serves every
-  // query with the pausable HS search; other configurations fall back to
-  // the per-query fan-out below.
-  const bool coalesce = options_.coalesced_batch &&
-                        options_.architecture == Architecture::kSharedTree &&
-                        options_.knn_algorithm == KnnAlgorithm::kHs;
   if (effective_threads != nullptr) *effective_threads = effective;
 
-  if (coalesce) {
+  // The constructor admits coalesced_batch on kSharedTree only, where one
+  // tree serves every query with the pausable HS search.
+  if (options_.coalesced_batch) {
     std::vector<QueryCostAccumulator> accs;
     accs.reserve(queries.size());
     for (std::size_t i = 0; i < queries.size(); ++i) {

@@ -41,9 +41,9 @@
 #include "src/index/knn.h"
 #include "src/index/tree_base.h"
 #include "src/io/cost_capture.h"
-#include "src/io/counters.h"
 #include "src/io/disk_array.h"
 #include "src/parallel/join.h"
+#include "src/parallel/query_stats.h"
 #include "src/util/phase_timer.h"
 #include "src/util/status.h"
 #include "src/util/thread_pool.h"
@@ -55,12 +55,6 @@ namespace parsim {
 enum class TreeKind {
   kXTree,
   kRStarTree,
-};
-
-/// Which k-NN algorithm the searches use.
-enum class KnnAlgorithm {
-  kHs,   // best-first [HS 95] (default)
-  kRkv,  // branch-and-bound [RKV 95]
 };
 
 /// How the index is parallelized.
@@ -82,7 +76,6 @@ enum class Architecture {
 struct EngineOptions {
   Architecture architecture = Architecture::kSharedTree;
   TreeKind tree_kind = TreeKind::kXTree;
-  KnnAlgorithm knn_algorithm = KnnAlgorithm::kHs;
   /// Build trees by insertion (the paper's dynamic setting) or by
   /// Hilbert bulk loading (faster construction for large runs).
   bool bulk_load = false;
@@ -102,16 +95,16 @@ struct EngineOptions {
   /// workstations had 64 MB RAM (~16k pages) against several hundred MB
   /// of data.
   std::uint64_t buffer_pages_per_disk = 0;
-  /// Batched execution path for QueryBatch (kSharedTree + kHs only;
-  /// other configurations ignore the flag): the batch's best-first
-  /// searches advance in lock-step rounds, queries whose frontiers
-  /// request the same page read it ONCE (one member pays the simulated
-  /// I/O, the rest record coalesced_reads), and a leaf page is scored
-  /// against all requesting queries by one many-to-many SIMD kernel call
-  /// over its SoA block. Results are bit-identical to per-query
-  /// execution; per-query costs are deterministic at any thread count
-  /// (the page-fetch schedule is serial and sorted), even on a buffered
-  /// engine.
+  /// Batched execution path for QueryBatch (kSharedTree only; any other
+  /// architecture fails a PARSIM_CHECK at construction): the batch's
+  /// best-first searches advance in lock-step rounds, queries whose
+  /// frontiers request the same page read it ONCE (one member pays the
+  /// simulated I/O, the rest record coalesced_reads), and a leaf page is
+  /// scored against all requesting queries by one many-to-many SIMD
+  /// kernel call over its SoA block. Results are bit-identical to
+  /// per-query execution; per-query costs are deterministic at any
+  /// thread count (the page-fetch schedule is serial and sorted), even
+  /// on a buffered engine.
   bool coalesced_batch = false;
   /// Assign every bucket a secondary disk (ReplicaPlacement over the
   /// coloring) and transparently fail reads of a failed disk over to it.
@@ -128,16 +121,18 @@ struct EngineOptions {
   /// bit-identical to the unquantized path; distance_computations drops
   /// to the re-ranked share, and the quantized_pruned / reranked /
   /// leaf_bytes_scanned counters audit the saving. Tree architectures
-  /// only (kFederatedScan has no leaf blocks and ignores the flag).
+  /// only: kFederatedScan has no leaf blocks, so setting the flag there
+  /// fails a PARSIM_CHECK at construction.
   bool quantized_leaf_blocks = false;
   /// Attribute wall-clock time to query phases (descent, frontier ops,
   /// simulated-I/O accounting, leaf-sweep stages; see
-  /// src/util/phase_timer.h) and report it in QueryStats::phases /
-  /// ThroughputResult::phases. Governs Query, TryQuery and QueryBatch
-  /// only: a join profiles exactly when its JoinOptions::profile_phases
-  /// is set. Off by default: the timer is cheap (two steady_clock reads
-  /// per scope) but not free, so timed benchmark runs keep it off and
-  /// take the breakdown from a separate profiled pass.
+  /// src/util/phase_timer.h) and report it in QueryStats::phases and
+  /// QueryBatch's batch breakdown. Governs Query, TryQuery and
+  /// QueryBatch only: a join profiles exactly when its
+  /// JoinOptions::profile_phases is set. Off by default: the timer is
+  /// cheap (two steady_clock reads per scope) but not free, so timed
+  /// benchmark runs keep it off and take the breakdown from a separate
+  /// profiled pass.
   bool profile_phases = false;
   /// Leaf fill fraction handed to BulkLoad (TreeOptions::bulk_load_fill).
   /// The R*-style 0.7 leaves headroom for later inserts; a read-only
@@ -147,13 +142,14 @@ struct EngineOptions {
   double bulk_load_fill = 0.7;
   /// The (1+eps) slack of the approximate k-NN tier (DESIGN.md
   /// "Approximate tier"); 0, the default, is the exact search. It
-  /// applies to HS best-first k-NN only — Query, TryQuery, QueryBatch
-  /// and QueryService under KnnAlgorithm::kHs, single-query and
-  /// coalesced alike — and composes with batching, buffering, replicas
-  /// and fault injection; RKV, ball and range queries stay exact. Both
-  /// mechanisms run at once: a frontier node whose MINDIST exceeds
-  /// d_k/(1+eps) is not read, and an SQ8 leaf candidate (quantized
-  /// blocks only) whose lower bound exceeds it is not re-ranked.
+  /// applies to the tree k-NN searches — Query, TryQuery, QueryBatch and
+  /// QueryService, single-query and coalesced alike — and composes with
+  /// batching, buffering, replicas and fault injection. Ball and range
+  /// queries have no k-th distance to relax, so they stay exact by
+  /// definition, as does kFederatedScan's linear scan. Both mechanisms
+  /// run at once: a frontier node whose MINDIST exceeds d_k/(1+eps) is
+  /// not read, and an SQ8 leaf candidate (quantized blocks only) whose
+  /// lower bound exceeds it is not re-ranked.
   ///
   /// Contract: every returned k-th distance D_k satisfies
   /// D_k <= (1+eps) * d_k_true, and every true neighbor within
@@ -164,46 +160,6 @@ struct EngineOptions {
   double approx_epsilon = 0.0;
   DiskParameters disk_parameters{};
   Metric metric{};
-};
-
-/// Per-query accounting: the work counters (summed over the query
-/// host and every disk) plus the simulated times and page totals derived
-/// from the per-disk charges.
-struct QueryStats : Counters {
-  /// Simulated elapsed time under the paper's rule: host directory work
-  /// plus the slowest disk's data-page work.
-  double parallel_ms = 0.0;
-  /// Simulated elapsed time if one disk had served every access.
-  double sum_ms = 0.0;
-  /// Pages read by the busiest disk (the paper's raw metric).
-  std::uint64_t max_pages = 0;
-  /// Pages read across all disks: data pages, plus under kFederatedTrees
-  /// each disk's directory pages, which directory_pages counts as well.
-  /// On kSharedTree, per query, total_pages + directory_pages +
-  /// buffer_hit_pages + coalesced_reads equals the pages the
-  /// single-query path would have touched.
-  std::uint64_t total_pages = 0;
-  /// Directory pages read by the query host (kSharedTree) or summed
-  /// over disks (kFederatedTrees).
-  std::uint64_t directory_pages = 0;
-  /// avg/max page load over disks; 1.0 = perfectly even.
-  double balance = 1.0;
-  /// Pages read per disk.
-  std::vector<std::uint64_t> pages_per_disk;
-
-  /// True when the query felt any fault: a replica read, a retry, an
-  /// unavailable page, or slow-disk time scaling. False (with
-  /// healthy_parallel_ms == parallel_ms bit for bit) on a healthy array.
-  bool degraded = false;
-  /// The makespan this query would have had at healthy rates: same page
-  /// distribution, but no slow-disk scaling and no retry penalties.
-  /// parallel_ms / healthy_parallel_ms is the degradation factor.
-  double healthy_parallel_ms = 0.0;
-
-  /// Wall-clock time by phase (all zero unless the engine was built with
-  /// profile_phases). Real time, not simulated time — never compare it
-  /// against parallel_ms.
-  PhaseBreakdown phases;
 };
 
 /// A parallel k-NN search engine over declustered data.
@@ -379,8 +335,6 @@ class ParallelSearchEngine {
   friend class QueryService;
 
   std::unique_ptr<TreeBase> MakeTree(SimulatedDisk* disk) const;
-  KnnResult RunKnn(const TreeBase& tree, PointView query,
-                   std::size_t k) const;
   KnnResult ScanQuery(PointView query, std::size_t k) const;
 
   /// The geometric half of a shared-tree leaf's disk route. A data page
@@ -418,9 +372,9 @@ class ParallelSearchEngine {
   /// caller skips the partition).
   bool SkipFailedDisk(DiskId d, std::uint64_t pages) const;
 
-  /// Derives the per-query stats from a query's captured charges; the
-  /// formulas mirror the old reset-charge-read protocol exactly, so the
-  /// numbers are bit-identical to it.
+  /// The one place captured charges become pages, simulated times and
+  /// balance (the paper's slowest-disk rule): every query's stats, and
+  /// the QueryStats base of a join's.
   QueryStats StatsFromAccumulator(const QueryCostAccumulator& acc) const;
   /// Folds a finished query's charges into the cumulative disk counters
   /// (under stats_mutex_).

@@ -129,95 +129,59 @@ void SweepCodebookRun(const GroupCodes& pc, const QueryCodes& qv,
   const bool tail = begin == qv.qrow0;
   Counters sweep;
   // Survivors accumulate into ONE flat batch of absolute codebook rows
-  // (CollectSurvivors writes straight into it, then a single pass
-  // rebases the run-relative indices) plus one (query row, count) group
+  // (Sq8ManyUnder writes straight into it, then a single pass rebases
+  // the run-relative indices) plus one (query row, count) group
   // per surviving query row — no per-survivor bookkeeping sits between
   // the integer kernels, and the rerank pass walks a dense array.
   struct RerankGroup {
     std::uint32_t g;
     std::uint32_t count;
   };
-  thread_local std::vector<std::uint32_t> reductions;
   thread_local std::vector<std::uint32_t> rerank_rows;
   thread_local std::vector<RerankGroup> rerank_groups;
   rerank_groups.clear();
   std::size_t rerank_n = 0;
   const std::uint8_t* codes = pc.mirror.codes.data();
   std::uint64_t streamed = 0;
-  const auto collect_row = [&](const std::uint32_t* row, std::size_t width,
-                               std::size_t r, std::size_t row_begin) {
-    const double dcut = qv.cutoffs[r];
-    if (dcut < 0.0) {
-      sweep.base_pruned += width;
-      return;
-    }
-    const std::uint32_t cutoff = detail::IntCutoff(dcut);
-    detail::GrowTo(rerank_rows, rerank_n + width);
-    std::uint32_t* dst = rerank_rows.data() + rerank_n;
-    const std::size_t nsurv = detail::CollectSurvivors(row, width, cutoff, dst);
-    sweep.sq8_pruned += width - nsurv;
-    if (nsurv == 0) return;
-    for (std::size_t s = 0; s < nsurv; ++s) {
-      dst[s] += static_cast<std::uint32_t>(row_begin);
-    }
-    rerank_groups.push_back(RerankGroup{static_cast<std::uint32_t>(r),
-                                        static_cast<std::uint32_t>(nsurv)});
-    rerank_n += nsurv;
-  };
   {
     ScopedPhase phase(Phase::kSweepFull);
-    if (tail && end == qv.qrow0 + nq) {
-      // Pure self pair: the symmetric kernel fills the strict upper
-      // triangle only, each entry bit-identical to Sq8Block's.
-      detail::GrowTo(reductions, nq * nq);
-      metric.Sq8BlockSelf(qv.codes, codes + qv.qrow0 * dim, nq, dim,
-                          reductions.data());
-      for (std::size_t r = 0; r + 1 < nq; ++r) {
-        const std::size_t width = nq - r - 1;
-        streamed += width;  // the triangle kernel streamed every row
-        collect_row(reductions.data() + r * nq + r + 1, width, r,
-                    qv.qrow0 + r + 1);
+    for (std::size_t r = 0; r < nq; ++r) {
+      const std::size_t row_begin = tail ? qv.qrow0 + r + 1 : begin;
+      if (row_begin >= end) continue;
+      const std::size_t width = end - row_begin;
+      const double dcut = qv.cutoffs[r];
+      if (dcut < 0.0) {
+        // The row prunes on its base term alone: its kernel call is
+        // skipped outright, so none of its code bytes stream.
+        sweep.base_pruned += width;
+        continue;
       }
-    } else {
-      for (std::size_t r = 0; r < nq; ++r) {
-        const std::size_t row_begin = tail ? qv.qrow0 + r + 1 : begin;
-        if (row_begin >= end) continue;
-        const std::size_t width = end - row_begin;
-        const double dcut = qv.cutoffs[r];
-        if (dcut < 0.0) {
-          // The row prunes on its base term alone: its kernel call is
-          // skipped outright, so none of its code bytes stream.
-          sweep.base_pruned += width;
-          continue;
-        }
-        double box_dist = 0.0;
-        if (MinDistExceeds(run_box, PointView(qv.rows + r * dim, dim), metric,
-                           eps_cmp, &box_dist)) {
-          // The row's point sits more than epsilon from the run's box:
-          // no candidate in [row_begin, end) can pair with it, and its
-          // kernel is skipped like a base-term prune.
-          sweep.base_pruned += width;
-          continue;
-        }
-        streamed += width;
-        // The fused kernel compares reductions against the cutoff
-        // in-register and appends survivor indices straight into the
-        // flat batch — same set CollectSurvivors would pick from an
-        // Sq8Many pass, without storing the reduction stream.
-        detail::GrowTo(rerank_rows, rerank_n + width);
-        std::uint32_t* dst = rerank_rows.data() + rerank_n;
-        const std::size_t nsurv =
-            metric.Sq8ManyUnder(qv.codes + r * dim, codes + row_begin * dim,
-                                width, dim, detail::IntCutoff(dcut), dst);
-        sweep.sq8_pruned += width - nsurv;
-        if (nsurv == 0) continue;
-        for (std::size_t s = 0; s < nsurv; ++s) {
-          dst[s] += static_cast<std::uint32_t>(row_begin);
-        }
-        rerank_groups.push_back(RerankGroup{static_cast<std::uint32_t>(r),
-                                            static_cast<std::uint32_t>(nsurv)});
-        rerank_n += nsurv;
+      double box_dist = 0.0;
+      if (MinDistExceeds(run_box, PointView(qv.rows + r * dim, dim), metric,
+                         eps_cmp, &box_dist)) {
+        // The row's point sits more than epsilon from the run's box:
+        // no candidate in [row_begin, end) can pair with it, and its
+        // kernel is skipped like a base-term prune.
+        sweep.base_pruned += width;
+        continue;
       }
+      streamed += width;
+      // The fused kernel compares reductions against the cutoff
+      // in-register and appends survivor indices straight into the
+      // flat batch, without storing the reduction stream.
+      detail::GrowTo(rerank_rows, rerank_n + width);
+      std::uint32_t* dst = rerank_rows.data() + rerank_n;
+      const std::size_t nsurv =
+          metric.Sq8ManyUnder(qv.codes + r * dim, codes + row_begin * dim,
+                              width, dim, detail::IntCutoff(dcut), dst);
+      sweep.sq8_pruned += width - nsurv;
+      if (nsurv == 0) continue;
+      for (std::size_t s = 0; s < nsurv; ++s) {
+        dst[s] += static_cast<std::uint32_t>(row_begin);
+      }
+      rerank_groups.push_back(RerankGroup{static_cast<std::uint32_t>(r),
+                                          static_cast<std::uint32_t>(nsurv)});
+      rerank_n += nsurv;
     }
   }
   {
@@ -778,17 +742,8 @@ JoinResult ParallelSearchEngine::SelfJoin(double epsilon,
   // Counters, pages, fault tags, and simulated times derive from the
   // captured charges exactly as a query's do, so the join's accounting
   // composes with buffering, replicas, and fault plans for free.
-  const QueryStats qs = StatsFromAccumulator(acc);
-  JoinStats& js = result.stats;
-  static_cast<Counters&>(js) = qs;
-  js.total_pages = qs.total_pages;
-  js.directory_pages = qs.directory_pages;
-  js.max_pages = qs.max_pages;
-  js.degraded = qs.degraded;
-  js.parallel_ms = qs.parallel_ms;
-  js.sum_ms = qs.sum_ms;
-  js.balance = qs.balance;
-  if (profile) js.phases = PhaseBreakdown::From(phase_acc);
+  static_cast<QueryStats&>(result.stats) = StatsFromAccumulator(acc);
+  if (profile) result.stats.phases = PhaseBreakdown::From(phase_acc);
   MergeAccumulator(acc);
   return result;
 }

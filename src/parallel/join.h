@@ -34,9 +34,10 @@
 //      covers a compact region and its SQ8 lattice stays tight), every
 //      group's rows are gathered and coded once up front, and an
 //      owner's consecutive candidate leaves within one group merge into
-//      a single kernel run. Own-group runs sweep the symmetric triangle
-//      / tail; foreign-group runs code the owner's rows on that group's
-//      lattice once and reuse them for every pair in the group. Each
+//      a single kernel run. In an own-group run each owner row sweeps
+//      only the rows past its own (its tail); foreign-group runs code
+//      the owner's rows on that group's lattice once and reuse them for
+//      every pair in the group. Each
 //      candidate run goes through a fused prune kernel (Sq8ManyUnder:
 //      reduction + fixed-epsilon cutoff test in-register, survivor
 //      indices out) followed by an exact float re-rank of survivors;
@@ -64,7 +65,7 @@
 #include "src/geometry/point.h"
 #include "src/index/tree_base.h"
 #include "src/io/cost_capture.h"
-#include "src/io/counters.h"
+#include "src/parallel/query_stats.h"
 #include "src/util/phase_timer.h"
 #include "src/util/thread_pool.h"
 
@@ -102,14 +103,23 @@ struct JoinOptions {
   bool profile_phases = false;
 };
 
-/// What the join did, in the same two currencies as QueryStats:
-/// simulated cost (pages, distances, derived times) plus workload
-/// counters. The work counters come from the join's cost accumulator,
-/// exactly like a query's; distance_computations is the float kernel
-/// evaluations (all candidate pairs on the exact path, re-ranked
+/// What the join did: a QueryStats — the work counters and the pages,
+/// times and balance ParallelSearchEngine::StatsFromAccumulator derives
+/// from the join's cost accumulator, exactly like a query's — plus the
+/// join's block-pair and pair counts. distance_computations is the float
+/// kernel evaluations (all candidate pairs on the exact path, re-ranked
 /// survivors on the quantized path). All counters are thread-count
 /// invariant.
-struct JoinStats : Counters {
+///
+/// Page conservation under coalescing: every swept pair touches its one
+/// (self) or two (cross) blocks, so on a healthy, unbuffered engine
+///     total_pages + buffer_hit_pages + coalesced_reads
+///         == sum over swept pairs of their blocks' pages,
+/// and total_pages + buffer_hit_pages counts each distinct leaf once.
+/// coalesced_reads are the reads spared because an earlier pair of this
+/// join already paid for the block's fetch (leader pays). phases is zero
+/// unless JoinOptions::profile_phases.
+struct JoinStats : QueryStats {
   /// Non-empty leaf blocks of the tree (== the number of self block
   /// pairs, every one of which is swept: MINDIST(i,i) = 0).
   std::uint64_t leaf_blocks = 0;
@@ -123,30 +133,6 @@ struct JoinStats : Counters {
   std::uint64_t block_pairs_swept = 0;
   /// Point pairs emitted (each exactly once, a < b).
   std::uint64_t pairs_emitted = 0;
-
-  // Simulated I/O, derived from the same accumulator protocol as
-  // QueryStats. Page conservation under coalescing: every swept pair
-  // touches its one (self) or two (cross) blocks, so on a healthy,
-  // unbuffered engine
-  //     total_pages + buffer_hit_pages + coalesced_reads
-  //         == sum over swept pairs of their blocks' pages,
-  // and total_pages + buffer_hit_pages counts each distinct leaf once.
-  // coalesced_reads are the reads spared because an earlier pair of
-  // this join already paid for the block's fetch (leader pays).
-  std::uint64_t total_pages = 0;
-  std::uint64_t directory_pages = 0;
-  std::uint64_t max_pages = 0;
-  bool degraded = false;
-
-  /// Simulated times under the paper's rule (host directory work plus
-  /// the slowest disk), derived from the accumulator exactly like a
-  /// query's.
-  double parallel_ms = 0.0;
-  double sum_ms = 0.0;
-  double balance = 1.0;
-
-  /// Wall-clock phase breakdown (zero unless JoinOptions::profile_phases).
-  PhaseBreakdown phases;
 };
 
 /// A self-join run plus its stats. `pairs` is sorted by (a, b).

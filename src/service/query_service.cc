@@ -22,11 +22,9 @@ QueryService::QueryService(const ParallelSearchEngine& engine,
       options_(options),
       scheduler_(engine.tree(), engine.options().metric, engine.approx_factor_,
                  nullptr) {
-  // The round scheduler exists only where one shared tree serves every
-  // query with the pausable HS search — the same gate QueryBatch's
-  // coalesced path has.
+  // The round scheduler needs the one shared tree, like QueryBatch's
+  // coalesced path.
   PARSIM_CHECK(engine.options().architecture == Architecture::kSharedTree);
-  PARSIM_CHECK(engine.options().knn_algorithm == KnnAlgorithm::kHs);
   PARSIM_CHECK(options_.max_queue >= 1);
   PARSIM_CHECK(options_.max_batch >= 1);
   PARSIM_CHECK(options_.interactive_weight >= 1);

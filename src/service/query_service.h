@@ -31,8 +31,8 @@
 // Threading: Submit is safe from any thread. The scheduler runs either
 // on the internal dispatcher thread (Start/Stop) or inline on the
 // caller (Drain — deterministic, for tests and closed-loop harnesses).
-// The engine must be kSharedTree + kHs; one service per engine at a
-// time (the round scheduler is not shared).
+// The engine must be kSharedTree; one service per engine at a time
+// (the round scheduler is not shared).
 
 #ifndef PARSIM_SRC_SERVICE_QUERY_SERVICE_H_
 #define PARSIM_SRC_SERVICE_QUERY_SERVICE_H_
@@ -123,7 +123,7 @@ struct ServiceMetrics {
 
 class QueryService {
  public:
-  /// `engine` must outlive the service, be kSharedTree + kHs, and not
+  /// `engine` must outlive the service, be kSharedTree, and not
   /// mutate (Insert/Remove/SetFaultPlan) while queries are in flight —
   /// the engine's standing read-query contract.
   explicit QueryService(const ParallelSearchEngine& engine,

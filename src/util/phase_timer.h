@@ -168,7 +168,7 @@ class ScopedPhase {
 };
 
 /// Plain-double snapshot of an accumulator, in milliseconds, for stats
-/// plumbing (QueryStats / ThroughputResult). All zeros when profiling
+/// plumbing (QueryStats and JoinStats). All zeros when profiling
 /// was off. Never golden-pin these — they are measured wall times.
 struct PhaseBreakdown {
   std::array<double, kNumPhases> ms{};

@@ -191,9 +191,8 @@ std::vector<std::uint8_t> RandomCodes(Rng& rng, std::size_t n) {
 }
 
 // The row-tail self block on every tier's sq8_many, against the scalar
-// reduction of every pair; on the dispatched tier, Metric's Sq8Block and
-// Sq8BlockSelf as well. A poisoned buffer shows any write at or below
-// the diagonal.
+// reduction of every pair; on the dispatched tier, Metric's Sq8Block as
+// well. A poisoned buffer shows any write at or below the diagonal.
 TEST(SimdKernelTest, Sq8SelfBlockBitIdenticalToFullBlock) {
   Rng rng(1209);
   constexpr std::uint32_t kPoison = 0xdeadbeef;
@@ -217,14 +216,11 @@ TEST(SimdKernelTest, Sq8SelfBlockBitIdenticalToFullBlock) {
             sq8_many(queries.data() + i * dim, codes.data() + (i + 1) * dim,
                      count - i - 1, dim, tri.data() + i * count + i + 1);
           }
-          std::vector<std::uint32_t> full, self;
+          std::vector<std::uint32_t> full;
           if (dispatched) {
             full.resize(count * count);
-            self.assign(count * count, kPoison);
             metric.Sq8Block(queries.data(), count, codes.data(), count, dim,
                             full.data());
-            metric.Sq8BlockSelf(queries.data(), codes.data(), count, dim,
-                                self.data());
           }
           std::size_t wrong = 0;
           for (std::size_t i = 0; i < count; ++i) {
@@ -234,10 +230,7 @@ TEST(SimdKernelTest, Sq8SelfBlockBitIdenticalToFullBlock) {
                   kind, queries.data() + i * dim, codes.data() + j * dim, dim);
               const std::uint32_t want = j > i ? ref : kPoison;
               wrong += tri[at] != want;
-              if (dispatched) {
-                wrong += self[at] != want;
-                wrong += full[at] != ref;
-              }
+              if (dispatched) wrong += full[at] != ref;
             }
           }
           EXPECT_EQ(0u, wrong)

@@ -158,23 +158,17 @@ TEST(BufferedDiskPoolTest, AttachedDisksShareOnePool) {
   EXPECT_EQ(array.disk(1).stats().data_pages_read, 2u);
   EXPECT_EQ(host.stats().directory_pages_read, 1u);
   EXPECT_EQ(pool.TotalTouchedPages(), 7u);
-}
+  // Disk i buffers in shard i, the host in the shard it named.
+  EXPECT_EQ(pool.ShardWeight(0), 2u);
+  EXPECT_EQ(pool.ShardWeight(1), 2u);
+  EXPECT_EQ(pool.ShardWeight(2), 1u);
 
-TEST(BufferedDiskPoolTest, ArrayOwnedPoolConfiguresEveryDisk) {
-  DiskArray array(4);
-  EXPECT_EQ(array.buffer_pool(), nullptr);
-  array.ConfigureBufferPool(8);
-  ASSERT_NE(array.buffer_pool(), nullptr);
-  EXPECT_EQ(array.buffer_pool()->num_shards(), 4u);
-  for (DiskId d = 0; d < 4; ++d) {
-    EXPECT_TRUE(array.disk(d).has_buffer());
-    array.disk(d).ReadDataPagesBuffered(1, 1);
-    array.disk(d).ReadDataPagesBuffered(1, 1);
-    EXPECT_EQ(array.disk(d).stats().buffer_hit_pages, 1u) << "disk " << d;
+  array.AttachBufferPool(nullptr);
+  for (DiskId d = 0; d < 2; ++d) {
+    array.disk(d).ReadDataPagesBuffered(/*key=*/5, 2);  // detached: charged
+    EXPECT_EQ(array.disk(d).stats().data_pages_read, 4u);
   }
-  array.ConfigureBufferPool(0);
-  EXPECT_EQ(array.buffer_pool(), nullptr);
-  EXPECT_FALSE(array.disk(0).has_buffer());
+  EXPECT_EQ(pool.TotalTouchedPages(), 7u);
 }
 
 }  // namespace

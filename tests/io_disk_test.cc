@@ -50,7 +50,7 @@ TEST(DiskStatsTest, Accumulation) {
 TEST(SimulatedDiskTest, CountersStartAtZero) {
   SimulatedDisk d(0);
   EXPECT_EQ(d.stats().TotalPagesRead(), 0u);
-  EXPECT_EQ(d.ElapsedMs(), 0.0);
+  EXPECT_EQ(ElapsedMs(d.stats(), d.parameters()), 0.0);
 }
 
 TEST(SimulatedDiskTest, ChargesAccumulate) {
@@ -66,7 +66,7 @@ TEST(SimulatedDiskTest, ChargesAccumulate) {
   EXPECT_EQ(d.stats().pages_written, 7u);
   EXPECT_EQ(d.stats().distance_computations, 10u);
   EXPECT_EQ(d.stats().TotalPagesRead(), 7u);
-  EXPECT_GT(d.ElapsedMs(), 0.0);
+  EXPECT_GT(ElapsedMs(d.stats(), d.parameters()), 0.0);
 }
 
 TEST(SimulatedDiskTest, ResetClearsCounters) {
@@ -74,42 +74,13 @@ TEST(SimulatedDiskTest, ResetClearsCounters) {
   d.ReadDataPages(5);
   d.ResetStats();
   EXPECT_EQ(d.stats().TotalPagesRead(), 0u);
-  EXPECT_EQ(d.ElapsedMs(), 0.0);
+  EXPECT_EQ(ElapsedMs(d.stats(), d.parameters()), 0.0);
 }
 
 TEST(DiskArrayTest, SizeAndIds) {
   DiskArray array(4);
   EXPECT_EQ(array.size(), 4u);
   for (DiskId i = 0; i < 4; ++i) EXPECT_EQ(array.disk(i).id(), i);
-}
-
-TEST(DiskArrayTest, ParallelElapsedIsMax) {
-  DiskArray array(3);
-  array.disk(0).ReadDataPages(1);
-  array.disk(1).ReadDataPages(10);
-  array.disk(2).ReadDataPages(5);
-  const double per_page = array.disk(0).parameters().PageAccessMs();
-  EXPECT_DOUBLE_EQ(array.ParallelElapsedMs(), 10 * per_page);
-  EXPECT_DOUBLE_EQ(array.SequentialElapsedMs(), 16 * per_page);
-  EXPECT_EQ(array.BusiestDisk(), 1u);
-  EXPECT_EQ(array.MaxPagesRead(), 10u);
-  EXPECT_EQ(array.TotalPagesRead(), 16u);
-}
-
-TEST(DiskArrayTest, BalanceRatio) {
-  DiskArray array(4);
-  // Perfectly balanced: 5 pages each.
-  for (DiskId i = 0; i < 4; ++i) array.disk(i).ReadDataPages(5);
-  EXPECT_DOUBLE_EQ(array.BalanceRatio(), 1.0);
-  array.ResetStats();
-  // All on one disk of four: avg/max = (20/4)/20 = 0.25.
-  array.disk(2).ReadDataPages(20);
-  EXPECT_DOUBLE_EQ(array.BalanceRatio(), 0.25);
-}
-
-TEST(DiskArrayTest, BalanceRatioOfIdleArrayIsOne) {
-  DiskArray array(8);
-  EXPECT_DOUBLE_EQ(array.BalanceRatio(), 1.0);
 }
 
 TEST(DiskArrayTest, TotalStatsAggregates) {
@@ -127,8 +98,7 @@ TEST(DiskArrayTest, ResetStatsClearsAllDisks) {
   DiskArray array(3);
   for (DiskId i = 0; i < 3; ++i) array.disk(i).ReadDataPages(i + 1);
   array.ResetStats();
-  EXPECT_EQ(array.TotalPagesRead(), 0u);
-  EXPECT_DOUBLE_EQ(array.ParallelElapsedMs(), 0.0);
+  EXPECT_EQ(array.TotalStats().TotalPagesRead(), 0u);
 }
 
 TEST(DiskArrayDeathTest, ZeroDisksForbidden) {

@@ -10,6 +10,15 @@
 namespace parsim {
 namespace {
 
+/// How many disks of `array` are in the state `is` tests for (is_failed or
+/// is_slow).
+std::size_t CountDisks(const DiskArray& array,
+                       bool (SimulatedDisk::*is)() const) {
+  std::size_t n = 0;
+  for (DiskId d = 0; d < array.size(); ++d) n += (array.disk(d).*is)();
+  return n;
+}
+
 TEST(FaultPlanTest, DefaultPlanIsEmptyAndHealthy) {
   const FaultPlan plan;
   EXPECT_TRUE(plan.empty());
@@ -93,9 +102,14 @@ TEST(SimulatedDiskFaultTest, SlowDiskScalesElapsedTimeOnly) {
   healthy.ReadDataPages(10);
   slow.ReadDataPages(10);
   EXPECT_EQ(healthy.stats().data_pages_read, slow.stats().data_pages_read);
-  EXPECT_DOUBLE_EQ(slow.ElapsedMs(), 3.0 * healthy.ElapsedMs());
+  // The engine scales a disk's charges by its fault state's time_scale().
+  EXPECT_DOUBLE_EQ(healthy.time_scale(), 1.0);
+  EXPECT_DOUBLE_EQ(ElapsedMs(slow.stats(), params) * slow.time_scale(),
+                   3.0 * ElapsedMs(healthy.stats(), params) *
+                       healthy.time_scale());
   // The healthy figure ignores the fault: identical for both disks.
-  EXPECT_DOUBLE_EQ(slow.HealthyElapsedMs(), healthy.HealthyElapsedMs());
+  EXPECT_DOUBLE_EQ(HealthyElapsedMs(slow.stats(), params),
+                   HealthyElapsedMs(healthy.stats(), params));
 }
 
 TEST(SimulatedDiskFaultTest, FailoverChargesRetryTimeouts) {
@@ -103,13 +117,13 @@ TEST(SimulatedDiskFaultTest, FailoverChargesRetryTimeouts) {
   params.failover_timeout_ms = 2.0;
   SimulatedDisk replica(0, params);
   replica.ReadDataPages(5);
-  const double base_ms = replica.ElapsedMs();
+  const double base_ms = ElapsedMs(replica.stats(), params);
   replica.RecordFailover(/*attempts=*/3, /*pages=*/5);
   EXPECT_EQ(replica.stats().failed_read_attempts, 3u);
   EXPECT_EQ(replica.stats().replica_pages, 5u);
-  EXPECT_DOUBLE_EQ(replica.ElapsedMs(), base_ms + 3 * 2.0);
+  EXPECT_DOUBLE_EQ(ElapsedMs(replica.stats(), params), base_ms + 3 * 2.0);
   // Retry penalties are a fault artifact: absent from the healthy figure.
-  EXPECT_DOUBLE_EQ(replica.HealthyElapsedMs(), base_ms);
+  EXPECT_DOUBLE_EQ(HealthyElapsedMs(replica.stats(), params), base_ms);
 }
 
 TEST(SimulatedDiskFaultTest, UnavailablePagesAreCountedNotTimed) {
@@ -118,7 +132,8 @@ TEST(SimulatedDiskFaultTest, UnavailablePagesAreCountedNotTimed) {
   disk.RecordUnavailable(7);
   EXPECT_EQ(disk.stats().unavailable_pages, 7u);
   EXPECT_EQ(disk.stats().data_pages_read, 0u);
-  EXPECT_DOUBLE_EQ(disk.ElapsedMs(), 0.0);
+  EXPECT_DOUBLE_EQ(disk.time_scale(), 1.0);
+  EXPECT_DOUBLE_EQ(ElapsedMs(disk.stats(), disk.parameters()), 0.0);
 }
 
 TEST(DiskArrayFaultTest, ApplyAndClearFaultPlan) {
@@ -129,22 +144,22 @@ TEST(DiskArrayFaultTest, ApplyAndClearFaultPlan) {
   array.ApplyFaultPlan(plan);
   EXPECT_TRUE(array.disk(2).is_failed());
   EXPECT_TRUE(array.disk(5).is_slow());
-  EXPECT_EQ(array.NumFailedDisks(), 1u);
-  EXPECT_EQ(array.NumSlowDisks(), 1u);
+  EXPECT_EQ(CountDisks(array, &SimulatedDisk::is_failed), 1u);
+  EXPECT_EQ(CountDisks(array, &SimulatedDisk::is_slow), 1u);
   EXPECT_EQ(array.fault_plan().NumFailed(), 1u);
 
   array.ClearFaults();
-  EXPECT_EQ(array.NumFailedDisks(), 0u);
-  EXPECT_EQ(array.NumSlowDisks(), 0u);
+  EXPECT_EQ(CountDisks(array, &SimulatedDisk::is_failed), 0u);
+  EXPECT_EQ(CountDisks(array, &SimulatedDisk::is_slow), 0u);
   EXPECT_TRUE(array.fault_plan().empty());
 }
 
 TEST(DiskArrayFaultTest, EmptyPlanHealsEveryDisk) {
   DiskArray array(4);
   array.ApplyFaultPlan(FaultPlan::WithRandomFailures(4, 2, 11));
-  EXPECT_EQ(array.NumFailedDisks(), 2u);
+  EXPECT_EQ(CountDisks(array, &SimulatedDisk::is_failed), 2u);
   array.ApplyFaultPlan(FaultPlan{});
-  EXPECT_EQ(array.NumFailedDisks(), 0u);
+  EXPECT_EQ(CountDisks(array, &SimulatedDisk::is_failed), 0u);
 }
 
 TEST(DiskArrayFaultTest, FaultsSurviveStatsReset) {
@@ -152,8 +167,9 @@ TEST(DiskArrayFaultTest, FaultsSurviveStatsReset) {
   array.ApplyFaultPlan(FaultPlan::WithRandomFailures(4, 1, 13));
   array.disk(0).ReadDataPages(3);
   array.ResetStats();
-  EXPECT_EQ(array.NumFailedDisks(), 1u);  // health is state, not stats
-  EXPECT_EQ(array.TotalPagesRead(), 0u);
+  // Health is state, not stats.
+  EXPECT_EQ(CountDisks(array, &SimulatedDisk::is_failed), 1u);
+  EXPECT_EQ(array.TotalStats().TotalPagesRead(), 0u);
 }
 
 TEST(ElapsedMsTest, HealthyAndFaultyFormulasAgreeWithoutFaults) {

@@ -1,5 +1,6 @@
 #include "src/parallel/engine.h"
 
+#include <algorithm>
 #include <future>
 #include <limits>
 #include <memory>
@@ -132,7 +133,8 @@ TEST(EngineTest, NonFiniteCoordinatesRejected) {
         Architecture::kFederatedScan}) {
     EngineOptions options;
     options.architecture = arch;
-    options.quantized_leaf_blocks = true;
+    // The scan has no leaf blocks to quantize.
+    options.quantized_leaf_blocks = arch != Architecture::kFederatedScan;
     for (const Scalar bad : {std::numeric_limits<Scalar>::quiet_NaN(),
                              std::numeric_limits<Scalar>::infinity(),
                              -std::numeric_limits<Scalar>::infinity()}) {
@@ -200,6 +202,31 @@ TEST(EngineDeathTest, NonFiniteQueryCoordinatesFailLoudly) {
   }
 }
 
+// Options a configuration cannot honour fail at construction instead of
+// being ignored: the coalesced batch needs the one shared tree, and the
+// scan architecture has no leaf blocks to quantize.
+TEST(EngineDeathTest, CoalescedBatchOutsideSharedTreeFailsCheck) {
+  for (const Architecture architecture :
+       {Architecture::kFederatedTrees, Architecture::kFederatedScan}) {
+    EngineOptions options;
+    options.architecture = architecture;
+    options.coalesced_batch = true;
+    EXPECT_DEATH(ParallelSearchEngine(
+                     4, std::make_unique<NearOptimalDeclusterer>(4, 4),
+                     options),
+                 "coalesced_batch");
+  }
+}
+
+TEST(EngineDeathTest, QuantizedLeafBlocksUnderScanFailsCheck) {
+  EngineOptions options;
+  options.architecture = Architecture::kFederatedScan;
+  options.quantized_leaf_blocks = true;
+  EXPECT_DEATH(ParallelSearchEngine(
+                   4, std::make_unique<NearOptimalDeclusterer>(4, 4), options),
+               "quantized_leaf_blocks");
+}
+
 TEST(EngineTest, QueryMatchesBruteForce) {
   const PointSet data = GenerateUniform(6000, 8, 307);
   auto engine = MakeEngine(data, 8);
@@ -256,22 +283,6 @@ TEST(EngineTest, BulkLoadBuildMatchesInsertBuildResults) {
   }
 }
 
-TEST(EngineTest, RkvAlgorithmOptionWorks) {
-  const PointSet data = GenerateUniform(3000, 4, 319);
-  EngineOptions options;
-  options.knn_algorithm = KnnAlgorithm::kRkv;
-  auto engine = MakeEngine(data, 4, options);
-  const PointSet queries = GenerateUniformQueries(10, 4, 321);
-  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
-    const auto got = engine->Query(queries[qi], 3);
-    const auto expected = BruteForceKnn(data, queries[qi], 3);
-    ASSERT_EQ(got.size(), expected.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_NEAR(got[i].distance, expected[i].distance, 1e-9);
-    }
-  }
-}
-
 TEST(EngineTest, RStarTreeKindOptionWorks) {
   const PointSet data = GenerateUniform(2000, 3, 323);
   EngineOptions options;
@@ -298,6 +309,52 @@ TEST(EngineTest, QueryStatsPopulated) {
   std::uint64_t sum = 0;
   for (auto p : stats.pages_per_disk) sum += p;
   EXPECT_EQ(sum, stats.total_pages);
+}
+
+// The paper's rule, applied to one query's captured charges: with the
+// CPU share zeroed, a query takes the host's directory pages plus the
+// busiest disk's pages at one page access each, one disk serving every
+// access would take the host's plus all disks' pages, and balance is the
+// average over the largest disk load. A query that reads no data page
+// balances at 1.
+TEST(EngineTest, QueryStatsApplyTheSlowestDiskRule) {
+  constexpr std::uint32_t kDisks = 8;
+  const PointSet data = GenerateUniform(8000, 8, 329);
+  EngineOptions options;
+  options.disk_parameters.cpu_ms_per_distance = 0.0;
+  auto engine = MakeEngine(data, kDisks, options);
+  const double page_ms = options.disk_parameters.PageAccessMs();
+
+  QueryStats stats;
+  (void)engine->Query(data[17], 10, &stats);
+  ASSERT_EQ(stats.pages_per_disk.size(), kDisks);
+  std::uint64_t max_pages = 0;
+  std::uint64_t total_pages = 0;
+  for (const std::uint64_t pages : stats.pages_per_disk) {
+    max_pages = std::max(max_pages, pages);
+    total_pages += pages;
+  }
+  EXPECT_EQ(stats.max_pages, max_pages);
+  EXPECT_EQ(stats.total_pages, total_pages);
+  EXPECT_GT(stats.directory_pages, 0u);
+  EXPECT_DOUBLE_EQ(stats.parallel_ms,
+                   static_cast<double>(stats.directory_pages + max_pages) *
+                       page_ms);
+  EXPECT_DOUBLE_EQ(stats.sum_ms,
+                   static_cast<double>(stats.directory_pages + total_pages) *
+                       page_ms);
+  EXPECT_DOUBLE_EQ(stats.balance, static_cast<double>(total_pages) / kDisks /
+                                      static_cast<double>(max_pages));
+
+  // A window beside the unit cube reads directory pages only.
+  QueryStats idle;
+  const Rect beside(std::vector<Scalar>(8, 2.0f), std::vector<Scalar>(8, 3.0f));
+  EXPECT_TRUE(engine->RangeQuery(beside, &idle).empty());
+  EXPECT_EQ(idle.max_pages, 0u);
+  EXPECT_EQ(idle.total_pages, 0u);
+  EXPECT_DOUBLE_EQ(idle.balance, 1.0);
+  EXPECT_DOUBLE_EQ(idle.parallel_ms,
+                   static_cast<double>(idle.directory_pages) * page_ms);
 }
 
 TEST(EngineTest, SingleDiskEngineIsSequentialBaseline) {

@@ -70,10 +70,12 @@ void ExpectSameStats(const JoinStats& a, const JoinStats& b) {
   EXPECT_EQ(a.total_pages, b.total_pages);
   EXPECT_EQ(a.directory_pages, b.directory_pages);
   EXPECT_EQ(a.max_pages, b.max_pages);
+  EXPECT_EQ(a.pages_per_disk, b.pages_per_disk);
   EXPECT_EQ(a.degraded, b.degraded);
   // Simulated times are derived from the counters, so they must match
   // bit for bit too.
   EXPECT_EQ(a.parallel_ms, b.parallel_ms);
+  EXPECT_EQ(a.healthy_parallel_ms, b.healthy_parallel_ms);
   EXPECT_EQ(a.sum_ms, b.sum_ms);
   EXPECT_EQ(a.balance, b.balance);
 }
@@ -399,6 +401,41 @@ TEST(SimilarityJoinTest, ComposesWithFaultPlanAndReplicas) {
   const JoinResult recovered = engine->SelfJoin(eps);
   ExpectSamePairs(healthy.pairs, recovered.pairs);
   EXPECT_FALSE(recovered.stats.degraded);
+}
+
+// A join reports a query's pages and times: its pages per disk add up
+// to its total, and its healthy makespan equals the actual one on a
+// healthy array and falls below it when the busiest disk runs slow.
+TEST(SimilarityJoinTest, StatsCarryPerDiskPagesAndHealthyMakespan) {
+  constexpr std::uint32_t kDisks = 8;
+  const PointSet data = GenerateClusteredGaussian(3000, 6, 8, 0.05, 5303);
+  const double eps = 0.07;
+  const auto engine = MakeEngine(data, kDisks, SweepMode::kQuantized);
+  const JoinResult healthy = engine->SelfJoin(eps);
+  const JoinStats& hs = healthy.stats;
+  ASSERT_EQ(hs.pages_per_disk.size(), kDisks);
+  std::uint64_t total_pages = 0;
+  for (const std::uint64_t pages : hs.pages_per_disk) total_pages += pages;
+  EXPECT_EQ(total_pages, hs.total_pages);
+  EXPECT_FALSE(hs.degraded);
+  EXPECT_EQ(hs.healthy_parallel_ms, hs.parallel_ms);
+
+  const auto busiest = static_cast<std::uint32_t>(
+      std::max_element(hs.pages_per_disk.begin(), hs.pages_per_disk.end()) -
+      hs.pages_per_disk.begin());
+  ASSERT_GT(hs.pages_per_disk[busiest], 0u);
+  FaultPlan plan(kDisks);
+  plan.SlowDisk(busiest, 3.0);
+  engine->SetFaultPlan(plan);
+  const JoinResult slow = engine->SelfJoin(eps);
+  engine->ClearFaults();
+
+  ExpectSamePairs(healthy.pairs, slow.pairs);
+  EXPECT_EQ(slow.stats.pages_per_disk, hs.pages_per_disk);
+  EXPECT_TRUE(slow.stats.degraded);
+  EXPECT_LT(slow.stats.healthy_parallel_ms, slow.stats.parallel_ms);
+  // Healthy rates ignore the slowdown: the same pages, the same makespan.
+  EXPECT_EQ(slow.stats.healthy_parallel_ms, hs.parallel_ms);
 }
 
 TEST(SimilarityJoinTest, QuantizedSweepAccountingTiesToExact) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/io/buffer_pool.h"
 #include "src/io/disk.h"
 
 namespace parsim {
@@ -150,8 +151,9 @@ TEST(LruCacheTest, HeavyChurnStaysWithinCapacity) {
 }
 
 TEST(BufferedDiskTest, HitsAreFreeAndCounted) {
+  BufferPool pool(/*num_shards=*/1, /*pages_per_shard=*/8);
   SimulatedDisk disk(0);
-  disk.ConfigureBuffer(8);
+  disk.AttachBufferPool(&pool, 0);
   disk.ReadDataPagesBuffered(/*key=*/1, 1);  // miss
   disk.ReadDataPagesBuffered(/*key=*/1, 1);  // hit
   disk.ReadDataPagesBuffered(/*key=*/1, 1);  // hit
@@ -168,8 +170,9 @@ TEST(BufferedDiskTest, NoBufferMeansEveryReadCharges) {
 }
 
 TEST(BufferedDiskTest, BufferSurvivesStatReset) {
+  BufferPool pool(/*num_shards=*/1, /*pages_per_shard=*/8);
   SimulatedDisk disk(0);
-  disk.ConfigureBuffer(8);
+  disk.AttachBufferPool(&pool, 0);
   disk.ReadDirectoryPagesBuffered(7, 1);  // miss, resident now
   disk.ResetStats();
   disk.ReadDirectoryPagesBuffered(7, 1);  // still a hit
@@ -178,8 +181,9 @@ TEST(BufferedDiskTest, BufferSurvivesStatReset) {
 }
 
 TEST(BufferedDiskTest, SupernodeWeight) {
+  BufferPool pool(/*num_shards=*/1, /*pages_per_shard=*/4);
   SimulatedDisk disk(0);
-  disk.ConfigureBuffer(4);
+  disk.AttachBufferPool(&pool, 0);
   disk.ReadDataPagesBuffered(1, 3);  // miss: 3 pages
   disk.ReadDataPagesBuffered(2, 3);  // miss: evicts key 1 (3+3 > 4)
   disk.ReadDataPagesBuffered(1, 3);  // miss again
